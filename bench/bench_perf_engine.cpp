@@ -260,7 +260,9 @@ void BM_FullRun_MultiThreaded(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           2000);
 }
-BENCHMARK(BM_FullRun_MultiThreaded)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FullRun_MultiThreaded)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Thread-scaling curve of the full runner: the same 2000-trial run at 1
 // worker, 2 workers, and every hardware thread. On a multi-node machine
@@ -294,6 +296,7 @@ void thread_scaling_args(benchmark::internal::Benchmark* b) {
 }
 BENCHMARK(BM_FullRun_ThreadScaling)
     ->Apply(thread_scaling_args)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Same run with a telemetry sink attached — the delta against
@@ -318,7 +321,9 @@ void BM_FullRun_Telemetry(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           2000);
 }
-BENCHMARK(BM_FullRun_Telemetry)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FullRun_Telemetry)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Console output plus a per-benchmark record for the perf artifact.
 class CapturingReporter : public benchmark::ConsoleReporter {
@@ -327,7 +332,11 @@ class CapturingReporter : public benchmark::ConsoleReporter {
     for (const auto& run : runs) {
       if (run.run_type != Run::RT_Iteration) continue;  // skip aggregates
       bench::PerfRecord rec;
-      rec.name = run.benchmark_name();
+      // Drop the "/real_time" suffix ->UseRealTime() adds, so records
+      // keep the names the committed baseline and the gate use.
+      benchmark::BenchmarkName name = run.run_name;
+      name.time_type.clear();
+      rec.name = name.str();
       rec.iterations = static_cast<std::uint64_t>(run.iterations);
       if (run.iterations > 0) {
         rec.real_time_ns =

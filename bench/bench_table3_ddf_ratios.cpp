@@ -8,7 +8,7 @@
 #include "core/model.h"
 #include "core/presets.h"
 #include "report/table.h"
-#include "stats/gof.h"
+#include "stats/poisson_ci.h"
 #include "util/strings.h"
 
 int main(int argc, char** argv) {

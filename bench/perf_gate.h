@@ -1,4 +1,4 @@
-// CI performance-gate logic (the policy behind bench/perf_gate.cpp).
+// CI performance-gate logic (the policy behind bench/perf_gate_main.cpp).
 //
 // The gate compares a freshly measured BENCH_perf.json against the
 // committed baseline and fails when a watched engine benchmark's
@@ -23,7 +23,7 @@
 #include <string_view>
 #include <vector>
 
-namespace raidrel::obs {
+namespace raidrel::bench {
 
 struct PerfGateOptions {
   /// Allowed throughput drop as a fraction (0.25 = candidate may be up
@@ -66,4 +66,4 @@ PerfGateReport run_perf_gate(std::string_view baseline_json,
                              std::string_view candidate_json,
                              const PerfGateOptions& options = {});
 
-}  // namespace raidrel::obs
+}  // namespace raidrel::bench

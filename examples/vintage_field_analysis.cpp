@@ -15,7 +15,6 @@
 #include "field/paper_products.h"
 #include "report/table.h"
 #include "stats/fit.h"
-#include "stats/gof.h"
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/strings.h"

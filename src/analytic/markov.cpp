@@ -26,11 +26,6 @@ MarkovChain::MarkovChain(std::size_t n, std::vector<double> generator)
   }
 }
 
-double MarkovChain::rate(std::size_t from, std::size_t to) const {
-  RAIDREL_REQUIRE(from < n_ && to < n_, "state out of range");
-  return q_[from * n_ + to];
-}
-
 bool MarkovChain::is_absorbing(std::size_t state) const {
   RAIDREL_REQUIRE(state < n_, "state out of range");
   for (std::size_t j = 0; j < n_; ++j) {

@@ -18,7 +18,6 @@ class MarkovChain {
   MarkovChain(std::size_t n, std::vector<double> generator);
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
-  [[nodiscard]] double rate(std::size_t from, std::size_t to) const;
   [[nodiscard]] bool is_absorbing(std::size_t state) const;
 
   /// State distribution after `t` hours from `initial`, by uniformization

@@ -96,16 +96,6 @@ std::vector<FaultEvent> RunTelemetry::fault_events() const {
   return fault_events_;
 }
 
-std::uint64_t RunTelemetry::fault_count(std::string_view kind) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (kind.empty()) return fault_events_.size();
-  std::uint64_t n = 0;
-  for (const auto& e : fault_events_) {
-    if (e.kind == kind) ++n;
-  }
-  return n;
-}
-
 WorkerStats RunTelemetry::totals() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   WorkerStats sum;

@@ -168,8 +168,6 @@ class RunTelemetry {
   /// at least one event was recorded, so clean runs serialize unchanged.
   void add_fault_event(FaultEvent event);
   [[nodiscard]] std::vector<FaultEvent> fault_events() const;  ///< snapshot
-  /// Number of recorded events of `kind` (empty = all kinds).
-  [[nodiscard]] std::uint64_t fault_count(std::string_view kind = {}) const;
 
   [[nodiscard]] WorkerStats totals() const;  ///< sum over workers
   [[nodiscard]] const std::vector<WorkerStats>& workers() const noexcept {

@@ -18,13 +18,15 @@
 #include "sim/runner.h"           // IWYU pragma: export
 #include "sim/timing_engine.h"    // IWYU pragma: export
 
-// Lifetime laws and statistics.
+// Lifetime laws (Weibull, gamma, mixtures, competing risks, piecewise
+// hazards, residual life) and field statistics (Weibull fits, trend
+// tests, Poisson intervals).
 #include "stats/basic_distributions.h"  // IWYU pragma: export
 #include "stats/composite.h"            // IWYU pragma: export
 #include "stats/fit.h"                  // IWYU pragma: export
-#include "stats/gof.h"                  // IWYU pragma: export
 #include "stats/piecewise.h"            // IWYU pragma: export
 #include "stats/point_process.h"        // IWYU pragma: export
+#include "stats/poisson_ci.h"           // IWYU pragma: export
 #include "stats/residual_life.h"        // IWYU pragma: export
 #include "stats/weibull.h"              // IWYU pragma: export
 

@@ -16,22 +16,8 @@ void fill_uniform_open_generic(RandomStream* const streams[], double out[],
 FillUniformOpenFn fill_uniform_open_backend(util::SimdIsa isa) noexcept {
   const util::SimdIsa detected = util::detected_isa();
   if (isa > detected) isa = detected;
-  switch (isa) {
-    case util::SimdIsa::kAvx512:
-      return detail::fill_uniform_open_avx512;
-    case util::SimdIsa::kAvx2:
-      return detail::fill_uniform_open_avx2;
-    case util::SimdIsa::kSse2:
-      return detail::fill_uniform_open_sse2;
-    case util::SimdIsa::kGeneric:
-      break;
-  }
-  return detail::fill_uniform_open_generic;
-}
-
-void fill_uniform_open_n(RandomStream* const streams[], double out[],
-                         std::size_t n) {
-  fill_uniform_open_backend(util::active_isa())(streams, out, n);
+  return isa == util::SimdIsa::kAvx512 ? detail::fill_uniform_open_avx512
+                                       : detail::fill_uniform_open_generic;
 }
 
 }  // namespace raidrel::rng

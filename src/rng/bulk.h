@@ -5,7 +5,7 @@
 // draw per trial stream. Scalar xoshiro is already cheap, but one call
 // per draw serializes: each stream's next output is a short dependent
 // chain, and the call boundary stops the chains from overlapping.
-// fill_uniform_open_n() advances W *distinct* streams' states through
+// The AVX-512 backend advances W = 8 *distinct* streams' states through
 // one W-wide xoshiro step per block round — the same shifts, xors and
 // rotates, W states side by side — then converts the outputs with the
 // exact arithmetic of RandomStream::uniform_open. Each stream's state
@@ -33,11 +33,5 @@ using FillUniformOpenFn = void (*)(RandomStream* const streams[],
 /// backend (including kGeneric) produces bit-identical output; the tier
 /// only decides how many streams step per round.
 FillUniformOpenFn fill_uniform_open_backend(util::SimdIsa isa) noexcept;
-
-/// Convenience: run the active-ISA backend (util::active_isa) once.
-/// Hot paths should resolve the backend pointer at construction instead
-/// of paying the environment lookup per refill.
-void fill_uniform_open_n(RandomStream* const streams[], double out[],
-                         std::size_t n);
 
 }  // namespace raidrel::rng

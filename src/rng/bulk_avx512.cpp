@@ -1,12 +1,30 @@
 // AVX-512 backend of the bulk uniform fill: eight streams per round.
 // Uses F (512-bit integer lanes, rotates) and DQ (_mm512_cvtepu64_pd).
+//
+// Each round transposes eight states into registers, runs one 8-wide
+// xoshiro256++ step, transposes back and converts. The transpose
+// matters: a xoshiro state is four contiguous u64 words, so each
+// stream's state is one 32-byte load, and the word-major layout the SIMD
+// step needs (all s0 words in one vector, all s1 words in the next, ...)
+// is reached with in-register shuffles. Staging through a stack array
+// instead (scalar 8-byte stores read back by wide loads) stalls on
+// blocked store-to-load forwarding every round and measures *slower*
+// than the scalar loop.
+//
+// Bit-identity: the xoshiro step is pure 64-bit integer arithmetic
+// (adds, xors, shifts, rotates), identical per lane to the scalar
+// operator()(). The output conversion must reproduce
+//   (static_cast<double>(x >> 12) + 0.5) * 0x1.0p-52
+// exactly: x >> 12 < 2^52 converts to double exactly by
+// _mm512_cvtepu64_pd, y + 0.5 is exact for y < 2^52 (ulp(y) <= 0.5
+// there), and the final scale by a power of two is exact. The backend
+// therefore emits the same bits as the scalar call, verified
+// stream-for-stream by tests/bulk_rng_test.cpp.
 #include "rng/bulk_backends.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
-
-#include "rng/bulk_impl.h"
 
 namespace raidrel::rng::detail {
 
@@ -14,8 +32,6 @@ namespace {
 struct Avx512Backend {
   static constexpr std::size_t width = 8;
   using vu = __m512i;
-  static vu load(const std::uint64_t* p) { return _mm512_loadu_si512(p); }
-  static void store(std::uint64_t* p, vu v) { _mm512_storeu_si512(p, v); }
   // 8x4 u64 transpose, stream-major <-> word-major, all in registers.
   // Two streams' states per zmm, then two permutex2var rounds.
   static void load_states(RandomStream* const streams[], vu s[4]) {
@@ -83,11 +99,29 @@ struct Avx512Backend {
     _mm512_storeu_pd(dst, d);
   }
 };
+
 }  // namespace
 
 void fill_uniform_open_avx512(RandomStream* const streams[], double out[],
                               std::size_t n) {
-  fill_uniform_open_impl<Avx512Backend>(streams, out, n);
+  using B = Avx512Backend;
+  std::size_t i = 0;
+  for (; i + B::width <= n; i += B::width) {
+    B::vu s[4];
+    B::load_states(streams + i, s);
+    // xoshiro256++: result = rotl(s0 + s3, 23) + s0, then the state step.
+    const B::vu result = B::add(B::rotl<23>(B::add(s[0], s[3])), s[0]);
+    const B::vu t = B::sll<17>(s[1]);
+    s[2] = B::xor_(s[2], s[0]);
+    s[3] = B::xor_(s[3], s[1]);
+    s[1] = B::xor_(s[1], s[2]);
+    s[0] = B::xor_(s[0], s[3]);
+    s[2] = B::xor_(s[2], t);
+    s[3] = B::rotl<45>(s[3]);
+    B::store_states(streams + i, s);
+    B::store_u01(out + i, result);
+  }
+  for (; i < n; ++i) out[i] = streams[i]->uniform_open();
 }
 
 }  // namespace raidrel::rng::detail

@@ -1,8 +1,8 @@
 // Internal: the per-ISA bulk-fill entry points behind rng/bulk.h.
 // Each is defined in its own translation unit compiled with that ISA's
-// flags (see src/rng/CMakeLists.txt); on non-x86 builds the x86 TUs
-// compile to forwards onto the generic loop, so the symbols always
-// exist and dispatch stays branch-free of #ifdefs.
+// flags (see src/rng/CMakeLists.txt); on non-x86 builds the AVX-512 TU
+// compiles to a forward onto the generic loop, so the symbol always
+// exists and dispatch stays free of #ifdefs.
 #pragma once
 
 #include <cstddef>
@@ -13,10 +13,6 @@ namespace raidrel::rng::detail {
 
 void fill_uniform_open_generic(RandomStream* const streams[], double out[],
                                std::size_t n);
-void fill_uniform_open_sse2(RandomStream* const streams[], double out[],
-                            std::size_t n);
-void fill_uniform_open_avx2(RandomStream* const streams[], double out[],
-                            std::size_t n);
 void fill_uniform_open_avx512(RandomStream* const streams[], double out[],
                               std::size_t n);
 

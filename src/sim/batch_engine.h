@@ -57,7 +57,7 @@ class BatchGroupSimulator {
   /// bit-reproducibility contract above; kFast trades it for the
   /// polynomial transcendental kernels (statistically equivalent,
   /// deterministic per seed, but not bit-identical to the scalar engine).
-  /// The lane backend itself (SSE2/AVX2/AVX-512/generic) is resolved at
+  /// The lane backend itself (generic or AVX-512) is resolved at
   /// construction from util::active_isa() and never changes a bit at
   /// either tier.
   BatchGroupSimulator(const raid::GroupConfig& config, std::size_t width,

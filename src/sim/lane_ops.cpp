@@ -17,17 +17,8 @@ std::optional<MathTier> parse_math_tier(std::string_view name) noexcept {
 const LaneOps& lane_ops_for(util::SimdIsa isa) noexcept {
   const util::SimdIsa detected = util::detected_isa();
   if (isa > detected) isa = detected;
-  switch (isa) {
-    case util::SimdIsa::kAvx512:
-      return detail::lane_ops_avx512();
-    case util::SimdIsa::kAvx2:
-      return detail::lane_ops_avx2();
-    case util::SimdIsa::kSse2:
-      return detail::lane_ops_sse2();
-    case util::SimdIsa::kGeneric:
-      break;
-  }
-  return detail::lane_ops_generic();
+  return isa == util::SimdIsa::kAvx512 ? detail::lane_ops_avx512()
+                                       : detail::lane_ops_generic();
 }
 
 const LaneOps& lane_ops() { return lane_ops_for(util::active_isa()); }

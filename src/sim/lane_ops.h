@@ -1,15 +1,16 @@
 // Width-generic SIMD lane primitives for the batched lockstep engine,
 // dispatched at runtime by ISA (docs/MODEL.md §14).
 //
-// One LaneOps table per ISA tier (generic scalar, SSE2, AVX2, AVX-512)
-// is linked into every binary; util::active_isa() picks the widest one
-// the hardware — or the RAIDREL_FORCE_ISA override — allows. The table
+// One LaneOps table per ISA tier (generic scalar, AVX-512) is linked
+// into every binary; util::active_isa() picks the widest one the
+// hardware — or the RAIDREL_FORCE_ISA override — allows. The table
 // bundles everything the engine dispatches per lane width:
 //
-//  * argmin_first / round_argmin — the round loop's next-event scan.
-//    Comparisons only (the minimum of a set of doubles is the same
-//    value under any association; the equality match keeps the first
-//    index), so every backend is bit-identical to the scalar `<` loop.
+//  * round_dispatch — the round loop's next-event scan, classify and
+//    settle sweep. Comparisons only (the minimum of a set of doubles is
+//    the same value under any association; the equality match keeps the
+//    first index), so every backend is bit-identical to the scalar `<`
+//    loop.
 //  * fill_uniform_open — the bulk RNG fill (rng/bulk.h), bit-identical
 //    to per-stream scalar draws at every width.
 //  * neg_log_n / weibull_quantile_n — the MathTier::kFast transform
@@ -73,24 +74,11 @@ inline constexpr std::uint32_t kLaneNoSlot = 0xffffffffu;
 struct LaneOps {
   util::SimdIsa isa;
 
-  /// First-minimum scan over p[0..n): the minimum value and the lowest
-  /// index holding it — exactly what a scalar `<` loop computes, at
-  /// every backend. Timers are never NaN (sampled lifetimes or +inf).
-  void (*argmin_first)(const double* p, std::size_t n, double& t_out,
-                       std::uint32_t& s_out);
-
-  /// The whole round's scans in one dispatched call: for each k in
-  /// [0, nlanes), argmin_first over tnext[lanes[k]*nslots ..+nslots)
-  /// into t_out[k] / slot_out[k]. Amortizes the indirect call over the
-  /// lane set (one per round instead of one per lane).
-  void (*round_argmin)(const double* tnext, std::size_t nslots,
-                       const std::uint32_t* lanes, std::size_t nlanes,
-                       double* t_out, std::uint32_t* slot_out);
-
   /// Fused round sweep: the batched engine's whole argmin + classify +
   /// settle pass in one dispatched call. For each live lane lanes[k]
-  /// (in order) it scans the lane's slot timers (argmin_first
-  /// semantics), then either
+  /// (in order) it finds the first minimum of the lane's slot timers
+  /// (the minimum value and the lowest slot holding it — exactly what a
+  /// scalar `<` loop computes; timers are never NaN), then either
   ///  * settles the lane — next event at or past `mission` — by
   ///    compacting it out of lanes[] (stable order, in place),
   ///  * emits a spare arrival into spare_events when spare_next is

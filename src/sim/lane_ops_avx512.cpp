@@ -47,8 +47,6 @@ struct Avx512Backend {
 const LaneOps& lane_ops_avx512() noexcept {
   static const LaneOps ops = {
       util::SimdIsa::kAvx512,
-      &argmin_first_impl<Avx512Backend>,
-      &round_argmin_impl<Avx512Backend>,
       &round_dispatch_impl<Avx512Backend>,
       rng::fill_uniform_open_backend(util::SimdIsa::kAvx512),
       &neg_log_n_impl<Avx512Backend>,

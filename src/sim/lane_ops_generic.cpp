@@ -8,8 +8,6 @@ namespace raidrel::sim::detail {
 const LaneOps& lane_ops_generic() noexcept {
   static const LaneOps ops = {
       util::SimdIsa::kGeneric,
-      &argmin_first_impl<ScalarBackend>,
-      &round_argmin_impl<ScalarBackend>,
       &round_dispatch_impl<ScalarBackend>,
       rng::fill_uniform_open_backend(util::SimdIsa::kGeneric),
       &neg_log_n_impl<ScalarBackend>,

@@ -5,8 +5,9 @@
 //
 // Cross-backend determinism is a hard requirement here, in two grades:
 //
-//  * argmin_first / round_argmin use comparisons only, so every backend
-//    is bit-identical to the scalar `<` loop (the exact-tier contract).
+//  * round_dispatch's scan (argmin_first_impl) uses comparisons only, so
+//    every backend is bit-identical to the scalar `<` loop (the
+//    exact-tier contract).
 //  * The fast-tier kernels (log_v / exp_v and their drivers) perform
 //    the same floating-point operations in the same order at every
 //    width — the scalar tail of a SIMD backend runs the width-1
@@ -132,21 +133,9 @@ inline void argmin_first_impl(const double* p, std::size_t n, double& t_out,
   s_out = s;
 }
 
-template <class B>
-void round_argmin_impl(const double* tnext, std::size_t nslots,
-                       const std::uint32_t* lanes, std::size_t nlanes,
-                       double* t_out, std::uint32_t* slot_out) {
-  for (std::size_t k = 0; k < nlanes; ++k) {
-    argmin_first_impl<B>(tnext + static_cast<std::size_t>(lanes[k]) * nslots,
-                         nslots, t_out[k], slot_out[k]);
-  }
-}
-
 // Fused argmin + classify + settle sweep (LaneOps::round_dispatch).
-// The scan is argmin_first_impl verbatim, so every emitted (slot, t)
-// pair matches the two-pass round_argmin + classify loop bit for bit;
-// the only change is that settled lanes leave the active set here, in
-// the same stable order the classify loop's `active_[keep++]` kept.
+// Each lane's scan is argmin_first_impl; settled lanes leave the active
+// set in stable order.
 template <class B>
 std::size_t round_dispatch_impl(const double* tnext, const std::uint8_t* kinds,
                                 std::size_t nslots, std::uint32_t* lanes,

@@ -155,8 +155,8 @@ class TrialClaims {
 };
 
 // A worker's home node for claim routing: the pool's pinned assignment
-// when running on a NUMA-pinned pool worker, otherwise (spawn/join path,
-// single-node pool, forced synthetic split) a round-robin ticket. Either
+// when running on a NUMA-pinned pool worker, otherwise (single-node
+// pool, forced synthetic split) a round-robin ticket. Either
 // way every node gets a roughly equal worker share.
 std::size_t claim_home(std::size_t nodes,
                        std::atomic<std::size_t>& ticket) noexcept {
@@ -172,37 +172,21 @@ double elapsed_seconds(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-// Fan `worker` out over `threads` threads. Both the pool path and the
-// spawn/join path capture the first worker exception and rethrow it on
-// this (coordinating) thread after every worker finished, so a throwing
-// trial can never unwind into std::thread and std::terminate the process.
+// Fan `worker` out over `threads` pool workers: the caller's pool when
+// RunOptions::pool is set, otherwise one that lives for this call. The
+// pool captures the first worker exception and rethrows it on this
+// (coordinating) thread after every worker finished, so a throwing trial
+// can never unwind into std::thread and std::terminate the process.
 void fan_out(unsigned threads, ThreadPool* pool, fault::FaultInjector* fault,
              const std::function<void()>& worker) {
   if (threads == 1) {
     worker();  // no worker task: exceptions propagate to the caller as-is
     return;
   }
-  if (pool != nullptr) {
-    pool->set_fault_injector(fault);
-    pool->run(threads, worker);
-    return;
-  }
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto guarded = [&] {
-    try {
-      if (fault != nullptr) fault->check("pool_task");
-      worker();
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  };
-  std::vector<std::thread> spawned;
-  spawned.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) spawned.emplace_back(guarded);
-  for (auto& th : spawned) th.join();
-  if (first_error) std::rethrow_exception(first_error);
+  ThreadPool local;  // workers start lazily: free when `pool` is set
+  ThreadPool& workers = pool != nullptr ? *pool : local;
+  workers.set_fault_injector(fault);
+  workers.run(threads, worker);
 }
 
 }  // namespace

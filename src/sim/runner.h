@@ -48,9 +48,9 @@ struct RunOptions {
 
   /// Persistent worker pool (owned by the caller, see thread_pool.h). When
   /// set, multi-threaded runs execute on the pool's parked workers instead
-  /// of spawning and joining std::threads per call — the win for batched
-  /// runs (convergence loops, benches). Null keeps the spawn/join path.
-  /// Work split, telemetry, and results are identical either way.
+  /// of starting a pool per call — the win for batched runs (convergence
+  /// loops, benches). Null runs on a pool that lives for the call. Work
+  /// split, telemetry, and results are identical either way.
   ThreadPool* pool = nullptr;
 
   /// Compiled-kernel lowering policy (see slot_kernel.h). kVirtualOnly is

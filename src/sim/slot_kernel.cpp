@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "stats/basic_distributions.h"
 #include "stats/weibull.h"
 #include "util/error.h"
 
@@ -24,11 +23,6 @@ CompiledLaw CompiledLaw::compile(const stats::Distribution* dist,
     law.inv_beta_ = 1.0 / p.beta;  // the constant Weibull itself precomputes
     law.kind_ =
         p.beta == 1.0 ? Kind::kExponentialWeibull : Kind::kWeibull;
-    return law;
-  }
-  if (const auto* e = dynamic_cast<const stats::Exponential*>(dist)) {
-    law.b_ = e->rate();
-    law.kind_ = Kind::kExponential;
     return law;
   }
   return law;  // kVirtual fallback (composite/empirical/piecewise/...)
@@ -99,14 +93,6 @@ void CompiledLaw::sample_n(rng::RandomStream* const streams[], double out[],
       }
       return;
     }
-    case Kind::kExponential: {
-      fill_exponential(streams, out, n, ops, tier);
-      const double b = b_;
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = out[i] / b;
-      }
-      return;
-    }
     default:
       // kVirtual: a fallback sampler may consume any number of
       // underlying draws, so there is nothing to prefill.
@@ -161,14 +147,6 @@ void CompiledLaw::sample_residual_n(const double ages[],
       }
       return;
     }
-    case Kind::kExponential: {
-      fill_exponential_exact(streams, out, n, ops);
-      const double b = b_;
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = out[i] / b;  // memoryless
-      }
-      return;
-    }
     default:
       for (std::size_t i = 0; i < n; ++i) {
         out[i] = dist_->sample_residual(ages[i], *streams[i]);
@@ -215,16 +193,6 @@ void CompiledLaw::sample_n_tilted(const HazardTilt& tilt,
       const double inv_beta = inv_beta_;
       for (std::size_t i = 0; i < n; ++i) {
         out[i] = a + b * std::pow(out[i], inv_beta);
-      }
-      return;
-    }
-    case Kind::kExponential: {
-      fill_exponential(streams, out, n, ops, tier);
-      const double b = b_;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double e =
-            tilt.apply_e(out[i], cum_hazard(horizons[i]), log_w[i]);
-        out[i] = e / b;
       }
       return;
     }
@@ -290,17 +258,6 @@ void CompiledLaw::sample_residual_n_tilted(const HazardTilt& tilt,
           const double t = a + b * x1;
           out[i] = std::max(0.0, t - age);
         }
-      }
-      return;
-    }
-    case Kind::kExponential: {
-      fill_exponential_exact(streams, out, n, ops);
-      const double b = b_;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double cap =
-            std::max(b * (horizon_ages[i] - ages[i]), 0.0);
-        const double e = tilt.apply_e(out[i], cap, log_w[i]);
-        out[i] = e / b;  // memoryless
       }
       return;
     }

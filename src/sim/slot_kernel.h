@@ -18,8 +18,6 @@
 //   * general Weibull         -> kWeibull: the constructor-time constants
 //     (gamma, eta, beta, 1/beta) are stored flat; the arithmetic is the
 //     virtual path's, verbatim, minus the indirect call.
-//   * stats::Exponential      -> kExponential: rate-parameterized closed
-//     forms (sample = E/rate, cum_hazard = rate*t, memoryless residual).
 //   * anything else           -> kVirtual: keep the Distribution* and
 //     forward. Correctness never depends on a law being lowerable.
 //
@@ -138,7 +136,6 @@ class CompiledLaw {
     kNull,                ///< law absent (optional latent/scrub laws)
     kExponentialWeibull,  ///< Weibull, beta == 1
     kWeibull,             ///< Weibull, general beta
-    kExponential,         ///< stats::Exponential
     kVirtual,             ///< fallback through Distribution*
   };
 
@@ -158,8 +155,6 @@ class CompiledLaw {
         return a_ + b_ * rs.exponential();
       case Kind::kWeibull:
         return a_ + b_ * std::pow(rs.exponential(), inv_beta_);
-      case Kind::kExponential:
-        return rs.exponential() / b_;
       default:
         return dist_->sample(rs);
     }
@@ -196,8 +191,6 @@ class CompiledLaw {
         const double t = a_ + b_ * x1;
         return std::max(0.0, t - age);
       }
-      case Kind::kExponential:
-        return rs.exponential() / b_;  // memoryless
       default:
         return dist_->sample_residual(age, rs);
     }
@@ -219,14 +212,9 @@ class CompiledLaw {
     double term;
     const double e = tilt.sample_e(rs, cum_hazard(horizon), term);
     log_w += term;
-    switch (kind_) {
-      case Kind::kExponentialWeibull:
-        return a_ + b_ * e;
-      case Kind::kWeibull:
-        return a_ + b_ * std::pow(e, inv_beta_);
-      default:  // kExponential
-        return e / b_;
-    }
+    return kind_ == Kind::kExponentialWeibull
+               ? a_ + b_ * e
+               : a_ + b_ * std::pow(e, inv_beta_);
   }
 
   /// Tilted residual draw. The conditional law H(T) - H(age) ~ Exp(1)
@@ -253,7 +241,7 @@ class CompiledLaw {
         const double t = a_ + b_ * (x0 + e);
         return std::max(0.0, t - age);
       }
-      case Kind::kWeibull: {
+      default: {  // kWeibull
         const double x0 = std::max(age - a_, 0.0) / b_;
         const double h0 = x0 > 0.0 ? std::pow(x0, beta_) : 0.0;
         const double cap = std::max(cum_hazard(horizon_age) - h0, 0.0);
@@ -266,12 +254,6 @@ class CompiledLaw {
         const double x1 = std::pow(h0 + e, inv_beta_);
         const double t = a_ + b_ * x1;
         return std::max(0.0, t - age);
-      }
-      default: {  // kExponential: memoryless
-        const double cap = std::max(b_ * (horizon_age - age), 0.0);
-        const double e = tilt.sample_e(rs, cap, term);
-        log_w += term;
-        return e / b_;
       }
     }
   }
@@ -287,8 +269,6 @@ class CompiledLaw {
         const double x = (t - a_) / b_;
         return x > 0.0 ? std::pow(x, beta_) : 0.0;
       }
-      case Kind::kExponential:
-        return t <= 0.0 ? 0.0 : b_ * t;
       default:
         return dist_->cum_hazard(t);
     }
@@ -366,8 +346,7 @@ class CompiledLaw {
 
  private:
   Kind kind_ = Kind::kNull;
-  // Meaning by kind: Weibull paths use a_ = gamma, b_ = eta;
-  // kExponential uses b_ = rate (a_ unused).
+  // Weibull constants: a_ = gamma, b_ = eta.
   double a_ = 0.0;
   double b_ = 1.0;
   double beta_ = 1.0;

@@ -9,111 +9,6 @@
 
 namespace raidrel::stats {
 
-// ---------------------------------------------------------------- Exponential
-
-Exponential::Exponential(double rate) : rate_(rate) {
-  RAIDREL_REQUIRE(rate > 0.0, "Exponential rate must be > 0");
-}
-
-double Exponential::pdf(double t) const {
-  return t < 0.0 ? 0.0 : rate_ * std::exp(-rate_ * t);
-}
-
-double Exponential::cdf(double t) const {
-  return t <= 0.0 ? 0.0 : -std::expm1(-rate_ * t);
-}
-
-double Exponential::survival(double t) const {
-  return t <= 0.0 ? 1.0 : std::exp(-rate_ * t);
-}
-
-double Exponential::hazard(double t) const { return t < 0.0 ? 0.0 : rate_; }
-
-double Exponential::cum_hazard(double t) const {
-  return t <= 0.0 ? 0.0 : rate_ * t;
-}
-
-double Exponential::quantile(double p) const {
-  RAIDREL_REQUIRE(p >= 0.0 && p < 1.0, "quantile requires p in [0,1)");
-  return -std::log1p(-p) / rate_;
-}
-
-double Exponential::mean() const { return 1.0 / rate_; }
-
-double Exponential::variance() const { return 1.0 / (rate_ * rate_); }
-
-double Exponential::sample(rng::RandomStream& rs) const {
-  return rs.exponential() / rate_;
-}
-
-double Exponential::sample_residual(double /*age*/,
-                                    rng::RandomStream& rs) const {
-  return rs.exponential() / rate_;  // memoryless
-}
-
-std::string Exponential::describe() const {
-  std::ostringstream os;
-  os << "Exponential(rate=" << rate_ << ")";
-  return os.str();
-}
-
-DistributionPtr Exponential::clone() const {
-  return std::make_unique<Exponential>(*this);
-}
-
-// ------------------------------------------------------------------ LogNormal
-
-LogNormal::LogNormal(double mu, double sigma) : mu_(mu), sigma_(sigma) {
-  RAIDREL_REQUIRE(sigma > 0.0, "LogNormal sigma must be > 0");
-}
-
-double LogNormal::pdf(double t) const {
-  if (t <= 0.0) return 0.0;
-  const double z = (std::log(t) - mu_) / sigma_;
-  return std::exp(-0.5 * z * z) / (t * sigma_ * std::sqrt(2.0 * M_PI));
-}
-
-double LogNormal::cdf(double t) const {
-  if (t <= 0.0) return 0.0;
-  const double z = (std::log(t) - mu_) / sigma_;
-  return 0.5 * util::erfc_fn(-z / std::sqrt(2.0));
-}
-
-double LogNormal::survival(double t) const {
-  if (t <= 0.0) return 1.0;
-  const double z = (std::log(t) - mu_) / sigma_;
-  return 0.5 * util::erfc_fn(z / std::sqrt(2.0));
-}
-
-double LogNormal::quantile(double p) const {
-  RAIDREL_REQUIRE(p >= 0.0 && p < 1.0, "quantile requires p in [0,1)");
-  if (p == 0.0) return 0.0;
-  return std::exp(mu_ + sigma_ * util::normal_quantile(p));
-}
-
-double LogNormal::mean() const {
-  return std::exp(mu_ + 0.5 * sigma_ * sigma_);
-}
-
-double LogNormal::variance() const {
-  const double s2 = sigma_ * sigma_;
-  return (std::exp(s2) - 1.0) * std::exp(2.0 * mu_ + s2);
-}
-
-double LogNormal::sample(rng::RandomStream& rs) const {
-  return std::exp(mu_ + sigma_ * rs.normal());
-}
-
-std::string LogNormal::describe() const {
-  std::ostringstream os;
-  os << "LogNormal(mu=" << mu_ << ", sigma=" << sigma_ << ")";
-  return os.str();
-}
-
-DistributionPtr LogNormal::clone() const {
-  return std::make_unique<LogNormal>(*this);
-}
-
 // ---------------------------------------------------------------------- Gamma
 
 Gamma::Gamma(double shape, double scale) : shape_(shape), scale_(scale) {
@@ -207,85 +102,5 @@ std::string Gamma::describe() const {
 }
 
 DistributionPtr Gamma::clone() const { return std::make_unique<Gamma>(*this); }
-
-// -------------------------------------------------------------------- Uniform
-
-Uniform::Uniform(double a, double b) : a_(a), b_(b) {
-  RAIDREL_REQUIRE(a >= 0.0, "Uniform lower bound must be >= 0");
-  RAIDREL_REQUIRE(a < b, "Uniform requires a < b");
-}
-
-double Uniform::pdf(double t) const {
-  return (t < a_ || t > b_) ? 0.0 : 1.0 / (b_ - a_);
-}
-
-double Uniform::cdf(double t) const {
-  if (t <= a_) return 0.0;
-  if (t >= b_) return 1.0;
-  return (t - a_) / (b_ - a_);
-}
-
-double Uniform::quantile(double p) const {
-  RAIDREL_REQUIRE(p >= 0.0 && p < 1.0, "quantile requires p in [0,1)");
-  return a_ + p * (b_ - a_);
-}
-
-double Uniform::mean() const { return 0.5 * (a_ + b_); }
-
-double Uniform::variance() const {
-  const double w = b_ - a_;
-  return w * w / 12.0;
-}
-
-double Uniform::sample(rng::RandomStream& rs) const {
-  return rs.uniform(a_, b_);
-}
-
-std::string Uniform::describe() const {
-  std::ostringstream os;
-  os << "Uniform(a=" << a_ << ", b=" << b_ << ")";
-  return os.str();
-}
-
-DistributionPtr Uniform::clone() const {
-  return std::make_unique<Uniform>(*this);
-}
-
-// ----------------------------------------------------------------- Degenerate
-
-Degenerate::Degenerate(double c) : c_(c) {
-  RAIDREL_REQUIRE(c >= 0.0, "Degenerate point must be >= 0");
-}
-
-double Degenerate::pdf(double t) const {
-  return t == c_ ? std::numeric_limits<double>::infinity() : 0.0;
-}
-
-double Degenerate::cdf(double t) const { return t >= c_ ? 1.0 : 0.0; }
-
-double Degenerate::quantile(double p) const {
-  RAIDREL_REQUIRE(p >= 0.0 && p < 1.0, "quantile requires p in [0,1)");
-  return c_;
-}
-
-double Degenerate::mean() const { return c_; }
-
-double Degenerate::variance() const { return 0.0; }
-
-double Degenerate::sample(rng::RandomStream& /*rs*/) const { return c_; }
-
-double Degenerate::sample_residual(double age, rng::RandomStream&) const {
-  return age >= c_ ? 0.0 : c_ - age;
-}
-
-std::string Degenerate::describe() const {
-  std::ostringstream os;
-  os << "Degenerate(c=" << c_ << ")";
-  return os.str();
-}
-
-DistributionPtr Degenerate::clone() const {
-  return std::make_unique<Degenerate>(*this);
-}
 
 }  // namespace raidrel::stats

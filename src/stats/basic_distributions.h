@@ -1,60 +1,11 @@
-// Non-Weibull lifetime laws: exponential (the HPP assumption under test),
-// lognormal and gamma (common alternatives for repair times in the
-// literature), uniform, and a degenerate point mass (deterministic delays,
-// useful in tests and for idealized repair policies).
+// The gamma law, a common alternative to the Weibull for repair times in
+// the literature. The exponential law is the beta = 1 Weibull
+// (stats/weibull.h).
 #pragma once
 
 #include "stats/distribution.h"
 
 namespace raidrel::stats {
-
-/// Exponential(rate): the constant-hazard law assumed by MTTDL.
-class Exponential final : public Distribution {
- public:
-  explicit Exponential(double rate);
-
-  [[nodiscard]] double pdf(double t) const override;
-  [[nodiscard]] double cdf(double t) const override;
-  [[nodiscard]] double survival(double t) const override;
-  [[nodiscard]] double hazard(double t) const override;
-  [[nodiscard]] double cum_hazard(double t) const override;
-  [[nodiscard]] double quantile(double p) const override;
-  [[nodiscard]] double mean() const override;
-  [[nodiscard]] double variance() const override;
-  [[nodiscard]] double sample(rng::RandomStream& rs) const override;
-  [[nodiscard]] double sample_residual(double age,
-                                       rng::RandomStream& rs) const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] DistributionPtr clone() const override;
-
-  [[nodiscard]] double rate() const noexcept { return rate_; }
-
- private:
-  double rate_;
-};
-
-/// LogNormal(mu, sigma): ln T ~ N(mu, sigma^2).
-class LogNormal final : public Distribution {
- public:
-  LogNormal(double mu, double sigma);
-
-  [[nodiscard]] double pdf(double t) const override;
-  [[nodiscard]] double cdf(double t) const override;
-  [[nodiscard]] double survival(double t) const override;
-  [[nodiscard]] double quantile(double p) const override;
-  [[nodiscard]] double mean() const override;
-  [[nodiscard]] double variance() const override;
-  [[nodiscard]] double sample(rng::RandomStream& rs) const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] DistributionPtr clone() const override;
-
-  [[nodiscard]] double mu() const noexcept { return mu_; }
-  [[nodiscard]] double sigma() const noexcept { return sigma_; }
-
- private:
-  double mu_;
-  double sigma_;
-};
 
 /// Gamma(shape k, scale theta).
 class Gamma final : public Distribution {
@@ -77,47 +28,6 @@ class Gamma final : public Distribution {
  private:
   double shape_;
   double scale_;
-};
-
-/// Uniform(a, b) on [a, b], 0 <= a < b.
-class Uniform final : public Distribution {
- public:
-  Uniform(double a, double b);
-
-  [[nodiscard]] double pdf(double t) const override;
-  [[nodiscard]] double cdf(double t) const override;
-  [[nodiscard]] double quantile(double p) const override;
-  [[nodiscard]] double mean() const override;
-  [[nodiscard]] double variance() const override;
-  [[nodiscard]] double sample(rng::RandomStream& rs) const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] DistributionPtr clone() const override;
-
- private:
-  double a_;
-  double b_;
-};
-
-/// Point mass at c >= 0: deterministic delay.
-class Degenerate final : public Distribution {
- public:
-  explicit Degenerate(double c);
-
-  [[nodiscard]] double pdf(double t) const override;
-  [[nodiscard]] double cdf(double t) const override;
-  [[nodiscard]] double quantile(double p) const override;
-  [[nodiscard]] double mean() const override;
-  [[nodiscard]] double variance() const override;
-  [[nodiscard]] double sample(rng::RandomStream& rs) const override;
-  [[nodiscard]] double sample_residual(double age,
-                                       rng::RandomStream& rs) const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] DistributionPtr clone() const override;
-
-  [[nodiscard]] double value() const noexcept { return c_; }
-
- private:
-  double c_;
 };
 
 }  // namespace raidrel::stats

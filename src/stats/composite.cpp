@@ -204,44 +204,4 @@ const Distribution& CompetingRisks::risk(std::size_t i) const {
   return *risks_[i];
 }
 
-// -------------------------------------------------------------------- Shifted
-
-Shifted::Shifted(DistributionPtr base, double shift)
-    : base_(std::move(base)), shift_(shift) {
-  RAIDREL_REQUIRE(base_ != nullptr, "Shifted base must be non-null");
-  RAIDREL_REQUIRE(shift >= 0.0, "Shifted delay must be >= 0");
-}
-
-double Shifted::pdf(double t) const { return base_->pdf(t - shift_); }
-
-double Shifted::cdf(double t) const {
-  return t <= shift_ ? 0.0 : base_->cdf(t - shift_);
-}
-
-double Shifted::survival(double t) const {
-  return t <= shift_ ? 1.0 : base_->survival(t - shift_);
-}
-
-double Shifted::quantile(double p) const {
-  return shift_ + base_->quantile(p);
-}
-
-double Shifted::mean() const { return shift_ + base_->mean(); }
-
-double Shifted::variance() const { return base_->variance(); }
-
-double Shifted::sample(rng::RandomStream& rs) const {
-  return shift_ + base_->sample(rs);
-}
-
-std::string Shifted::describe() const {
-  std::ostringstream os;
-  os << "Shifted(" << base_->describe() << ", +" << shift_ << ")";
-  return os.str();
-}
-
-DistributionPtr Shifted::clone() const {
-  return std::make_unique<Shifted>(base_->clone(), shift_);
-}
-
 }  // namespace raidrel::stats

@@ -7,8 +7,6 @@
 //  * CompetingRisks — every unit carries all mechanisms and fails at the
 //    earliest one: S(t) = prod_i S_i(t). Produces the late-life upturn of
 //    HDD #2 and #3.
-//  * Shifted — adds a fixed delay to any base law (generalizes the Weibull
-//    location parameter to arbitrary components).
 #pragma once
 
 #include <vector>
@@ -69,25 +67,6 @@ class CompetingRisks final : public Distribution {
 
  private:
   std::vector<DistributionPtr> risks_;
-};
-
-class Shifted final : public Distribution {
- public:
-  Shifted(DistributionPtr base, double shift);
-
-  [[nodiscard]] double pdf(double t) const override;
-  [[nodiscard]] double cdf(double t) const override;
-  [[nodiscard]] double survival(double t) const override;
-  [[nodiscard]] double quantile(double p) const override;
-  [[nodiscard]] double mean() const override;
-  [[nodiscard]] double variance() const override;
-  [[nodiscard]] double sample(rng::RandomStream& rs) const override;
-  [[nodiscard]] std::string describe() const override;
-  [[nodiscard]] DistributionPtr clone() const override;
-
- private:
-  DistributionPtr base_;
-  double shift_;
 };
 
 }  // namespace raidrel::stats

@@ -64,78 +64,4 @@ std::vector<WeibullPlotPoint> weibull_plot_points_censored(LifeData data) {
   return pts;
 }
 
-EmpiricalCdf::EmpiricalCdf(std::vector<double> samples)
-    : sorted_(std::move(samples)) {
-  RAIDREL_REQUIRE(!sorted_.empty(), "empirical CDF needs data");
-  std::sort(sorted_.begin(), sorted_.end());
-}
-
-double EmpiricalCdf::cdf(double t) const {
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), t);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
-}
-
-double EmpiricalCdf::quantile(double p) const {
-  RAIDREL_REQUIRE(p >= 0.0 && p <= 1.0, "quantile requires p in [0,1]");
-  if (p <= 0.0) return sorted_.front();
-  const auto n = sorted_.size();
-  auto idx = static_cast<std::size_t>(std::ceil(p * static_cast<double>(n)));
-  if (idx == 0) idx = 1;
-  if (idx > n) idx = n;
-  return sorted_[idx - 1];
-}
-
-KaplanMeier::KaplanMeier(LifeData data) {
-  RAIDREL_REQUIRE(!data.empty(), "Kaplan-Meier needs data");
-  std::sort(data.begin(), data.end(),
-            [](const LifeObservation& a, const LifeObservation& b) {
-              if (a.time != b.time) return a.time < b.time;
-              return a.event && !b.event;
-            });
-  const std::size_t n = data.size();
-  double s = 1.0;
-  std::size_t i = 0;
-  while (i < n) {
-    const double t = data[i].time;
-    std::size_t deaths = 0;
-    std::size_t removed = 0;
-    const std::size_t at_risk = n - i;
-    while (i < n && data[i].time == t) {
-      if (data[i].event) {
-        ++deaths;
-      }
-      ++removed;
-      ++i;
-    }
-    (void)removed;
-    if (deaths > 0) {
-      s *= 1.0 - static_cast<double>(deaths) / static_cast<double>(at_risk);
-      steps_.push_back(Step{t, deaths, at_risk, s});
-    }
-  }
-}
-
-double KaplanMeier::survival(double t) const {
-  double s = 1.0;
-  for (const auto& step : steps_) {
-    if (step.time > t) break;
-    s = step.survival;
-  }
-  return s;
-}
-
-double KaplanMeier::greenwood_variance(double t) const {
-  double sum = 0.0;
-  double s = 1.0;
-  for (const auto& step : steps_) {
-    if (step.time > t) break;
-    const auto d = static_cast<double>(step.deaths);
-    const auto r = static_cast<double>(step.at_risk);
-    if (r > d) sum += d / (r * (r - d));
-    s = step.survival;
-  }
-  return s * s * sum;
-}
-
 }  // namespace raidrel::stats

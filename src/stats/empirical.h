@@ -1,8 +1,6 @@
-// Empirical (nonparametric) estimators used to analyse field data:
-// plotting positions for Weibull probability plots, the empirical CDF, and
-// the Kaplan–Meier product-limit estimator for right-censored samples
-// (drives still running when the study ended — the "S=10433" suspensions in
-// the paper's Fig. 2).
+// Plotting positions for Weibull probability plots of field data,
+// complete or right-censored (drives still running when the study ended —
+// the "S=10433" suspensions in the paper's Fig. 2).
 #pragma once
 
 #include <cstddef>
@@ -40,46 +38,5 @@ std::vector<WeibullPlotPoint> weibull_plot_points(std::vector<double> times);
 /// Build Weibull plot points from censored data using the rank-adjustment
 /// (Johnson) method: suspensions shift the adjusted ranks of later failures.
 std::vector<WeibullPlotPoint> weibull_plot_points_censored(LifeData data);
-
-/// Empirical CDF over complete data.
-class EmpiricalCdf {
- public:
-  explicit EmpiricalCdf(std::vector<double> samples);
-
-  [[nodiscard]] double cdf(double t) const;
-  [[nodiscard]] double quantile(double p) const;
-  [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }
-  [[nodiscard]] const std::vector<double>& sorted_samples() const noexcept {
-    return sorted_;
-  }
-
- private:
-  std::vector<double> sorted_;
-};
-
-/// Kaplan–Meier product-limit survival estimate for right-censored data.
-class KaplanMeier {
- public:
-  explicit KaplanMeier(LifeData data);
-
-  /// Estimated S(t); step function, right-continuous.
-  [[nodiscard]] double survival(double t) const;
-
-  struct Step {
-    double time;        ///< distinct event time
-    std::size_t deaths; ///< events at this time
-    std::size_t at_risk;///< units at risk just before this time
-    double survival;    ///< estimate just after this time
-  };
-  [[nodiscard]] const std::vector<Step>& steps() const noexcept {
-    return steps_;
-  }
-
-  /// Greenwood variance of the survival estimate at t.
-  [[nodiscard]] double greenwood_variance(double t) const;
-
- private:
-  std::vector<Step> steps_;
-};
 
 }  // namespace raidrel::stats

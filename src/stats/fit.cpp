@@ -84,33 +84,32 @@ double weibull_log_likelihood(const LifeData& data, const WeibullParams& p) {
 
 namespace {
 
-/// The censored Weibull profile-likelihood equation in beta (gamma known,
-/// subtracted from the times already):
+/// The censored 2-parameter Weibull profile-likelihood equation in beta:
 ///   g(beta) = sum_i t_i^beta ln t_i / sum_i t_i^beta
 ///             - 1/beta - (1/r) sum_{failures} ln t_j = 0
 /// Sums over all observations in the first term, failures only in the last;
 /// r = number of failures. Root is the MLE of beta; then
 /// eta = (sum_i t_i^beta / r)^(1/beta).
 struct ProfileData {
-  std::vector<double> all_times;     // every observation (shifted by gamma)
+  std::vector<double> all_times;     // every observation
   std::vector<double> failure_logs;  // ln t over failures only
   double mean_failure_log = 0.0;
 };
 
-std::optional<ProfileData> build_profile(const LifeData& data, double gamma) {
+std::optional<ProfileData> build_profile(const LifeData& data) {
   ProfileData pd;
   double sum_fail_log = 0.0;
   for (const auto& obs : data) {
-    const double t = obs.time - gamma;
+    const double t = obs.time;
     if (obs.event) {
-      if (t <= 0.0) return std::nullopt;  // gamma must precede all failures
+      if (t <= 0.0) return std::nullopt;  // ln t must exist
       pd.failure_logs.push_back(std::log(t));
       sum_fail_log += pd.failure_logs.back();
       pd.all_times.push_back(t);
     } else if (t > 0.0) {
       pd.all_times.push_back(t);
     }
-    // Censored observations at or before gamma carry no information.
+    // Censored observations at time 0 carry no information.
   }
   if (pd.failure_logs.size() < 2) return std::nullopt;
   pd.mean_failure_log =
@@ -132,9 +131,9 @@ double profile_equation(const ProfileData& pd, double beta) {
   return s1 / s0 - 1.0 / beta - pd.mean_failure_log;
 }
 
-std::optional<std::pair<WeibullParams, double>> solve_mle_at_gamma(
-    const LifeData& data, double gamma) {
-  auto pd = build_profile(data, gamma);
+std::optional<std::pair<WeibullParams, double>> solve_mle(
+    const LifeData& data) {
+  auto pd = build_profile(data);
   if (!pd) return std::nullopt;
   auto g = [&](double beta) { return profile_equation(*pd, beta); };
   double lo = 1e-3, hi = 1.0;
@@ -154,7 +153,7 @@ std::optional<std::pair<WeibullParams, double>> solve_mle_at_gamma(
   const double r = static_cast<double>(pd->failure_logs.size());
   const double eta =
       std::exp(max_log + std::log(s0 / r) / beta);
-  WeibullParams p{gamma, eta, beta};
+  WeibullParams p{0.0, eta, beta};
   return std::make_pair(p, weibull_log_likelihood(data, p));
 }
 
@@ -168,7 +167,7 @@ WeibullFit fit_weibull_mle(const LifeData& data) {
   WeibullFit fit;
   fit.n_total = data.size();
   fit.n_failures = failures;
-  auto sol = solve_mle_at_gamma(data, 0.0);
+  auto sol = solve_mle(data);
   if (!sol) {
     fit.converged = false;
     return fit;
@@ -176,83 +175,6 @@ WeibullFit fit_weibull_mle(const LifeData& data) {
   fit.params = sol->first;
   fit.log_likelihood = sol->second;
   fit.converged = true;
-  return fit;
-}
-
-WeibullFit fit_weibull3_mle(const LifeData& data) {
-  RAIDREL_REQUIRE(!data.empty(), "MLE needs data");
-  std::size_t failures = 0;
-  double min_failure = std::numeric_limits<double>::infinity();
-  for (const auto& d : data) {
-    if (d.event) {
-      ++failures;
-      min_failure = std::min(min_failure, d.time);
-    }
-  }
-  RAIDREL_REQUIRE(failures >= 3, "3-parameter Weibull MLE needs >= 3 failures");
-
-  WeibullFit best;
-  best.n_total = data.size();
-  best.n_failures = failures;
-  double best_ll = -std::numeric_limits<double>::infinity();
-  // Golden-section search of the profile likelihood in gamma over
-  // [0, min_failure), padded away from the singular right edge.
-  const double hi_gamma = min_failure * (1.0 - 1e-6);
-  auto profile_ll = [&](double gamma) {
-    auto sol = solve_mle_at_gamma(data, gamma);
-    return sol ? sol->second : -std::numeric_limits<double>::infinity();
-  };
-  constexpr double kGolden = 0.61803398874989484;
-  double a = 0.0, b = hi_gamma;
-  double x1 = b - kGolden * (b - a);
-  double x2 = a + kGolden * (b - a);
-  double f1 = profile_ll(x1);
-  double f2 = profile_ll(x2);
-  for (int it = 0; it < 80 && (b - a) > 1e-9 * std::max(1.0, hi_gamma); ++it) {
-    if (f1 < f2) {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kGolden * (b - a);
-      f2 = profile_ll(x2);
-    } else {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kGolden * (b - a);
-      f1 = profile_ll(x1);
-    }
-  }
-  // Evaluate the gamma=0 (2-parameter) solution too; prefer it unless the
-  // located optimum is a real improvement.
-  for (double gamma : {0.0, 0.5 * (a + b)}) {
-    auto sol = solve_mle_at_gamma(data, gamma);
-    if (sol && sol->second > best_ll) {
-      best_ll = sol->second;
-      best.params = sol->first;
-      best.converged = true;
-    }
-  }
-  best.log_likelihood = best_ll;
-  return best;
-}
-
-ExponentialFit fit_exponential_mle(const LifeData& data) {
-  RAIDREL_REQUIRE(!data.empty(), "MLE needs data");
-  ExponentialFit fit;
-  fit.n_total = data.size();
-  double total_time = 0.0;
-  for (const auto& obs : data) {
-    RAIDREL_REQUIRE(obs.time >= 0.0, "negative time on test");
-    total_time += obs.time;
-    fit.n_failures += obs.event ? 1 : 0;
-  }
-  RAIDREL_REQUIRE(fit.n_failures >= 1, "exponential MLE needs >= 1 failure");
-  RAIDREL_REQUIRE(total_time > 0.0, "zero total time on test");
-  fit.rate = static_cast<double>(fit.n_failures) / total_time;
-  fit.log_likelihood = static_cast<double>(fit.n_failures) *
-                           std::log(fit.rate) -
-                       fit.rate * total_time;
   return fit;
 }
 

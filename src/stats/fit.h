@@ -36,20 +36,6 @@ WeibullFit fit_weibull_rank_regression_censored(const LifeData& data);
 /// closed-form eta. Requires at least 2 failures.
 WeibullFit fit_weibull_mle(const LifeData& data);
 
-/// Censored MLE of the 3-parameter Weibull: profiles the location gamma
-/// over [0, min(failure time)) maximizing the log-likelihood, with the
-/// 2-parameter MLE solved at each candidate gamma.
-WeibullFit fit_weibull3_mle(const LifeData& data);
-
-/// Censored exponential MLE: rate = failures / total time on test.
-struct ExponentialFit {
-  double rate = 0.0;
-  double log_likelihood = 0.0;
-  std::size_t n_total = 0;
-  std::size_t n_failures = 0;
-};
-ExponentialFit fit_exponential_mle(const LifeData& data);
-
 /// Weibull log-likelihood of censored data (for model comparison / tests).
 double weibull_log_likelihood(const LifeData& data, const WeibullParams& p);
 

@@ -9,43 +9,6 @@
 
 namespace raidrel::stats {
 
-PowerLawProcess::PowerLawProcess(double eta, double beta)
-    : eta_(eta), beta_(beta) {
-  RAIDREL_REQUIRE(eta > 0.0, "power-law eta must be > 0");
-  RAIDREL_REQUIRE(beta > 0.0, "power-law beta must be > 0");
-}
-
-double PowerLawProcess::intensity(double t) const {
-  RAIDREL_REQUIRE(t >= 0.0, "time must be >= 0");
-  if (t == 0.0) {
-    if (beta_ < 1.0) return std::numeric_limits<double>::infinity();
-    if (beta_ == 1.0) return 1.0 / eta_;
-    return 0.0;
-  }
-  return beta_ / eta_ * std::pow(t / eta_, beta_ - 1.0);
-}
-
-double PowerLawProcess::mean_events(double t) const {
-  RAIDREL_REQUIRE(t >= 0.0, "time must be >= 0");
-  return std::pow(t / eta_, beta_);
-}
-
-std::vector<double> PowerLawProcess::simulate(double horizon,
-                                              rng::RandomStream& rs) const {
-  RAIDREL_REQUIRE(horizon > 0.0, "horizon must be > 0");
-  // Time transform: if M(t) = (t/eta)^beta then events of a unit-rate HPP
-  // at cumulative values m_k map to t_k = eta * m_k^(1/beta).
-  std::vector<double> out;
-  double m = 0.0;
-  const double m_end = mean_events(horizon);
-  for (;;) {
-    m += rs.exponential();
-    if (m >= m_end) break;
-    out.push_back(eta_ * std::pow(m, 1.0 / beta_));
-  }
-  return out;
-}
-
 namespace {
 
 struct Pooled {

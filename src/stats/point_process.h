@@ -2,21 +2,20 @@
 // the paper's central claim that RAID-group failures are NOT a homogeneous
 // Poisson process (its refs [2]–[6]: Thompson, Ascher, Crow, Nelson).
 //
-//  * PowerLawProcess — the Crow–AMSAA NHPP with intensity
+//  * fit_power_law — maximum-likelihood fit of the Crow–AMSAA NHPP with
+//    intensity
 //        rho(t) = (beta/eta) (t/eta)^(beta-1)
 //    (same parameterization as the Weibull hazard; for a repairable system
 //    this is the ROCOF, not a component hazard — the distinction the paper
-//    hammers on). Supports simulation and maximum-likelihood fitting from
-//    event histories, so a fitted beta > 1 *quantifies* the "increasing
-//    rate of occurrence of failure" the paper shows in Fig. 8.
+//    hammers on) from event histories, so a fitted beta > 1 *quantifies*
+//    the "increasing rate of occurrence of failure" the paper shows in
+//    Fig. 8.
 //  * Trend tests — the Laplace test and the Military Handbook (chi-square)
 //    test of the HPP null hypothesis against monotone trends.
 #pragma once
 
 #include <cstddef>
 #include <vector>
-
-#include "rng/rng.h"
 
 namespace raidrel::stats {
 
@@ -25,29 +24,6 @@ namespace raidrel::stats {
 struct EventHistory {
   std::vector<double> times;
   double observation_end = 0.0;
-};
-
-/// Crow–AMSAA power-law NHPP.
-class PowerLawProcess {
- public:
-  /// rho(t) = (beta/eta) (t/eta)^(beta-1); beta = 1 is the HPP.
-  PowerLawProcess(double eta, double beta);
-
-  [[nodiscard]] double intensity(double t) const;
-  /// Expected events in [0, t]: (t/eta)^beta.
-  [[nodiscard]] double mean_events(double t) const;
-
-  /// Simulate one realization over [0, horizon] (time-transformed
-  /// homogeneous process: exact, no thinning loss).
-  [[nodiscard]] std::vector<double> simulate(double horizon,
-                                             rng::RandomStream& rs) const;
-
-  [[nodiscard]] double eta() const noexcept { return eta_; }
-  [[nodiscard]] double beta() const noexcept { return beta_; }
-
- private:
-  double eta_;
-  double beta_;
 };
 
 /// Crow's MLE for time-truncated multi-system data:

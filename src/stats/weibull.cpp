@@ -121,9 +121,4 @@ DistributionPtr Weibull::clone() const {
   return std::make_unique<Weibull>(*this);
 }
 
-Weibull Weibull::exponential_equivalent(double rate) {
-  RAIDREL_REQUIRE(rate > 0.0, "rate must be > 0");
-  return Weibull(0.0, 1.0 / rate, 1.0);
-}
-
 }  // namespace raidrel::stats

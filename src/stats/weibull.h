@@ -55,10 +55,6 @@ class Weibull final : public Distribution {
   [[nodiscard]] double scale() const noexcept { return p_.eta; }
   [[nodiscard]] double shape() const noexcept { return p_.beta; }
 
-  /// The Weibull with beta=1 and eta=1/rate: the HPP special case that the
-  /// MTTDL method assumes everywhere.
-  static Weibull exponential_equivalent(double rate);
-
  private:
   /// z = (t - gamma)/eta clipped at 0.
   [[nodiscard]] double z(double t) const noexcept;

@@ -153,18 +153,6 @@ SweepSpec& SweepSpec::add_op_tilt_axis(const std::vector<double>& thetas) {
   return add_axis(std::move(axis));
 }
 
-SweepSpec& SweepSpec::add_latent_tilt_axis(const std::vector<double>& thetas) {
-  Axis axis{"ld-tilt", {}};
-  for (const double theta : thetas) {
-    RAIDREL_REQUIRE(theta > 0.0, "tilt must be positive");
-    axis.points.push_back({number_label(theta),
-                           [theta](core::ScenarioConfig& s) {
-                             s.ld_tilt = theta;
-                           }});
-  }
-  return add_axis(std::move(axis));
-}
-
 std::size_t SweepSpec::cell_count() const noexcept {
   std::size_t n = 1;
   for (const auto& axis : axes_) n *= axis.points.size();

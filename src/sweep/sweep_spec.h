@@ -107,9 +107,6 @@ class SweepSpec {
   /// never collide despite sharing a digest.
   SweepSpec& add_op_tilt_axis(const std::vector<double>& thetas);
 
-  /// Same, on the latent-defect hazard.
-  SweepSpec& add_latent_tilt_axis(const std::vector<double>& thetas);
-
   /// Number of cells the spec expands to (product of axis sizes; 1 when no
   /// axis was added — the base scenario alone).
   [[nodiscard]] std::size_t cell_count() const noexcept;

@@ -26,6 +26,7 @@
 // durable and resumed runs byte-identical.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -51,10 +52,22 @@ class Deadline {
     d.when_ = tp;
     return d;
   }
+  /// A deadline `seconds` from now. Values past the clock's range (1e30,
+  /// +inf) saturate to never(): the tick conversion would overflow.
   static Deadline after_seconds(double seconds) noexcept {
-    return at(std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(seconds)));
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    // Half the headroom left on the clock (~146 years at nanosecond
+    // ticks): far past any real deadline, and the margin keeps rounding
+    // in the double -> tick conversion from overflowing.
+    const double room =
+        std::chrono::duration<double>(Clock::time_point::max() - now)
+            .count() /
+        2.0;
+    if (!(seconds < room)) return never();
+    return at(now + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(
+                            std::max(seconds, -room))));
   }
 
   [[nodiscard]] bool armed() const noexcept { return armed_; }

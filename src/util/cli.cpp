@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/error.h"
@@ -89,6 +90,8 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   const double out = std::strtod(v->c_str(), &end);
   if (end == v->c_str() || *end != '\0') fail_parse(name, *v, "a number");
   if (errno == ERANGE) fail_parse(name, *v, "an in-range number");
+  // strtod accepts "nan" and "inf" without setting errno.
+  if (!std::isfinite(out)) fail_parse(name, *v, "a finite number");
   return out;
 }
 

@@ -19,8 +19,8 @@ namespace {
 
 #if defined(RAIDREL_X86_64)
 
-// XGETBV(0): which register states the OS saves/restores. AVX needs the
-// xmm+ymm bits; AVX-512 additionally needs opmask + zmm hi256 + hi16 zmm.
+// XGETBV(0): which register states the OS saves/restores. AVX-512 needs
+// the xmm+ymm bits plus opmask + zmm hi256 + hi16 zmm.
 std::uint64_t xcr0() noexcept {
   std::uint32_t eax = 0;
   std::uint32_t edx = 0;
@@ -29,29 +29,22 @@ std::uint64_t xcr0() noexcept {
 }
 
 SimdIsa detect() noexcept {
-  // x86-64 guarantees SSE2; everything below only decides how far above
-  // that baseline the machine goes.
   std::uint32_t eax = 0;
   std::uint32_t ebx = 0;
   std::uint32_t ecx = 0;
   std::uint32_t edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return SimdIsa::kSse2;
-  const bool osxsave = (ecx & (1u << 27)) != 0;
-  const bool avx = (ecx & (1u << 28)) != 0;
-  if (!osxsave || !avx) return SimdIsa::kSse2;
-  const std::uint64_t xs = xcr0();
-  if ((xs & 0x6) != 0x6) return SimdIsa::kSse2;  // xmm+ymm state
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return SimdIsa::kGeneric;
+  // XGETBV is only legal once the OS has enabled it (OSXSAVE).
+  if ((ecx & (1u << 27)) == 0) return SimdIsa::kGeneric;
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) {
-    return SimdIsa::kSse2;
+    return SimdIsa::kGeneric;
   }
-  const bool avx2 = (ebx & (1u << 5)) != 0;
-  if (!avx2) return SimdIsa::kSse2;
   const bool f = (ebx & (1u << 16)) != 0;
   const bool dq = (ebx & (1u << 17)) != 0;
   const bool vl = (ebx & (1u << 31)) != 0;
-  // opmask (bit 5) + zmm hi256 (bit 6) + hi16 zmm (bit 7) OS state.
-  if (f && dq && vl && (xs & 0xE0) == 0xE0) return SimdIsa::kAvx512;
-  return SimdIsa::kAvx2;
+  // xmm+ymm (bits 1-2), opmask (5), zmm hi256 (6), hi16 zmm (7) state.
+  if (f && dq && vl && (xcr0() & 0xE6) == 0xE6) return SimdIsa::kAvx512;
+  return SimdIsa::kGeneric;
 }
 
 #else
@@ -71,10 +64,6 @@ const char* isa_name(SimdIsa isa) noexcept {
   switch (isa) {
     case SimdIsa::kGeneric:
       return "generic";
-    case SimdIsa::kSse2:
-      return "sse2";
-    case SimdIsa::kAvx2:
-      return "avx2";
     case SimdIsa::kAvx512:
       return "avx512";
   }
@@ -83,8 +72,6 @@ const char* isa_name(SimdIsa isa) noexcept {
 
 std::optional<SimdIsa> parse_isa(std::string_view name) noexcept {
   if (name == "generic") return SimdIsa::kGeneric;
-  if (name == "sse2") return SimdIsa::kSse2;
-  if (name == "avx2") return SimdIsa::kAvx2;
   if (name == "avx512") return SimdIsa::kAvx512;
   return std::nullopt;
 }
@@ -93,8 +80,7 @@ SimdIsa resolve_isa(SimdIsa detected, std::string_view forced) {
   if (forced.empty()) return detected;
   const std::optional<SimdIsa> want = parse_isa(forced);
   RAIDREL_REQUIRE(want.has_value(),
-                  "RAIDREL_FORCE_ISA must be one of "
-                  "generic|sse2|avx2|avx512");
+                  "RAIDREL_FORCE_ISA must be one of generic|avx512");
   return *want <= detected ? *want : detected;
 }
 

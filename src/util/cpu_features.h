@@ -8,14 +8,13 @@
 // backend testable on one machine through the RAIDREL_FORCE_ISA
 // override (CI runs the equivalence suite once per tier).
 //
-// The tiers are cumulative: kAvx512 implies kAvx2 implies kSse2. SSE2
-// is the x86-64 baseline, so on any x86-64 build the floor is kSse2;
-// kGeneric (pure scalar) exists as the portable fallback and as the
-// reference backend the others are tested against. AVX-512 here means
-// F+DQ+VL — the subset the lane kernels use (512-bit doubles plus the
-// u64->double conversions) — with OS zmm state support confirmed via
-// XGETBV, so a kernel that honors the reported tier can never hit an
-// illegal instruction.
+// Two tiers: kGeneric (portable scalar) is the fallback on every
+// machine and the reference backend kAvx512 is tested against. There is
+// no SSE2 or AVX2 tier: neither measured faster than kGeneric
+// (docs/MODEL.md §14). AVX-512 here means F+DQ+VL — the subset the lane
+// kernels use (512-bit doubles plus the u64->double conversions) — with
+// OS zmm state support confirmed via XGETBV, so a kernel that honors the
+// reported tier can never hit an illegal instruction.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +28,7 @@ namespace raidrel::util {
 /// runs on any machine whose detected tier is >= T.
 enum class SimdIsa : std::uint8_t {
   kGeneric = 0,  ///< portable scalar fallback
-  kSse2 = 1,     ///< 128-bit lanes (x86-64 baseline)
-  kAvx2 = 2,     ///< 256-bit lanes
-  kAvx512 = 3,   ///< 512-bit lanes (F+DQ+VL)
+  kAvx512 = 1,   ///< 512-bit lanes (F+DQ+VL)
 };
 
 /// The machine's best usable tier, from CPUID + XGETBV (OS state
@@ -39,7 +36,7 @@ enum class SimdIsa : std::uint8_t {
 /// change mid-process.
 SimdIsa detected_isa() noexcept;
 
-/// Canonical lower-case name ("generic", "sse2", "avx2", "avx512") —
+/// Canonical lower-case name ("generic", "avx512") —
 /// the spelling used by RAIDREL_FORCE_ISA, the run manifest, and the
 /// BENCH_perf.json tags.
 const char* isa_name(SimdIsa isa) noexcept;

@@ -75,7 +75,6 @@ double gamma_q(double a, double x) {
   return gamma_q_cf(a, x);
 }
 
-double erf_fn(double x) { return std::erf(x); }
 double erfc_fn(double x) { return std::erfc(x); }
 
 double normal_quantile(double p) {

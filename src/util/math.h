@@ -26,9 +26,8 @@ double gamma_p(double a, double x);
 /// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
 double gamma_q(double a, double x);
 
-/// Error function wrapper (kept here so callers do not include <cmath>
-/// just for this) and its complement.
-double erf_fn(double x);
+/// Complementary error function wrapper (kept here so callers do not
+/// include <cmath> just for this).
 double erfc_fn(double x);
 
 /// Inverse of the standard normal CDF (Acklam's rational approximation,

@@ -4,26 +4,28 @@
 
 #include <gtest/gtest.h>
 
-#include "util/error.h"
+#include "stats/weibull.h"
+#include "support/degenerate.h"
 #include "util/math.h"
 
 namespace raidrel::stats {
 namespace {
 
 // ----------------------------------------------------------------- Exponential
+// The exponential law is the beta = 1 Weibull.
 
 TEST(Exponential, BasicLaws) {
-  const Exponential e(0.01);
+  const Weibull e(0.0, 100.0, 1.0);
   EXPECT_NEAR(e.cdf(100.0), 1.0 - std::exp(-1.0), 1e-12);
   EXPECT_NEAR(e.survival(100.0), std::exp(-1.0), 1e-12);
   EXPECT_DOUBLE_EQ(e.hazard(3.0), 0.01);
   EXPECT_DOUBLE_EQ(e.mean(), 100.0);
-  EXPECT_DOUBLE_EQ(e.variance(), 10000.0);
+  EXPECT_NEAR(e.variance(), 10000.0, 1e-9);
   EXPECT_NEAR(e.quantile(0.5), 100.0 * std::log(2.0), 1e-10);
 }
 
 TEST(Exponential, MemorylessResidual) {
-  const Exponential e(0.02);
+  const Weibull e(0.0, 50.0, 1.0);
   rng::RandomStream rs(1);
   util::RunningStats fresh, aged;
   for (int i = 0; i < 100000; ++i) {
@@ -34,49 +36,11 @@ TEST(Exponential, MemorylessResidual) {
   EXPECT_NEAR(aged.mean(), 50.0, 0.7);
 }
 
-TEST(Exponential, RejectsBadRate) {
-  EXPECT_THROW(Exponential(0.0), ModelError);
-  EXPECT_THROW(Exponential(-1.0), ModelError);
-}
-
-// ------------------------------------------------------------------ LogNormal
-
-TEST(LogNormal, MedianAndMoments) {
-  const LogNormal ln(2.0, 0.5);
-  EXPECT_NEAR(ln.quantile(0.5), std::exp(2.0), 1e-8);
-  EXPECT_NEAR(ln.mean(), std::exp(2.0 + 0.125), 1e-9);
-  const double s2 = 0.25;
-  EXPECT_NEAR(ln.variance(), (std::exp(s2) - 1.0) * std::exp(4.0 + s2),
-              1e-9);
-}
-
-TEST(LogNormal, CdfQuantileRoundTrip) {
-  const LogNormal ln(0.0, 1.0);
-  for (double p : {0.01, 0.25, 0.5, 0.75, 0.99}) {
-    EXPECT_NEAR(ln.cdf(ln.quantile(p)), p, 1e-10) << p;
-  }
-}
-
-TEST(LogNormal, SampleMomentsMatch) {
-  const LogNormal ln(1.0, 0.3);
-  rng::RandomStream rs(9);
-  util::RunningStats stats;
-  for (int i = 0; i < 200000; ++i) stats.add(ln.sample(rs));
-  EXPECT_NEAR(stats.mean(), ln.mean(), 0.02);
-}
-
-TEST(LogNormal, PdfIntegratesToOne) {
-  const LogNormal ln(0.5, 0.8);
-  const double total = util::integrate([&](double t) { return ln.pdf(t); },
-                                       0.0, ln.quantile(0.99999), 1e-10);
-  EXPECT_NEAR(total, 1.0, 1e-4);
-}
-
 // ---------------------------------------------------------------------- Gamma
 
 TEST(Gamma, ShapeOneIsExponential) {
   const Gamma g(1.0, 50.0);
-  const Exponential e(0.02);
+  const Weibull e(0.0, 50.0, 1.0);
   for (double t : {1.0, 10.0, 100.0}) {
     EXPECT_NEAR(g.cdf(t), e.cdf(t), 1e-10) << t;
     EXPECT_NEAR(g.pdf(t), e.pdf(t), 1e-10) << t;
@@ -113,7 +77,7 @@ TEST(Gamma, SamplerMatchesMoments) {
 TEST(Gamma, SumOfExponentialsIsGamma) {
   // Property: sum of k iid Exp(rate) ~ Gamma(k, 1/rate).
   rng::RandomStream rs(33);
-  const Exponential e(0.1);
+  const Weibull e(0.0, 10.0, 1.0);
   std::vector<double> sums;
   for (int i = 0; i < 20000; ++i) {
     double s = 0.0;
@@ -125,35 +89,6 @@ TEST(Gamma, SumOfExponentialsIsGamma) {
   for (double s : sums) stats.add(s);
   EXPECT_NEAR(stats.mean(), g.mean(), 0.5);
   EXPECT_NEAR(stats.variance(), g.variance(), g.variance() * 0.06);
-}
-
-// -------------------------------------------------------------------- Uniform
-
-TEST(Uniform, BasicLaws) {
-  const Uniform u(2.0, 6.0);
-  EXPECT_DOUBLE_EQ(u.cdf(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(u.cdf(4.0), 0.5);
-  EXPECT_DOUBLE_EQ(u.cdf(7.0), 1.0);
-  EXPECT_DOUBLE_EQ(u.pdf(3.0), 0.25);
-  EXPECT_DOUBLE_EQ(u.pdf(8.0), 0.0);
-  EXPECT_DOUBLE_EQ(u.mean(), 4.0);
-  EXPECT_NEAR(u.variance(), 16.0 / 12.0, 1e-12);
-  EXPECT_DOUBLE_EQ(u.quantile(0.25), 3.0);
-}
-
-TEST(Uniform, SamplesInRange) {
-  const Uniform u(5.0, 10.0);
-  rng::RandomStream rs(2);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = u.sample(rs);
-    EXPECT_GE(x, 5.0);
-    EXPECT_LT(x, 10.0);
-  }
-}
-
-TEST(Uniform, RejectsBadBounds) {
-  EXPECT_THROW(Uniform(5.0, 5.0), ModelError);
-  EXPECT_THROW(Uniform(-1.0, 5.0), ModelError);
 }
 
 // ----------------------------------------------------------------- Degenerate
@@ -181,10 +116,8 @@ TEST(Degenerate, ResidualCountsDown) {
 
 TEST(DistributionPtr, ClonePreservesConcreteBehaviour) {
   std::vector<DistributionPtr> dists;
-  dists.push_back(std::make_unique<Exponential>(0.5));
-  dists.push_back(std::make_unique<LogNormal>(1.0, 0.5));
+  dists.push_back(std::make_unique<Weibull>(0.0, 2.0, 1.0));
   dists.push_back(std::make_unique<Gamma>(2.0, 3.0));
-  dists.push_back(std::make_unique<Uniform>(1.0, 2.0));
   dists.push_back(std::make_unique<Degenerate>(5.0));
   for (const auto& d : dists) {
     const auto c = d->clone();

@@ -305,8 +305,7 @@ TEST(BatchEquivalence, BitIdenticalUnderEveryForcedIsa) {
   // loop keeps the guarantee even in a single unforced run.
   const auto cfg = busy_group();
   const auto scalar = scalar_trials(cfg, 120, KernelPolicy::kLowered);
-  for (util::SimdIsa isa : {util::SimdIsa::kGeneric, util::SimdIsa::kSse2,
-                            util::SimdIsa::kAvx2, util::SimdIsa::kAvx512}) {
+  for (util::SimdIsa isa : {util::SimdIsa::kGeneric, util::SimdIsa::kAvx512}) {
     if (isa > util::detected_isa()) continue;
     SCOPED_TRACE(util::isa_name(isa));
     ASSERT_EQ(::setenv("RAIDREL_FORCE_ISA", util::isa_name(isa), 1), 0);
@@ -384,8 +383,7 @@ TEST(BatchEquivalence, SettlePatternsUnderEveryForcedIsa) {
     const auto cfg = make();
     const auto scalar = scalar_trials(cfg, 120, KernelPolicy::kLowered);
     for (util::SimdIsa isa :
-         {util::SimdIsa::kGeneric, util::SimdIsa::kSse2,
-          util::SimdIsa::kAvx2, util::SimdIsa::kAvx512}) {
+         {util::SimdIsa::kGeneric, util::SimdIsa::kAvx512}) {
       if (isa > util::detected_isa()) continue;
       SCOPED_TRACE(util::isa_name(isa));
       ASSERT_EQ(::setenv("RAIDREL_FORCE_ISA", util::isa_name(isa), 1), 0);

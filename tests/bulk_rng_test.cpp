@@ -40,16 +40,15 @@ struct StreamSet {
 
 std::vector<util::SimdIsa> runnable_backends() {
   std::vector<util::SimdIsa> tiers{util::SimdIsa::kGeneric};
-  for (util::SimdIsa isa : {util::SimdIsa::kSse2, util::SimdIsa::kAvx2,
-                            util::SimdIsa::kAvx512}) {
-    if (isa <= util::detected_isa()) tiers.push_back(isa);
+  if (util::detected_isa() >= util::SimdIsa::kAvx512) {
+    tiers.push_back(util::SimdIsa::kAvx512);
   }
   return tiers;
 }
 
 TEST(BulkRng, MatchesScalarAcrossLengthsAndBackends) {
-  // Lengths straddle every backend's block width (2, 4, 8): empty, one,
-  // W-1 / W / W+1 for each W, and a large non-multiple that exercises
+  // Lengths straddle the AVX-512 block width W = 8:
+  // empty, one, W-1 / W / W+1, and a large non-multiple that exercises
   // many full blocks plus a tail.
   const std::size_t lengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 205};
   for (const util::SimdIsa isa : runnable_backends()) {
@@ -115,7 +114,8 @@ TEST(BulkRng, PinnedFirstDraws) {
   constexpr std::size_t kN = 8;
   StreamSet bulk(kN);
   std::vector<double> out(kN);
-  fill_uniform_open_n(bulk.ptrs.data(), out.data(), kN);
+  fill_uniform_open_backend(util::active_isa())(bulk.ptrs.data(), out.data(),
+                                                kN);
   EXPECT_EQ(out[0], 0x1.a36e41c91693ep-2);
   EXPECT_EQ(out[1], 0x1.b6166954476e1p-1);
   EXPECT_EQ(out[7], 0x1.5d8c8425346d7p-1);
@@ -127,7 +127,8 @@ TEST(BulkRng, OutputsAreStrictlyInsideUnitInterval) {
   constexpr std::size_t kN = 4096;
   StreamSet bulk(kN);
   std::vector<double> out(kN);
-  fill_uniform_open_n(bulk.ptrs.data(), out.data(), kN);
+  fill_uniform_open_backend(util::active_isa())(bulk.ptrs.data(), out.data(),
+                                                kN);
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_GT(out[i], 0.0);
     EXPECT_LT(out[i], 1.0);

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <csignal>
+#include <limits>
 
 #include "util/error.h"
 
@@ -36,6 +37,18 @@ TEST(Deadline, AfterSecondsArmsAndExpiresOnTheMonotonicClock) {
   EXPECT_GT(future.remaining_seconds(), 3590.0);
   EXPECT_LE(future.remaining_seconds(), 3600.0);
   EXPECT_TRUE(Deadline::at(future.when()).expired() == false);
+}
+
+// A duration past the steady clock's range used to overflow the tick
+// conversion into a deadline already in the past, so
+// `--wall-deadline 1e30` interrupted a sweep before its first cell.
+TEST(Deadline, AfterSecondsBeyondTheClockRangeNeverExpires) {
+  for (const double seconds :
+       {1e30, std::numeric_limits<double>::infinity()}) {
+    const Deadline d = Deadline::after_seconds(seconds);
+    EXPECT_FALSE(d.expired()) << seconds;
+    EXPECT_GT(d.remaining_seconds(), 0.0) << seconds;
+  }
 }
 
 TEST(CancelReasonNames, CoverEveryReason) {

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/basic_distributions.h"
 #include "stats/weibull.h"
+#include "support/degenerate.h"
 #include "util/error.h"
 #include "util/math.h"
 
@@ -72,7 +72,7 @@ TEST(Mixture, DecreasingThenIncreasingHazard) {
 TEST(Mixture, RejectsBadInput) {
   EXPECT_THROW(MixtureDistribution({}), ModelError);
   std::vector<MixtureDistribution::Component> comps;
-  comps.push_back({0.0, std::make_unique<Exponential>(1.0)});
+  comps.push_back({0.0, std::make_unique<Weibull>(0.0, 1.0, 1.0)});
   EXPECT_THROW(MixtureDistribution(std::move(comps)), ModelError);
 }
 
@@ -86,11 +86,11 @@ TEST(Mixture, ComponentAccessors) {
 
 TEST(CompetingRisks, RiskAccessors) {
   std::vector<DistributionPtr> risks;
-  risks.push_back(std::make_unique<Exponential>(0.01));
-  risks.push_back(std::make_unique<Exponential>(0.02));
+  risks.push_back(std::make_unique<Weibull>(0.0, 100.0, 1.0));
+  risks.push_back(std::make_unique<Weibull>(0.0, 50.0, 1.0));
   CompetingRisks cr(std::move(risks));
   EXPECT_EQ(cr.risk_count(), 2u);
-  EXPECT_NE(cr.risk(0).describe().find("0.01"), std::string::npos);
+  EXPECT_NE(cr.risk(0).describe().find("eta=100"), std::string::npos);
   EXPECT_THROW(static_cast<void>(cr.risk(2)), ModelError);
 }
 
@@ -103,11 +103,11 @@ TEST(Mixture, CloneIsDeep) {
 
 TEST(CompetingRisks, SurvivalIsProduct) {
   std::vector<DistributionPtr> risks;
-  risks.push_back(std::make_unique<Exponential>(0.01));
-  risks.push_back(std::make_unique<Exponential>(0.03));
+  risks.push_back(std::make_unique<Weibull>(0.0, 100.0, 1.0));
+  risks.push_back(std::make_unique<Weibull>(0.0, 100.0 / 3.0, 1.0));
   CompetingRisks cr(std::move(risks));
   // Min of exponentials is exponential with the summed rate.
-  const Exponential combined(0.04);
+  const Weibull combined(0.0, 25.0, 1.0);
   for (double t : {1.0, 10.0, 50.0}) {
     EXPECT_NEAR(cr.survival(t), combined.survival(t), 1e-12) << t;
     EXPECT_NEAR(cr.hazard(t), 0.04, 1e-12) << t;
@@ -180,26 +180,6 @@ TEST(CompetingRisks, ResidualSamplingRespectsAging) {
     old.add(cr.sample_residual(80.0, rs));
   }
   EXPECT_GT(young.mean(), old.mean());
-}
-
-TEST(Shifted, DelaysTheBaseLaw) {
-  Shifted s(std::make_unique<Exponential>(0.1), 5.0);
-  EXPECT_DOUBLE_EQ(s.cdf(5.0), 0.0);
-  EXPECT_NEAR(s.cdf(15.0), 1.0 - std::exp(-1.0), 1e-12);
-  EXPECT_NEAR(s.mean(), 15.0, 1e-12);
-  EXPECT_NEAR(s.variance(), 100.0, 1e-12);
-  EXPECT_NEAR(s.quantile(0.5), 5.0 + 10.0 * std::log(2.0), 1e-10);
-}
-
-TEST(Shifted, SampleNeverBelowShift) {
-  Shifted s(std::make_unique<Weibull>(0.0, 1.0, 0.5), 3.0);
-  rng::RandomStream rs(12);
-  for (int i = 0; i < 5000; ++i) EXPECT_GE(s.sample(rs), 3.0);
-}
-
-TEST(Shifted, RejectsNegativeShiftAndNull) {
-  EXPECT_THROW(Shifted(std::make_unique<Exponential>(1.0), -1.0), ModelError);
-  EXPECT_THROW(Shifted(nullptr, 1.0), ModelError);
 }
 
 }  // namespace

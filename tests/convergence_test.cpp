@@ -5,8 +5,8 @@
 #include <cmath>
 #include <limits>
 
-#include "stats/basic_distributions.h"
 #include "stats/weibull.h"
+#include "support/degenerate.h"
 #include "util/error.h"
 
 namespace raidrel::sim {

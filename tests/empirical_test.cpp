@@ -85,72 +85,5 @@ TEST(WeibullPlot, AllCensoredThrows) {
   EXPECT_THROW(weibull_plot_points_censored(data), ModelError);
 }
 
-TEST(EmpiricalCdf, StepsThroughData) {
-  EmpiricalCdf e({4.0, 1.0, 3.0, 2.0});
-  EXPECT_DOUBLE_EQ(e.cdf(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(e.cdf(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(e.cdf(2.5), 0.5);
-  EXPECT_DOUBLE_EQ(e.cdf(4.0), 1.0);
-  EXPECT_DOUBLE_EQ(e.quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(e.quantile(1.0), 4.0);
-  EXPECT_DOUBLE_EQ(e.quantile(0.0), 1.0);
-}
-
-TEST(KaplanMeier, NoCensoringMatchesEmpirical) {
-  LifeData data{{1.0, true}, {2.0, true}, {3.0, true}, {4.0, true}};
-  KaplanMeier km(data);
-  EXPECT_DOUBLE_EQ(km.survival(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(km.survival(1.0), 0.75);
-  EXPECT_DOUBLE_EQ(km.survival(2.5), 0.5);
-  EXPECT_DOUBLE_EQ(km.survival(4.0), 0.0);
-}
-
-TEST(KaplanMeier, CensoringReducesRiskSetOnly) {
-  // Classic textbook example: censored unit leaves the risk set without a
-  // survival drop.
-  LifeData data{{1.0, true}, {2.0, false}, {3.0, true}, {4.0, true}};
-  KaplanMeier km(data);
-  EXPECT_DOUBLE_EQ(km.survival(1.5), 0.75);
-  // At t=3: risk set is {3,4} -> survival 0.75 * (1 - 1/2) = 0.375.
-  EXPECT_DOUBLE_EQ(km.survival(3.5), 0.375);
-}
-
-TEST(KaplanMeier, TiedDeathsHandled) {
-  LifeData data{{2.0, true}, {2.0, true}, {5.0, true}, {7.0, false}};
-  KaplanMeier km(data);
-  // Two deaths out of four at t=2.
-  EXPECT_DOUBLE_EQ(km.survival(2.0), 0.5);
-  ASSERT_EQ(km.steps().size(), 2u);
-  EXPECT_EQ(km.steps()[0].deaths, 2u);
-  EXPECT_EQ(km.steps()[0].at_risk, 4u);
-}
-
-TEST(KaplanMeier, TracksTrueSurvivalOfCensoredWeibull) {
-  const Weibull w(0.0, 100.0, 1.5);
-  rng::RandomStream rs(77);
-  LifeData data;
-  const double window = 120.0;
-  for (int i = 0; i < 20000; ++i) {
-    const double t = w.sample(rs);
-    data.push_back(t < window ? LifeObservation{t, true}
-                              : LifeObservation{window, false});
-  }
-  KaplanMeier km(data);
-  for (double t : {20.0, 60.0, 100.0}) {
-    EXPECT_NEAR(km.survival(t), w.survival(t), 0.02) << t;
-  }
-}
-
-TEST(KaplanMeier, GreenwoodVarianceIsSmallForLargeN) {
-  const Weibull w(0.0, 100.0, 1.0);
-  rng::RandomStream rs(78);
-  LifeData data;
-  for (int i = 0; i < 5000; ++i) data.push_back({w.sample(rs), true});
-  KaplanMeier km(data);
-  const double var = km.greenwood_variance(50.0);
-  EXPECT_GT(var, 0.0);
-  EXPECT_LT(std::sqrt(var), 0.02);
-}
-
 }  // namespace
 }  // namespace raidrel::stats

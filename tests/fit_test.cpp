@@ -133,46 +133,5 @@ TEST(Mle, RequiresTwoFailures) {
   EXPECT_THROW(fit_weibull_mle(data), ModelError);
 }
 
-TEST(Mle3Param, RecoversLocation) {
-  const Weibull w(50.0, 100.0, 2.0);
-  LifeData data;
-  for (double t : draw(w, 4000, 10)) data.push_back({t, true});
-  const auto fit = fit_weibull3_mle(data);
-  EXPECT_TRUE(fit.converged);
-  EXPECT_NEAR(fit.params.gamma, 50.0, 10.0);
-  EXPECT_NEAR(fit.params.beta, 2.0, 0.25);
-}
-
-TEST(Mle3Param, ZeroLocationDataStaysNearZero) {
-  const Weibull w(0.0, 100.0, 1.5);
-  LifeData data;
-  for (double t : draw(w, 4000, 11)) data.push_back({t, true});
-  const auto fit = fit_weibull3_mle(data);
-  EXPECT_TRUE(fit.converged);
-  EXPECT_LT(fit.params.gamma, 5.0);
-  // 3-parameter fit must be at least as likely as the 2-parameter one.
-  const auto fit2 = fit_weibull_mle(data);
-  EXPECT_GE(fit.log_likelihood, fit2.log_likelihood - 1e-6);
-}
-
-TEST(ExponentialMle, RateIsFailuresOverTimeOnTest) {
-  LifeData data{{10.0, true}, {20.0, true}, {30.0, false}, {40.0, false}};
-  const auto fit = fit_exponential_mle(data);
-  EXPECT_EQ(fit.n_failures, 2u);
-  EXPECT_DOUBLE_EQ(fit.rate, 2.0 / 100.0);
-}
-
-TEST(ExponentialMle, RecoversRate) {
-  const Weibull w(0.0, 9259.0, 1.0);
-  const auto data = draw_censored(w, 10000, 8000.0, 12);
-  const auto fit = fit_exponential_mle(data);
-  EXPECT_NEAR(fit.rate, 1.08e-4, 5e-6);
-}
-
-TEST(ExponentialMle, NeedsAFailure) {
-  LifeData data{{10.0, false}};
-  EXPECT_THROW(fit_exponential_mle(data), ModelError);
-}
-
 }  // namespace
 }  // namespace raidrel::stats

@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "core/presets.h"
-#include "stats/basic_distributions.h"
 #include "stats/weibull.h"
+#include "support/degenerate.h"
 #include "util/error.h"
 #include "util/math.h"
 

@@ -4,7 +4,7 @@
 // promise: full Monte Carlo runs under KernelPolicy::kLowered and
 // KernelPolicy::kVirtualOnly must produce exactly equal event counters and
 // counting-estimator curves, for every lowering class (general Weibull,
-// beta=1 Weibull, Exponential) and for laws that stay on the virtual
+// beta=1 Weibull) and for laws that stay on the virtual
 // fallback (composite distributions).
 //
 // Threading note: per-trial counters are integers and the counting DDF
@@ -22,7 +22,6 @@
 #include "sim/runner.h"
 #include "sim/slot_kernel.h"
 #include "sim/thread_pool.h"
-#include "stats/basic_distributions.h"
 #include "stats/composite.h"
 #include "stats/weibull.h"
 
@@ -44,11 +43,11 @@ raid::GroupConfig busy_group(double mission = 20000.0) {
 }
 
 raid::GroupConfig exponential_group() {
-  // Every law beta=1 or Exponential: the whole group lowers to the
-  // closed-form exponential kernels.
+  // Every law beta=1: the whole group lowers to the closed-form
+  // exponential kernels.
   raid::SlotModel m;
   m.time_to_op_failure = std::make_unique<stats::Weibull>(0.0, 4000.0, 1.0);
-  m.time_to_restore = std::make_unique<stats::Exponential>(1.0 / 50.0);
+  m.time_to_restore = std::make_unique<stats::Weibull>(0.0, 50.0, 1.0);
   m.time_to_latent_defect =
       std::make_unique<stats::Weibull>(0.0, 2000.0, 1.0);
   m.time_to_scrub = std::make_unique<stats::Weibull>(0.0, 300.0, 1.0);
@@ -205,10 +204,6 @@ TEST(CompiledLaw, UnitShapeWeibullDrawsBitIdentical) {
   expect_draws_identical(stats::Weibull(6.0, 168.0, 1.0));
 }
 
-TEST(CompiledLaw, ExponentialDrawsBitIdentical) {
-  expect_draws_identical(stats::Exponential(1.0 / 461386.0));
-}
-
 TEST(CompiledLaw, ExtremeAgeResidualDrawsBitIdentical) {
   // Ages orders of magnitude past the scale route through the log-space
   // residual arms (see Weibull::sample_residual). The lowered kernels
@@ -236,13 +231,10 @@ TEST(CompiledLaw, ExtremeAgeResidualDrawsBitIdentical) {
 TEST(CompiledLaw, LowersToExpectedKinds) {
   const stats::Weibull general(0.0, 461386.0, 1.12);
   const stats::Weibull unit_shape(0.0, 9259.0, 1.0);
-  const stats::Exponential exponential(0.001);
   EXPECT_EQ(CompiledLaw::compile(&general).kind(),
             CompiledLaw::Kind::kWeibull);
   EXPECT_EQ(CompiledLaw::compile(&unit_shape).kind(),
             CompiledLaw::Kind::kExponentialWeibull);
-  EXPECT_EQ(CompiledLaw::compile(&exponential).kind(),
-            CompiledLaw::Kind::kExponential);
   EXPECT_EQ(CompiledLaw::compile(nullptr).kind(), CompiledLaw::Kind::kNull);
   EXPECT_FALSE(CompiledLaw::compile(nullptr).present());
 

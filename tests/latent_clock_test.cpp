@@ -6,9 +6,9 @@
 #include "core/presets.h"
 #include "sim/group_simulator.h"
 #include "sim/runner.h"
-#include "stats/basic_distributions.h"
 #include "stats/piecewise.h"
 #include "stats/weibull.h"
+#include "support/degenerate.h"
 #include "workload/duty_cycle.h"
 
 namespace raidrel::sim {

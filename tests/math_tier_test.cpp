@@ -95,18 +95,17 @@ TEST(MathTier, FastKernelsAreBitIdenticalAcrossBackends) {
   reference.neg_log_n(u.data(), ref_log.data(), u.size());
   reference.weibull_quantile_n(ref_log.data(), ref_wq.data(), u.size(), 6.0,
                                300.0, 1.0 / 3.0);
-  for (util::SimdIsa isa : {util::SimdIsa::kSse2, util::SimdIsa::kAvx2,
-                            util::SimdIsa::kAvx512}) {
-    if (isa > util::detected_isa()) continue;
-    const LaneOps& ops = lane_ops_for(isa);
-    std::vector<double> got_log(u.size()), got_wq(u.size());
-    ops.neg_log_n(u.data(), got_log.data(), u.size());
-    ops.weibull_quantile_n(got_log.data(), got_wq.data(), u.size(), 6.0,
-                           300.0, 1.0 / 3.0);
-    for (std::size_t i = 0; i < u.size(); ++i) {
-      EXPECT_EQ(got_log[i], ref_log[i]) << util::isa_name(isa) << " i=" << i;
-      EXPECT_EQ(got_wq[i], ref_wq[i]) << util::isa_name(isa) << " i=" << i;
-    }
+  // Without AVX-512 the generic table is the only backend: nothing to
+  // compare it against.
+  if (util::detected_isa() < util::SimdIsa::kAvx512) return;
+  const LaneOps& ops = lane_ops_for(util::SimdIsa::kAvx512);
+  std::vector<double> got_log(u.size()), got_wq(u.size());
+  ops.neg_log_n(u.data(), got_log.data(), u.size());
+  ops.weibull_quantile_n(got_log.data(), got_wq.data(), u.size(), 6.0, 300.0,
+                         1.0 / 3.0);
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    EXPECT_EQ(got_log[i], ref_log[i]) << "i=" << i;
+    EXPECT_EQ(got_wq[i], ref_wq[i]) << "i=" << i;
   }
 }
 

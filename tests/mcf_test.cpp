@@ -6,7 +6,7 @@
 
 #include "core/presets.h"
 #include "sim/group_simulator.h"
-#include "stats/basic_distributions.h"
+#include "stats/weibull.h"
 #include "util/error.h"
 
 namespace raidrel::field {
@@ -51,7 +51,7 @@ TEST(Mcf, RecoversHppRate) {
   // Poisson events at rate 0.01/h on 500 systems: MCF(t) ~ 0.01 t and the
   // empirical ROCOF is flat.
   rng::RandomStream rs(3);
-  const stats::Exponential gap(0.01);
+  const stats::Weibull gap(0.0, 100.0, 1.0);  // Exp(rate 0.01)
   std::vector<SystemHistory> h;
   for (int s = 0; s < 500; ++s) {
     SystemHistory sys;
@@ -73,7 +73,7 @@ TEST(Mcf, RecoversHppRate) {
 
 TEST(Mcf, VarianceShrinksWithPopulation) {
   rng::RandomStream rs(4);
-  const stats::Exponential gap(0.02);
+  const stats::Weibull gap(0.0, 50.0, 1.0);  // Exp(rate 0.02)
   auto build = [&](int n) {
     std::vector<SystemHistory> h;
     for (int s = 0; s < n; ++s) {

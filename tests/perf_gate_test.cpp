@@ -1,8 +1,8 @@
-// The CI perf gate (obs/perf_gate.h) used to crash on a schema-v1 baseline
+// The CI perf gate (bench/perf_gate.h) used to crash on a schema-v1 baseline
 // or a renamed benchmark, bricking CI until someone touched the committed
 // artifact. These tests pin the intended asymmetry: baseline problems
 // degrade to named skips with warnings, candidate problems still fail.
-#include "obs/perf_gate.h"
+#include "perf_gate.h"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 
 #include "util/error.h"
 
-namespace raidrel::obs {
+namespace raidrel::bench {
 namespace {
 
 /// All three default-watched benchmarks; LongTail is pinned at a fixed
@@ -191,12 +191,12 @@ TEST(PerfGate, SchemaV3LikeForLikePasses) {
 }
 
 TEST(PerfGate, IsaMismatchSkipsInsteadOfFailing) {
-  // Baseline measured on an AVX-512 box, candidate running on SSE2
-  // hardware at half the speed: not a regression — a different code
+  // Baseline measured on an AVX-512 box, candidate running the generic
+  // backend at half the speed: not a regression — a different code
   // path. The gate must degrade to a named skip, not brick CI.
   const auto report =
       run_perf_gate(tagged_artifact(1000.0, "avx512", "exact"),
-                    tagged_artifact(500.0, "sse2", "exact"));
+                    tagged_artifact(500.0, "generic", "exact"));
   EXPECT_FALSE(report.failed);
   EXPECT_TRUE(report.degraded);
   ASSERT_EQ(report.checks.size(), 3u);
@@ -215,8 +215,8 @@ TEST(PerfGate, NumaNodeCountMismatchSkipsInsteadOfFailing) {
   // candidate running single-node: the throughput delta is topology, not
   // code — same treatment as an ISA mismatch.
   const auto report =
-      run_perf_gate(tagged_artifact(1000.0, "avx2", "exact", 64, 2),
-                    tagged_artifact(500.0, "avx2", "exact", 64, 1));
+      run_perf_gate(tagged_artifact(1000.0, "avx512", "exact", 64, 2),
+                    tagged_artifact(500.0, "avx512", "exact", 64, 1));
   EXPECT_FALSE(report.failed);
   EXPECT_TRUE(report.degraded);
   ASSERT_EQ(report.checks.size(), 3u);
@@ -231,29 +231,29 @@ TEST(PerfGate, AbsentNumaTagComparesAsWildcard) {
   // alone must not block the comparison — a real 40% regression still
   // fails, and a clean like-for-like run still passes.
   const auto regressed =
-      run_perf_gate(tagged_artifact(1000.0, "avx2", "exact", 64, 0),
-                    tagged_artifact(600.0, "avx2", "exact", 64, 4));
+      run_perf_gate(tagged_artifact(1000.0, "avx512", "exact", 64, 0),
+                    tagged_artifact(600.0, "avx512", "exact", 64, 4));
   EXPECT_TRUE(regressed.failed);
   EXPECT_EQ(regressed.checks[0].status, PerfGateCheck::Status::kFail);
 
   const auto clean =
-      run_perf_gate(tagged_artifact(1000.0, "avx2", "exact", 64, 0),
-                    tagged_artifact(990.0, "avx2", "exact", 64, 4));
+      run_perf_gate(tagged_artifact(1000.0, "avx512", "exact", 64, 0),
+                    tagged_artifact(990.0, "avx512", "exact", 64, 4));
   EXPECT_FALSE(clean.failed);
   EXPECT_FALSE(clean.degraded);
 }
 
 TEST(PerfGate, MathTierAndWidthMismatchesAlsoSkip) {
-  const auto tiers = run_perf_gate(tagged_artifact(1000.0, "avx2", "fast"),
-                                   tagged_artifact(400.0, "avx2", "exact"));
+  const auto tiers = run_perf_gate(tagged_artifact(1000.0, "avx512", "fast"),
+                                   tagged_artifact(400.0, "avx512", "exact"));
   EXPECT_FALSE(tiers.failed);
   ASSERT_GE(tiers.checks.size(), 1u);
   EXPECT_EQ(tiers.checks[0].status, PerfGateCheck::Status::kSkip);
   EXPECT_NE(tiers.checks[0].note.find("math_tier"), std::string::npos);
 
   const auto widths =
-      run_perf_gate(tagged_artifact(1000.0, "avx2", "exact", 64),
-                    tagged_artifact(400.0, "avx2", "exact", 8));
+      run_perf_gate(tagged_artifact(1000.0, "avx512", "exact", 64),
+                    tagged_artifact(400.0, "avx512", "exact", 8));
   EXPECT_EQ(widths.checks[0].status, PerfGateCheck::Status::kSkip);
   EXPECT_NE(widths.checks[0].note.find("batch_width"), std::string::npos);
 }
@@ -283,4 +283,4 @@ TEST(PerfGate, CustomWatchedListAndValidation) {
 }
 
 }  // namespace
-}  // namespace raidrel::obs
+}  // namespace raidrel::bench

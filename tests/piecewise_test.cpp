@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/basic_distributions.h"
+#include "stats/weibull.h"
 #include "util/error.h"
 #include "util/math.h"
 #include "workload/duty_cycle.h"
@@ -19,7 +19,7 @@ PiecewiseConstantHazard two_phase() {
 
 TEST(PiecewiseHazard, SingleSegmentIsExponential) {
   const PiecewiseConstantHazard p({{0.0, 0.02}});
-  const Exponential e(0.02);
+  const Weibull e(0.0, 50.0, 1.0);  // Exp(rate 0.02)
   for (double t : {1.0, 50.0, 300.0}) {
     EXPECT_NEAR(p.cdf(t), e.cdf(t), 1e-12) << t;
     EXPECT_NEAR(p.pdf(t), e.pdf(t), 1e-12) << t;

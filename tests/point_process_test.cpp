@@ -5,12 +5,33 @@
 #include <gtest/gtest.h>
 
 #include "core/presets.h"
+#include "rng/rng.h"
 #include "sim/group_simulator.h"
 #include "util/error.h"
 #include "util/math.h"
 
 namespace raidrel::stats {
 namespace {
+
+// Crow–AMSAA power-law NHPP with intensity (beta/eta) (t/eta)^(beta-1),
+// simulated by time transform: unit-rate HPP events at cumulative values
+// m_k map to t_k = eta * m_k^(1/beta). beta = 1 is the HPP.
+struct PowerLawProcess {
+  double eta;
+  double beta;
+
+  std::vector<double> simulate(double horizon, rng::RandomStream& rs) const {
+    std::vector<double> out;
+    double m = 0.0;
+    const double m_end = std::pow(horizon / eta, beta);
+    for (;;) {
+      m += rs.exponential();
+      if (m >= m_end) break;
+      out.push_back(eta * std::pow(m, 1.0 / beta));
+    }
+    return out;
+  }
+};
 
 std::vector<EventHistory> simulate_fleet(const PowerLawProcess& process,
                                          std::size_t systems, double horizon,
@@ -25,59 +46,9 @@ std::vector<EventHistory> simulate_fleet(const PowerLawProcess& process,
   return fleet;
 }
 
-TEST(PowerLawProcess, IntensityAndMeanConsistent) {
-  const PowerLawProcess p(1000.0, 1.5);
-  // d/dt mean_events = intensity.
-  const double t = 700.0;
-  const double h = 0.01;
-  const double numeric =
-      (p.mean_events(t + h) - p.mean_events(t - h)) / (2.0 * h);
-  EXPECT_NEAR(numeric, p.intensity(t), 1e-6 * p.intensity(t));
-  EXPECT_NEAR(p.mean_events(1000.0), 1.0, 1e-12);
-}
-
-TEST(PowerLawProcess, Beta1IsHomogeneousPoisson) {
-  const PowerLawProcess p(100.0, 1.0);
-  EXPECT_DOUBLE_EQ(p.intensity(1.0), 0.01);
-  EXPECT_DOUBLE_EQ(p.intensity(1e6), 0.01);
-  rng::RandomStream rs(1);
-  util::RunningStats counts;
-  for (int i = 0; i < 3000; ++i) {
-    counts.add(static_cast<double>(p.simulate(1000.0, rs).size()));
-  }
-  EXPECT_NEAR(counts.mean(), 10.0, 0.2);
-  EXPECT_NEAR(counts.variance(), 10.0, 0.8);  // Poisson: var = mean
-}
-
-TEST(PowerLawProcess, SimulatedCountsMatchMeanFunction) {
-  const PowerLawProcess p(500.0, 2.0);
-  rng::RandomStream rs(2);
-  util::RunningStats counts;
-  for (int i = 0; i < 3000; ++i) {
-    counts.add(static_cast<double>(p.simulate(1500.0, rs).size()));
-  }
-  EXPECT_NEAR(counts.mean(), p.mean_events(1500.0),
-              5.0 * counts.sem() + 1e-9);
-}
-
-TEST(PowerLawProcess, EventsAreSortedWithinHorizon) {
-  const PowerLawProcess p(300.0, 0.7);
-  rng::RandomStream rs(3);
-  for (int i = 0; i < 50; ++i) {
-    const auto events = p.simulate(2000.0, rs);
-    for (std::size_t k = 0; k < events.size(); ++k) {
-      EXPECT_GT(events[k], 0.0);
-      EXPECT_LT(events[k], 2000.0);
-      if (k) {
-        EXPECT_GE(events[k], events[k - 1]);
-      }
-    }
-  }
-}
-
 TEST(PowerLawFit, RecoversParametersFromFleet) {
   for (double beta : {0.7, 1.0, 1.6}) {
-    const PowerLawProcess truth(800.0, beta);
+    const PowerLawProcess truth{800.0, beta};
     const auto fleet = simulate_fleet(truth, 400, 3000.0, 11);
     const auto fit = fit_power_law(fleet);
     ASSERT_TRUE(fit.converged) << beta;
@@ -95,7 +66,7 @@ TEST(PowerLawFit, Validation) {
 }
 
 TEST(LaplaceTrend, CentersOnZeroUnderHpp) {
-  const PowerLawProcess hpp(100.0, 1.0);
+  const PowerLawProcess hpp{100.0, 1.0};
   // Across repeated experiments the statistic is ~N(0,1): check mean and
   // rejection rate.
   int rejects = 0;
@@ -111,7 +82,7 @@ TEST(LaplaceTrend, CentersOnZeroUnderHpp) {
 }
 
 TEST(LaplaceTrend, DetectsIncreasingRocof) {
-  const PowerLawProcess growing(800.0, 1.6);
+  const PowerLawProcess growing{800.0, 1.6};
   const auto fleet = simulate_fleet(growing, 100, 3000.0, 21);
   const auto t = laplace_trend_test(fleet);
   EXPECT_GT(t.statistic, 3.0);   // strongly positive
@@ -119,7 +90,7 @@ TEST(LaplaceTrend, DetectsIncreasingRocof) {
 }
 
 TEST(LaplaceTrend, DetectsDecreasingRocof) {
-  const PowerLawProcess improving(200.0, 0.6);
+  const PowerLawProcess improving{200.0, 0.6};
   const auto fleet = simulate_fleet(improving, 100, 3000.0, 22);
   const auto t = laplace_trend_test(fleet);
   EXPECT_LT(t.statistic, -3.0);
@@ -127,7 +98,7 @@ TEST(LaplaceTrend, DetectsDecreasingRocof) {
 }
 
 TEST(MilHdbkTrend, CalibratedUnderHpp) {
-  const PowerLawProcess hpp(150.0, 1.0);
+  const PowerLawProcess hpp{150.0, 1.0};
   const auto fleet = simulate_fleet(hpp, 200, 1500.0, 31);
   const auto t = mil_hdbk_trend_test(fleet);
   // Under H0 the statistic ~ chi2(2N): its CDF value is ~ Uniform(0,1),
@@ -138,7 +109,7 @@ TEST(MilHdbkTrend, CalibratedUnderHpp) {
 }
 
 TEST(MilHdbkTrend, FlagsWearOut) {
-  const PowerLawProcess growing(800.0, 1.8);
+  const PowerLawProcess growing{800.0, 1.8};
   const auto fleet = simulate_fleet(growing, 100, 3000.0, 41);
   const auto t = mil_hdbk_trend_test(fleet);
   EXPECT_LT(t.p_value_increasing, 1e-4);

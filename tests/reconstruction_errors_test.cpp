@@ -9,8 +9,8 @@
 #include "sim/group_simulator.h"
 #include "sim/runner.h"
 #include "sim/timing_engine.h"
-#include "stats/basic_distributions.h"
 #include "stats/weibull.h"
+#include "support/degenerate.h"
 #include "util/error.h"
 #include "util/math.h"
 #include "workload/restore_model.h"

@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/basic_distributions.h"
 #include "stats/composite.h"
 #include "stats/weibull.h"
+#include "support/degenerate.h"
 #include "util/error.h"
 #include "util/math.h"
 
@@ -15,8 +15,8 @@ namespace {
 
 TEST(ResidualLife, ExponentialBaseIsUnchanged) {
   // Memorylessness: burn-in does nothing to an exponential.
-  ResidualLife r(std::make_unique<Exponential>(0.01), 500.0);
-  const Exponential e(0.01);
+  ResidualLife r(std::make_unique<Weibull>(0.0, 100.0, 1.0), 500.0);
+  const Weibull e(0.0, 100.0, 1.0);
   for (double t : {1.0, 50.0, 400.0}) {
     EXPECT_NEAR(r.cdf(t), e.cdf(t), 1e-12) << t;
     EXPECT_NEAR(r.pdf(t), e.pdf(t), 1e-12) << t;
@@ -94,7 +94,7 @@ TEST(ResidualLife, ZeroBurnInIsIdentity) {
 
 TEST(ResidualLife, Validation) {
   EXPECT_THROW(ResidualLife(nullptr, 10.0), ModelError);
-  EXPECT_THROW(ResidualLife(std::make_unique<Exponential>(1.0), -1.0),
+  EXPECT_THROW(ResidualLife(std::make_unique<Weibull>(0.0, 1.0, 1.0), -1.0),
                ModelError);
   // Degenerate base: burning past the point mass leaves nothing.
   EXPECT_THROW(ResidualLife(std::make_unique<Degenerate>(5.0), 6.0),

@@ -2,8 +2,8 @@
 
 #include "sim/group_simulator.h"
 #include "sim/runner.h"
-#include "stats/basic_distributions.h"
 #include "stats/weibull.h"
+#include "support/degenerate.h"
 #include "util/error.h"
 
 namespace raidrel::sim {

@@ -8,7 +8,8 @@
 #include "core/presets.h"
 #include "sim/group_simulator.h"
 #include "sim/runner.h"
-#include "stats/basic_distributions.h"
+#include "stats/weibull.h"
+#include "support/degenerate.h"
 #include "util/error.h"
 
 namespace raidrel::sim {
@@ -123,7 +124,7 @@ TEST(StripeCollision, RateScalesInverselyWithZones) {
     m.time_to_op_failure = std::make_unique<stats::Degenerate>(1e18);
     m.time_to_restore = std::make_unique<stats::Degenerate>(10.0);
     m.time_to_latent_defect =
-        std::make_unique<stats::Exponential>(1.0 / 500.0);
+        std::make_unique<stats::Weibull>(0.0, 500.0, 1.0);
     m.time_to_scrub = std::make_unique<stats::Degenerate>(400.0);
     auto cfg = raid::make_uniform_group(8, 1, m, 20000.0);
     cfg.stripe_zones = zones;

@@ -78,6 +78,16 @@ TEST(CliArgs, GetDoubleRejectsUnparseableValues) {
   EXPECT_THROW((void)make({"--scrub="}).get_double("scrub", 1.0), ModelError);
 }
 
+// strtod parses these without an error, so they used to reach the model.
+TEST(CliArgs, GetDoubleRejectsNonFiniteValues) {
+  for (const char* raw : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    EXPECT_THROW(
+        (void)make({"--target-sem", raw}).get_double("target-sem", 1.0),
+        ModelError)
+        << raw;
+  }
+}
+
 TEST(CliArgs, ParseErrorNamesTheFlag) {
   try {
     (void)make({"--trials", "abc"}).get_int("trials", 1);

@@ -172,13 +172,6 @@ TEST(Weibull, TwoParamFactoryAndStddev) {
   EXPECT_NEAR(w.stddev(), std::sqrt(w.variance()), 1e-12);
 }
 
-TEST(Weibull, ExponentialEquivalentFactory) {
-  const Weibull w = Weibull::exponential_equivalent(0.01);
-  EXPECT_DOUBLE_EQ(w.shape(), 1.0);
-  EXPECT_DOUBLE_EQ(w.scale(), 100.0);
-  EXPECT_THROW(Weibull::exponential_equivalent(0.0), ModelError);
-}
-
 TEST(Weibull, CloneIsIndependentAndEqual) {
   const Weibull w(1.0, 2.0, 3.0);
   const auto c = w.clone();
