@@ -196,7 +196,7 @@ class BatchGroupSimulator {
   bool tilted_ = false;
 
   /// Per-cell slot state, indexed idx(lane, slot). Same fields, same
-  /// semantics as GroupSimulator::Slot, packed into exactly one cache
+  /// semantics as detail::GroupCore::Slot, packed into exactly one cache
   /// line: an event handler's timer reads and writes land on a single
   /// line instead of walking six width-sized arrays (the pure-SoA
   /// layout spilled L1 at width 64 — docs/MODEL.md §17). next_event_

@@ -1,16 +1,8 @@
 #include "sim/fleet_simulator.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "util/error.h"
 
 namespace raidrel::sim {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
 
 void FleetConfig::validate() const {
   RAIDREL_REQUIRE(!groups.empty(), "fleet needs at least one group");
@@ -19,16 +11,9 @@ void FleetConfig::validate() const {
     g.validate();
     RAIDREL_REQUIRE(g.mission_hours == mission,
                     "all groups must share the mission length");
-    RAIDREL_REQUIRE(g.stripe_zones == 0,
-                    "FleetSimulator does not implement stripe zones");
-    if (shared_pool) {
-      RAIDREL_REQUIRE(!g.spare_pool.has_value(),
-                      "groups cannot carry private pools under a shared one");
-    } else {
-      RAIDREL_REQUIRE(!g.spare_pool.has_value(),
-                      "per-group pools are a GroupSimulator feature; the "
-                      "fleet pool is FleetConfig::shared_pool");
-    }
+    RAIDREL_REQUIRE(!g.spare_pool.has_value(),
+                    "per-group pools are a GroupSimulator feature; the "
+                    "fleet pool is FleetConfig::shared_pool");
   }
   if (shared_pool) {
     RAIDREL_REQUIRE(shared_pool->capacity >= 1,
@@ -54,293 +39,23 @@ void FleetTrialResult::clear(std::size_t groups) {
   for (auto& g : per_group) g.clear();
 }
 
-bool FleetSimulator::Slot::restoring() const noexcept {
-  return restore_done < kInf || awaiting_spare;
-}
-
-bool FleetSimulator::Slot::defective() const noexcept {
-  return defect_occurred < kInf;
-}
-
 FleetSimulator::FleetSimulator(const FleetConfig& config, KernelPolicy policy)
-    : cfg_(config) {
-  cfg_.validate();
-  groups_.resize(cfg_.groups.size());
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    groups_[g].slots.resize(cfg_.groups[g].slots.size());
-    groups_[g].kernels.reserve(cfg_.groups[g].slots.size());
-    for (const auto& slot : cfg_.groups[g].slots) {
-      groups_[g].kernels.push_back(SlotKernel::compile(slot, policy));
-    }
+    : pool_(config.shared_pool) {
+  config.validate();
+  cores_.reserve(config.groups.size());
+  for (const auto& group : config.groups) {
+    cores_.emplace_back(group, policy, std::nullopt);
   }
-}
-
-void FleetSimulator::refresh_next_event(Slot& s) noexcept {
-  s.next_event = std::min(std::min(s.next_op, s.restore_done),
-                          std::min(s.next_ld, s.defect_clears));
-}
-
-void FleetSimulator::start_defect_countdown(std::size_t g, std::size_t i,
-                                            double now,
-                                            rng::RandomStream& rs) {
-  Slot& s = groups_[g].slots[i];
-  const CompiledLaw& latent = groups_[g].kernels[i].latent;
-  s.defect_occurred = kInf;
-  s.defect_clears = kInf;
-  if (!latent.present()) {
-    s.next_ld = kInf;
-    refresh_next_event(s);
-    return;
-  }
-  if (cfg_.groups[g].latent_clock == raid::LatentClock::kDriveAge) {
-    const double age = now - s.install_time;
-    s.next_ld = now + latent.sample_residual(age, rs);
-  } else {
-    s.next_ld = now + latent.sample(rs);
-  }
-  refresh_next_event(s);
-}
-
-void FleetSimulator::install_fresh_drive(std::size_t g, std::size_t i,
-                                         double now, rng::RandomStream& rs) {
-  Slot& s = groups_[g].slots[i];
-  s.install_time = now;
-  s.restore_done = kInf;
-  s.awaiting_spare = false;
-  s.next_op = now + groups_[g].kernels[i].op.sample(rs);
-  start_defect_countdown(g, i, now, rs);  // refreshes the cached next event
-}
-
-void FleetSimulator::begin_restore(std::size_t g, std::size_t i, double now,
-                                   double duration) {
-  Group& group = groups_[g];
-  Slot& s = group.slots[i];
-  s.awaiting_spare = false;
-  s.restore_done = now + duration;
-  refresh_next_event(s);
-  if (i == group.ddf_slot) {
-    group.failed_until = s.restore_done;
-  }
-}
-
-void FleetSimulator::request_spare(std::size_t g, std::size_t i, double now,
-                                   double duration) {
-  if (!cfg_.shared_pool) {
-    begin_restore(g, i, now, duration);
-    return;
-  }
-  if (spares_available_ > 0) {
-    --spares_available_;
-    pending_orders_.push_back(now + cfg_.shared_pool->replenish_hours);
-    begin_restore(g, i, now, duration);
-    return;
-  }
-  Slot& s = groups_[g].slots[i];
-  s.awaiting_spare = true;
-  s.restore_done = kInf;
-  s.pending_restore_duration = duration;
-  refresh_next_event(s);
-  spare_queue_.push_back({g, i});
-  if (i == groups_[g].ddf_slot) groups_[g].failed_until = kInf;
-}
-
-double FleetSimulator::next_spare_arrival() const noexcept {
-  double t = kInf;
-  for (double arrival : pending_orders_) t = std::min(t, arrival);
-  return t;
-}
-
-void FleetSimulator::handle_spare_arrival(double now, FleetTrialResult& out) {
-  for (std::size_t k = 0; k < pending_orders_.size(); ++k) {
-    if (pending_orders_[k] <= now) {
-      pending_orders_[k] = pending_orders_.back();
-      pending_orders_.pop_back();
-      break;
-    }
-  }
-  if (spare_queue_head_ >= spare_queue_.size()) {
-    ++spares_available_;
-    return;
-  }
-  const SlotRef ref = spare_queue_[spare_queue_head_++];
-  if (spare_queue_head_ == spare_queue_.size()) {
-    spare_queue_.clear();  // drained: recycle the storage
-    spare_queue_head_ = 0;
-  }
-  pending_orders_.push_back(now + cfg_.shared_pool->replenish_hours);
-  ++out.per_group[ref.group].spare_arrivals;
-  begin_restore(ref.group, ref.slot, now,
-                groups_[ref.group].slots[ref.slot].pending_restore_duration);
-}
-
-void FleetSimulator::handle_op_failure(std::size_t g, std::size_t i,
-                                       double now, rng::RandomStream& rs,
-                                       FleetTrialResult& out) {
-  Group& group = groups_[g];
-  Slot& s = group.slots[i];
-  const raid::GroupConfig& gc = cfg_.groups[g];
-  TrialResult& stats = out.per_group[g];
-  ++stats.op_failures;
-
-  const double restore_duration = group.kernels[i].restore.sample(rs);
-
-  if (now >= group.failed_until) {
-    unsigned down = 1;
-    unsigned defective = 0;
-    for (std::size_t j = 0; j < group.slots.size(); ++j) {
-      if (j == i) continue;
-      const Slot& other = group.slots[j];
-      if (other.restoring()) {
-        ++down;
-      } else if (other.defective()) {
-        ++defective;
-      }
-    }
-    if (down + defective > gc.redundancy) {
-      const raid::DdfKind kind = down > gc.redundancy
-                                     ? raid::DdfKind::kDoubleOperational
-                                     : raid::DdfKind::kLatentThenOp;
-      stats.ddfs.push_back({now, kind});
-      group.failed_until = now + restore_duration;
-      group.ddf_slot = i;
-    }
-  }
-
-  s.defect_occurred = kInf;
-  s.defect_clears = kInf;
-  s.next_op = kInf;
-  s.next_ld = kInf;
-  request_spare(g, i, now, restore_duration);
-}
-
-void FleetSimulator::handle_restore_done(std::size_t g, std::size_t i,
-                                         double now, rng::RandomStream& rs,
-                                         FleetTrialResult& out) {
-  Group& group = groups_[g];
-  ++out.per_group[g].restores_completed;
-  install_fresh_drive(g, i, now, rs);
-  if (cfg_.groups[g].reconstruction_defect_probability > 0.0 &&
-      rs.bernoulli(cfg_.groups[g].reconstruction_defect_probability)) {
-    handle_latent_defect(g, i, now, rs, out);
-  }
-  if (group.failed_until > 0.0 && now >= group.failed_until) {
-    if (cfg_.groups[g].clear_defects_on_ddf_restore) {
-      for (std::size_t j = 0; j < group.slots.size(); ++j) {
-        if (group.slots[j].defective()) {
-          start_defect_countdown(g, j, now, rs);
-        }
-      }
-    }
-    group.failed_until = 0.0;
-    group.ddf_slot = SIZE_MAX;
-  }
-}
-
-void FleetSimulator::handle_latent_defect(std::size_t g, std::size_t i,
-                                          double now, rng::RandomStream& rs,
-                                          FleetTrialResult& out) {
-  Slot& s = groups_[g].slots[i];
-  const CompiledLaw& scrub = groups_[g].kernels[i].scrub;
-  ++out.per_group[g].latent_defects;
-  s.defect_occurred = now;
-  s.defect_clears = scrub.present() ? now + scrub.sample(rs) : kInf;
-  s.next_ld = kInf;
-  refresh_next_event(s);
-}
-
-void FleetSimulator::handle_defect_cleared(std::size_t g, std::size_t i,
-                                           double now, rng::RandomStream& rs,
-                                           FleetTrialResult& out) {
-  ++out.per_group[g].scrubs_completed;
-  start_defect_countdown(g, i, now, rs);
 }
 
 std::size_t FleetSimulator::waiting_drives_at_end() const noexcept {
-  return spare_queue_.size() - spare_queue_head_;
+  return pool_.waiting();
 }
 
 void FleetSimulator::run_trial(rng::RandomStream& rs, FleetTrialResult& out,
                                obs::TrialTrace* trace) {
-  out.clear(groups_.size());
-  if (trace) trace->clear();
-  spares_available_ = cfg_.shared_pool ? cfg_.shared_pool->capacity : 0;
-  pending_orders_.clear();
-  spare_queue_.clear();
-  spare_queue_head_ = 0;
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    groups_[g].failed_until = 0.0;
-    groups_[g].ddf_slot = SIZE_MAX;
-    for (std::size_t i = 0; i < groups_[g].slots.size(); ++i) {
-      install_fresh_drive(g, i, 0.0, rs);
-    }
-  }
-
-  const double mission = cfg_.mission_hours();
-  for (;;) {
-    double t = kInf;
-    std::size_t gi = 0, si = 0;
-    for (std::size_t g = 0; g < groups_.size(); ++g) {
-      for (std::size_t i = 0; i < groups_[g].slots.size(); ++i) {
-        const double ti = groups_[g].slots[i].next_event;
-        if (ti < t) {
-          t = ti;
-          gi = g;
-          si = i;
-        }
-      }
-    }
-    const double spare_t = next_spare_arrival();
-    // Ties go to the spare (<=, not <) — same rule as GroupSimulator, so a
-    // fleet of one group stays bit-identical to the single-group engine.
-    if (spare_t <= t && spare_t < kInf) {
-      if (spare_t >= mission) break;
-      if (trace) {
-        trace->record(spare_t, obs::TraceEventKind::kSpareArrival,
-                      obs::TraceEvent::kNoSlot);
-      }
-      handle_spare_arrival(spare_t, out);
-      continue;
-    }
-    if (t >= mission) break;
-
-    Slot& s = groups_[gi].slots[si];
-    const std::size_t ddfs_before = out.per_group[gi].ddfs.size();
-    if (s.defect_clears <= t) {
-      if (trace) {
-        trace->record(t, obs::TraceEventKind::kScrubComplete,
-                      static_cast<std::uint32_t>(si),
-                      static_cast<std::uint32_t>(gi));
-      }
-      handle_defect_cleared(gi, si, t, rs, out);
-    } else if (s.restore_done <= t) {
-      if (trace) {
-        trace->record(t, obs::TraceEventKind::kRestoreDone,
-                      static_cast<std::uint32_t>(si),
-                      static_cast<std::uint32_t>(gi));
-      }
-      handle_restore_done(gi, si, t, rs, out);
-    } else if (s.next_op <= t) {
-      if (trace) {
-        trace->record(t, obs::TraceEventKind::kOpFailure,
-                      static_cast<std::uint32_t>(si),
-                      static_cast<std::uint32_t>(gi));
-      }
-      handle_op_failure(gi, si, t, rs, out);
-    } else {
-      RAIDREL_ASSERT(s.next_ld <= t, "event loop picked a phantom event");
-      if (trace) {
-        trace->record(t, obs::TraceEventKind::kLatentDefect,
-                      static_cast<std::uint32_t>(si),
-                      static_cast<std::uint32_t>(gi));
-      }
-      handle_latent_defect(gi, si, t, rs, out);
-    }
-    if (trace && out.per_group[gi].ddfs.size() > ddfs_before) {
-      trace->record(t, obs::TraceEventKind::kDdf,
-                    static_cast<std::uint32_t>(si),
-                    static_cast<std::uint32_t>(gi));
-    }
-  }
+  out.clear(cores_.size());
+  detail::run_missions(cores_, pool_, rs, out.per_group, trace);
 }
 
 }  // namespace raidrel::sim

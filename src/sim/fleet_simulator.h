@@ -8,12 +8,17 @@
 // event loop with a common pool (capacity + replenishment lead time,
 // FIFO service across groups).
 //
-// Per-group semantics are identical to GroupSimulator (fault census,
-// freeze windows, latent-defect renewal per raid::LatentClock, state-1
-// defect wipe). Differences: the conditional-expectation probe and the
-// stripe-collision refinement are not provided here (use GroupSimulator
-// for those studies); a fleet of one group with no shared pool reproduces
-// GroupSimulator draw for draw, which the test suite verifies bitwise.
+// Every group runs on GroupSimulator's own handlers (sim::detail::GroupCore:
+// fault census, freeze windows, latent-defect renewal per
+// raid::LatentClock, state-1 defect wipe, declustered rebuild, stripe zones
+// and the conditional-expectation probe) inside the same event loop; only
+// the spare pool is shared. The next event is the earliest of the groups'
+// cached minima, scanned in group order with strict `<`: on a tie the
+// lowest group, then its lowest slot, goes first, and a spare arrival at
+// the same instant goes before both. Waiting drives are served FIFO across
+// groups. A fleet of one group with no shared pool therefore reproduces
+// GroupSimulator draw for draw. The probe does not see the wait for a
+// spare, so under a starved pool it understates (docs/MODEL.md §18).
 #pragma once
 
 #include <cstdint>
@@ -28,9 +33,9 @@
 namespace raidrel::sim {
 
 struct FleetConfig {
-  /// One entry per RAID group. All groups must share the mission length,
-  /// must not carry their own spare pools when `shared_pool` is set, and
-  /// must not use stripe zones.
+  /// One entry per RAID group. All groups must share the mission length and
+  /// must not carry their own spare pools (the fleet's pool is
+  /// `shared_pool`).
   std::vector<raid::GroupConfig> groups;
 
   /// Spares stocked for the whole fleet; absent = always available.
@@ -67,60 +72,8 @@ class FleetSimulator {
   [[nodiscard]] std::size_t waiting_drives_at_end() const noexcept;
 
  private:
-  struct Slot {
-    double install_time = 0.0;
-    double next_op = 0.0;
-    double restore_done = 0.0;
-    double next_ld = 0.0;
-    double defect_occurred = 0.0;
-    double defect_clears = 0.0;
-    bool awaiting_spare = false;
-    double pending_restore_duration = 0.0;
-    /// Cached min of the four timers, maintained by every mutator (same
-    /// scheme as GroupSimulator::Slot::next_event).
-    double next_event = 0.0;
-
-    [[nodiscard]] bool restoring() const noexcept;
-    [[nodiscard]] bool defective() const noexcept;
-  };
-  struct Group {
-    std::vector<Slot> slots;
-    std::vector<SlotKernel> kernels;  ///< lowered laws, one per slot
-    double failed_until = 0.0;
-    std::size_t ddf_slot = SIZE_MAX;
-  };
-  struct SlotRef {
-    std::size_t group;
-    std::size_t slot;
-  };
-
-  void install_fresh_drive(std::size_t g, std::size_t i, double now,
-                           rng::RandomStream& rs);
-  void start_defect_countdown(std::size_t g, std::size_t i, double now,
-                              rng::RandomStream& rs);
-  void handle_op_failure(std::size_t g, std::size_t i, double now,
-                         rng::RandomStream& rs, FleetTrialResult& out);
-  void handle_restore_done(std::size_t g, std::size_t i, double now,
-                           rng::RandomStream& rs, FleetTrialResult& out);
-  void handle_latent_defect(std::size_t g, std::size_t i, double now,
-                            rng::RandomStream& rs, FleetTrialResult& out);
-  void handle_defect_cleared(std::size_t g, std::size_t i, double now,
-                             rng::RandomStream& rs, FleetTrialResult& out);
-  void begin_restore(std::size_t g, std::size_t i, double now,
-                     double duration);
-  void request_spare(std::size_t g, std::size_t i, double now,
-                     double duration);
-  void handle_spare_arrival(double now, FleetTrialResult& out);
-  [[nodiscard]] double next_spare_arrival() const noexcept;
-  static void refresh_next_event(Slot& s) noexcept;
-
-  const FleetConfig& cfg_;
-  std::vector<Group> groups_;
-  unsigned spares_available_ = 0;
-  std::vector<double> pending_orders_;
-  // FIFO across groups: vector + head index, O(1) pops (see GroupSimulator).
-  std::vector<SlotRef> spare_queue_;
-  std::size_t spare_queue_head_ = 0;
+  std::vector<detail::GroupCore> cores_;
+  detail::SparePool pool_;
 };
 
 }  // namespace raidrel::sim

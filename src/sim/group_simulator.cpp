@@ -24,17 +24,67 @@ void TrialResult::clear() {
   spare_arrivals = 0;
 }
 
-bool GroupSimulator::Slot::restoring() const noexcept {
+namespace detail {
+
+bool GroupCore::Slot::restoring() const noexcept {
   return restore_done < kInf || awaiting_spare;
 }
 
-bool GroupSimulator::Slot::defective() const noexcept {
+bool GroupCore::Slot::defective() const noexcept {
   return defect_occurred < kInf;
 }
 
-GroupSimulator::GroupSimulator(const raid::GroupConfig& config,
-                               KernelPolicy policy,
-                               std::optional<TiltSpec> tilt)
+SparePool::SparePool(std::optional<raid::SparePoolConfig> config)
+    : config_(config) {}
+
+void SparePool::reset() {
+  available_ = config_ ? config_->capacity : 0;
+  orders_.clear();
+  queue_.clear();
+  head_ = 0;
+}
+
+bool SparePool::take(double now) {
+  if (!config_) return true;
+  if (available_ == 0) return false;
+  --available_;
+  orders_.push_back(now + config_->replenish_hours);
+  return true;
+}
+
+double SparePool::next_arrival() const noexcept {
+  double t = kInf;
+  for (double arrival : orders_) t = std::min(t, arrival);
+  return t;
+}
+
+std::optional<SparePool::Waiter> SparePool::arrive(double now) {
+  // Remove the (an) order arriving now.
+  for (std::size_t k = 0; k < orders_.size(); ++k) {
+    if (orders_[k] <= now) {
+      orders_[k] = orders_.back();
+      orders_.pop_back();
+      break;
+    }
+  }
+  if (head_ >= queue_.size()) {
+    ++available_;
+    return std::nullopt;
+  }
+  const Waiter waiter = queue_[head_++];
+  if (head_ == queue_.size()) {
+    // Drained: recycle the storage so the vector never grows past the
+    // busiest starvation episode.
+    queue_.clear();
+    head_ = 0;
+  }
+  // The arriving spare is consumed immediately: reorder.
+  orders_.push_back(now + config_->replenish_hours);
+  return waiter;
+}
+
+GroupCore::GroupCore(const raid::GroupConfig& config, KernelPolicy policy,
+                     const std::optional<TiltSpec>& tilt)
     : cfg_(config) {
   cfg_.validate();
   kernels_.reserve(cfg_.slots.size());
@@ -53,13 +103,28 @@ GroupSimulator::GroupSimulator(const raid::GroupConfig& config,
   probe_dist_.resize(slots_.size() + 1);
 }
 
-void GroupSimulator::refresh_next_event(Slot& s) noexcept {
+void GroupCore::refresh_next_event(Slot& s) noexcept {
   s.next_event = std::min(std::min(s.next_op, s.restore_done),
                           std::min(s.next_ld, s.defect_clears));
 }
 
-void GroupSimulator::start_defect_countdown(std::size_t i, double now,
-                                            rng::RandomStream& rs) {
+inline void GroupCore::refresh_next_time() noexcept {
+  // Locals, not members, so the scan compiles to branchless min/cmov.
+  double t = kInf;
+  std::size_t slot = 0;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const double ti = slots_[i].next_event;
+    if (ti < t) {
+      t = ti;
+      slot = i;
+    }
+  }
+  next_time_ = t;
+  next_slot_ = slot;
+}
+
+void GroupCore::start_defect_countdown(std::size_t i, double now,
+                                       rng::RandomStream& rs) {
   Slot& s = slots_[i];
   const CompiledLaw& latent = kernels_[i].latent;
   s.defect_occurred = kInf;
@@ -90,8 +155,8 @@ void GroupSimulator::start_defect_countdown(std::size_t i, double now,
   refresh_next_event(s);
 }
 
-void GroupSimulator::install_fresh_drive(std::size_t i, double now,
-                                         rng::RandomStream& rs) {
+void GroupCore::install_fresh_drive(std::size_t i, double now,
+                                    rng::RandomStream& rs) {
   Slot& s = slots_[i];
   s.install_time = now;
   s.restore_done = kInf;
@@ -103,8 +168,8 @@ void GroupSimulator::install_fresh_drive(std::size_t i, double now,
   start_defect_countdown(i, now, rs);  // refreshes the cached next event
 }
 
-double GroupSimulator::probe_probability(std::size_t failed_slot, double now,
-                                         double window) const {
+double GroupCore::probe_probability(std::size_t failed_slot, double now,
+                                    double window) const {
   // Existing faults among the other drives (down / rebuilding). Every
   // operational peer contributes, no matter how wide the group — the
   // scratch buffers are sized to the group in the constructor.
@@ -147,7 +212,7 @@ double GroupSimulator::probe_probability(std::size_t failed_slot, double now,
                                      probe_dist_.data());
 }
 
-double GroupSimulator::declustered_restore_scale(
+double GroupCore::declustered_restore_scale(
     std::size_t failed_slot) const noexcept {
   // Surviving rebuild sources at the failure instant: the other drives not
   // down or rebuilding. Defective-but-operational drives still serve reads
@@ -161,9 +226,9 @@ double GroupSimulator::declustered_restore_scale(
          static_cast<double>(std::max(1u, sources));
 }
 
-void GroupSimulator::handle_op_failure(std::size_t i, double now,
-                                       rng::RandomStream& rs,
-                                       TrialResult& out) {
+void GroupCore::handle_op_failure(std::size_t group, std::size_t i,
+                                  double now, rng::RandomStream& rs,
+                                  TrialResult& out, SparePool& pool) {
   Slot& s = slots_[i];
   ++out.op_failures;
 
@@ -198,7 +263,7 @@ void GroupSimulator::handle_op_failure(std::size_t i, double now,
       out.ddfs.push_back({now, kind});
       // No further data loss until the concomitant restore completes
       // (paper §5); the group then re-enters state 1. When the rebuild is
-      // blocked on an empty spare pool, request_spare extends the freeze
+      // blocked on an empty spare pool, the wait below extends the freeze
       // to the actual restore completion.
       group_failed_until_ = now + restore_duration;
       ddf_slot_ = i;
@@ -220,11 +285,19 @@ void GroupSimulator::handle_op_failure(std::size_t i, double now,
   s.defect_clears = kInf;
   s.next_op = kInf;
   s.next_ld = kInf;
-  request_spare(i, now, restore_duration);
+  if (pool.take(now)) {
+    begin_restore(i, now, restore_duration);
+    return;
+  }
+  s.awaiting_spare = true;
+  s.restore_done = kInf;
+  s.pending_restore_duration = restore_duration;
+  refresh_next_event(s);
+  pool.wait({group, i});
+  if (i == ddf_slot_) group_failed_until_ = kInf;  // resolved on arrival
 }
 
-void GroupSimulator::begin_restore(std::size_t i, double now,
-                                   double duration) {
+void GroupCore::begin_restore(std::size_t i, double now, double duration) {
   Slot& s = slots_[i];
   s.awaiting_spare = false;
   s.restore_done = now + duration;
@@ -236,62 +309,8 @@ void GroupSimulator::begin_restore(std::size_t i, double now,
   }
 }
 
-void GroupSimulator::request_spare(std::size_t i, double now,
-                                   double duration) {
-  if (!cfg_.spare_pool) {
-    begin_restore(i, now, duration);
-    return;
-  }
-  if (spares_available_ > 0) {
-    --spares_available_;
-    pending_orders_.push_back(now + cfg_.spare_pool->replenish_hours);
-    begin_restore(i, now, duration);
-    return;
-  }
-  Slot& s = slots_[i];
-  s.awaiting_spare = true;
-  s.restore_done = kInf;
-  s.pending_restore_duration = duration;
-  refresh_next_event(s);
-  spare_queue_.push_back(i);
-  if (i == ddf_slot_) group_failed_until_ = kInf;  // resolved on arrival
-}
-
-double GroupSimulator::next_spare_arrival() const noexcept {
-  double t = kInf;
-  for (double arrival : pending_orders_) t = std::min(t, arrival);
-  return t;
-}
-
-void GroupSimulator::handle_spare_arrival(double now, TrialResult& out) {
-  // Remove the (an) order arriving now.
-  for (std::size_t k = 0; k < pending_orders_.size(); ++k) {
-    if (pending_orders_[k] <= now) {
-      pending_orders_[k] = pending_orders_.back();
-      pending_orders_.pop_back();
-      break;
-    }
-  }
-  if (spare_queue_head_ >= spare_queue_.size()) {
-    ++spares_available_;
-    return;
-  }
-  const std::size_t slot = spare_queue_[spare_queue_head_++];
-  if (spare_queue_head_ == spare_queue_.size()) {
-    // Drained: recycle the storage so the vector never grows past the
-    // busiest starvation episode.
-    spare_queue_.clear();
-    spare_queue_head_ = 0;
-  }
-  // The arriving spare is consumed immediately: reorder.
-  pending_orders_.push_back(now + cfg_.spare_pool->replenish_hours);
-  ++out.spare_arrivals;
-  begin_restore(slot, now, slots_[slot].pending_restore_duration);
-}
-
-void GroupSimulator::handle_restore_done(std::size_t i, double now,
-                                         rng::RandomStream& rs,
-                                         TrialResult& out) {
+void GroupCore::handle_restore_done(std::size_t i, double now,
+                                    rng::RandomStream& rs, TrialResult& out) {
   ++out.restores_completed;
   install_fresh_drive(i, now, rs);
   if (cfg_.reconstruction_defect_probability > 0.0 &&
@@ -315,9 +334,9 @@ void GroupSimulator::handle_restore_done(std::size_t i, double now,
   }
 }
 
-void GroupSimulator::handle_latent_defect(std::size_t i, double now,
-                                          rng::RandomStream& rs,
-                                          TrialResult& out) {
+void GroupCore::handle_latent_defect(std::size_t i, double now,
+                                     rng::RandomStream& rs,
+                                     TrialResult& out) {
   Slot& s = slots_[i];
   const CompiledLaw& scrub = kernels_[i].scrub;
   ++out.latent_defects;
@@ -358,42 +377,81 @@ void GroupSimulator::handle_latent_defect(std::size_t i, double now,
   }
 }
 
-void GroupSimulator::handle_defect_cleared(std::size_t i, double now,
-                                           rng::RandomStream& rs,
-                                           TrialResult& out) {
-  ++out.scrubs_completed;
-  start_defect_countdown(i, now, rs);
-}
-
-void GroupSimulator::run_trial(rng::RandomStream& rs, TrialResult& out,
-                               obs::TrialTrace* trace) {
-  out.clear();
-  if (trace) trace->clear();
+void GroupCore::start(rng::RandomStream& rs) {
   log_w_ = 0.0;
   group_failed_until_ = 0.0;
   ddf_slot_ = SIZE_MAX;
-  spares_available_ = cfg_.spare_pool ? cfg_.spare_pool->capacity : 0;
-  pending_orders_.clear();
-  spare_queue_.clear();
-  spare_queue_head_ = 0;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     install_fresh_drive(i, 0.0, rs);
   }
+  refresh_next_time();
+}
 
-  const double mission = cfg_.mission_hours;
+void GroupCore::resume_restore(std::size_t slot, double now) {
+  begin_restore(slot, now, slots_[slot].pending_restore_duration);
+  refresh_next_time();
+}
+
+inline void GroupCore::step(std::size_t group, rng::RandomStream& rs,
+                            TrialResult& out, SparePool& pool,
+                            obs::TrialTrace* trace) {
+  const double t = next_time_;
+  const std::size_t i = next_slot_;
+  const Slot& s = slots_[i];
+  const auto slot_id = static_cast<std::uint32_t>(i);
+  const auto group_id = static_cast<std::uint32_t>(group);
+  const std::size_t ddfs_before = out.ddfs.size();
+  // Within one slot at one instant, clear defects before censusing, then
+  // restores, then failures, then new defects. Each branch records its own
+  // trace kind: classifying first and dispatching on the kind afterwards
+  // adds a second unpredictable branch per event.
+  if (s.defect_clears <= t) {
+    if (trace) {
+      trace->record(t, obs::TraceEventKind::kScrubComplete, slot_id,
+                    group_id);
+    }
+    ++out.scrubs_completed;
+    start_defect_countdown(i, t, rs);
+  } else if (s.restore_done <= t) {
+    if (trace) {
+      trace->record(t, obs::TraceEventKind::kRestoreDone, slot_id, group_id);
+    }
+    handle_restore_done(i, t, rs, out);
+  } else if (s.next_op <= t) {
+    if (trace) {
+      trace->record(t, obs::TraceEventKind::kOpFailure, slot_id, group_id);
+    }
+    handle_op_failure(group, i, t, rs, out, pool);
+  } else {
+    RAIDREL_ASSERT(s.next_ld <= t, "event loop picked a phantom event");
+    if (trace) {
+      trace->record(t, obs::TraceEventKind::kLatentDefect, slot_id, group_id);
+    }
+    handle_latent_defect(i, t, rs, out);
+  }
+  if (trace && out.ddfs.size() > ddfs_before) {
+    trace->record(t, obs::TraceEventKind::kDdf, slot_id, group_id);
+  }
+  refresh_next_time();
+}
+
+void run_missions(std::span<GroupCore> cores, SparePool& pool,
+                  rng::RandomStream& rs, std::span<TrialResult> out,
+                  obs::TrialTrace* trace) {
+  if (trace) trace->clear();
+  pool.reset();
+  for (GroupCore& core : cores) core.start(rs);
+  const double mission = cores.front().mission_hours();
   for (;;) {
-    // Earliest pending event across the (small) group, read from the
-    // per-slot cached minima.
     double t = kInf;
-    std::size_t slot = 0;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      const double ti = slots_[i].next_event;
-      if (ti < t) {
-        t = ti;
-        slot = i;
+    std::size_t group = 0;
+    for (std::size_t g = 0; g < cores.size(); ++g) {
+      if (cores[g].next_time() < t) {
+        t = cores[g].next_time();
+        group = g;
       }
     }
-    const double spare_t = next_spare_arrival();
+    const double spare_t = pool.next_arrival();
     // Ties go to the spare (<=, not <): a spare arriving at the same
     // instant as a slot event is in hand before the event is processed —
     // otherwise an op failure at that instant would queue for a drive that
@@ -404,47 +462,31 @@ void GroupSimulator::run_trial(rng::RandomStream& rs, TrialResult& out,
         trace->record(spare_t, obs::TraceEventKind::kSpareArrival,
                       obs::TraceEvent::kNoSlot);
       }
-      handle_spare_arrival(spare_t, out);
+      if (const auto waiter = pool.arrive(spare_t)) {
+        ++out[waiter->group].spare_arrivals;
+        cores[waiter->group].resume_restore(waiter->slot, spare_t);
+      }
       continue;
     }
     if (t >= mission) break;
-
-    Slot& s = slots_[slot];
-    const std::size_t ddfs_before = out.ddfs.size();
-    // Within one slot at one instant, clear defects before censusing, then
-    // restores, then failures, then new defects.
-    if (s.defect_clears <= t) {
-      if (trace) {
-        trace->record(t, obs::TraceEventKind::kScrubComplete,
-                      static_cast<std::uint32_t>(slot));
-      }
-      handle_defect_cleared(slot, t, rs, out);
-    } else if (s.restore_done <= t) {
-      if (trace) {
-        trace->record(t, obs::TraceEventKind::kRestoreDone,
-                      static_cast<std::uint32_t>(slot));
-      }
-      handle_restore_done(slot, t, rs, out);
-    } else if (s.next_op <= t) {
-      if (trace) {
-        trace->record(t, obs::TraceEventKind::kOpFailure,
-                      static_cast<std::uint32_t>(slot));
-      }
-      handle_op_failure(slot, t, rs, out);
-    } else {
-      RAIDREL_ASSERT(s.next_ld <= t, "event loop picked a phantom event");
-      if (trace) {
-        trace->record(t, obs::TraceEventKind::kLatentDefect,
-                      static_cast<std::uint32_t>(slot));
-      }
-      handle_latent_defect(slot, t, rs, out);
-    }
-    if (trace && out.ddfs.size() > ddfs_before) {
-      trace->record(t, obs::TraceEventKind::kDdf,
-                    static_cast<std::uint32_t>(slot));
-    }
+    cores[group].step(group, rs, out[group], pool, trace);
   }
-  out.log_weight = log_w_;
+  for (std::size_t g = 0; g < cores.size(); ++g) {
+    out[g].log_weight = cores[g].log_weight();
+  }
+}
+
+}  // namespace detail
+
+GroupSimulator::GroupSimulator(const raid::GroupConfig& config,
+                               KernelPolicy policy,
+                               std::optional<TiltSpec> tilt)
+    : core_(config, policy, tilt), pool_(config.spare_pool) {}
+
+void GroupSimulator::run_trial(rng::RandomStream& rs, TrialResult& out,
+                               obs::TrialTrace* trace) {
+  out.clear();
+  detail::run_missions({&core_, 1}, pool_, rs, {&out, 1}, trace);
 }
 
 }  // namespace raidrel::sim

@@ -34,10 +34,16 @@
 // completes (paper §5); on completion the group re-enters the paper's
 // state 1 ("fully functional, no latent defects"), so outstanding defects
 // are cleared and their drives start fresh defect countdowns.
+//
+// The per-group state and handlers live in detail::GroupCore and the event
+// loop in detail::run_missions; FleetSimulator runs one core per group
+// through the same loop against a shared detail::SparePool (docs/MODEL.md
+// §18).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "obs/trace.h"
@@ -81,6 +87,164 @@ struct TrialResult {
   void clear();
 };
 
+namespace detail {
+
+/// Spare stock behind one event loop: a group's private
+/// GroupConfig::spare_pool or a fleet's FleetConfig::shared_pool. Each
+/// consumed spare triggers one reorder that arrives after the lead time
+/// (kanban); drives that find the pool empty wait in one FIFO across every
+/// group of the loop. Without a configuration a spare is always on hand.
+class SparePool {
+ public:
+  struct Waiter {
+    std::size_t group;
+    std::size_t slot;
+  };
+
+  explicit SparePool(std::optional<raid::SparePoolConfig> config);
+
+  /// Restock to capacity and forget every order and waiter.
+  void reset();
+  /// Take a spare for a drive failing at `now`; false when the pool is
+  /// empty (the caller then queues the drive with wait()).
+  bool take(double now);
+  void wait(Waiter waiter) { queue_.push_back(waiter); }
+  /// Earliest pending replenishment, +inf when none is on order.
+  [[nodiscard]] double next_arrival() const noexcept;
+  /// Receive the replenishment due at `now`: it restocks an idle pool, or
+  /// goes straight to the longest waiter (returned) and is reordered.
+  std::optional<Waiter> arrive(double now);
+  [[nodiscard]] std::size_t waiting() const noexcept {
+    return queue_.size() - head_;
+  }
+
+ private:
+  std::optional<raid::SparePoolConfig> config_;
+  unsigned available_ = 0;
+  std::vector<double> orders_;  ///< replacement arrival times
+  // FIFO as a vector plus a head index so popping the front is O(1); the
+  // storage is recycled whenever the queue drains.
+  std::vector<Waiter> queue_;
+  std::size_t head_ = 0;
+};
+
+/// Per-group state and the Fig. 4 event handlers of one RAID group. The
+/// event loop (run_missions) drives one core for GroupSimulator and one
+/// per group for FleetSimulator, so both engines share every handler.
+class GroupCore {
+ public:
+  /// See GroupSimulator's constructor for `policy` and `tilt`.
+  GroupCore(const raid::GroupConfig& config, KernelPolicy policy,
+            const std::optional<TiltSpec>& tilt);
+
+  /// Reset per-mission state and install a fresh drive in every slot.
+  void start(rng::RandomStream& rs);
+  /// Earliest pending event of the group (the first slot holding it wins
+  /// ties); +inf when nothing is pending.
+  [[nodiscard]] double next_time() const noexcept { return next_time_; }
+  /// Dispatch the group's pending event at next_time(). `group` names this
+  /// core in the pool's FIFO and in the trace. Inline (defined in
+  /// group_simulator.cpp, its only caller's file): a call per event costs
+  /// the scalar engine measurable throughput.
+  inline void step(std::size_t group, rng::RandomStream& rs,
+                   TrialResult& out, SparePool& pool, obs::TrialTrace* trace);
+  /// Begin the rebuild of a slot that was waiting for the spare arriving
+  /// at `now`.
+  void resume_restore(std::size_t slot, double now);
+  [[nodiscard]] double mission_hours() const noexcept {
+    return cfg_.mission_hours;
+  }
+  [[nodiscard]] double log_weight() const noexcept { return log_w_; }
+
+ private:
+  struct Slot {
+    double install_time = 0.0;
+    double next_op = 0.0;        ///< absolute op-failure time; +inf rebuilding
+    double restore_done = 0.0;   ///< absolute; +inf when operational
+    double next_ld = 0.0;        ///< next defect arrival; +inf if n/a
+    double defect_occurred = 0.0;///< outstanding defect birth; +inf if none
+    double defect_clears = 0.0;  ///< scrub completion; +inf w/o scrub/defect
+    std::uint64_t defect_zone = 0;  ///< stripe zone (stripe_zones > 0 only)
+    bool awaiting_spare = false; ///< failed, rebuild blocked on the pool
+    double pending_restore_duration = 0.0;  ///< sampled TTR while waiting
+    /// Cached min of the four timers above, maintained by every mutator so
+    /// the group minimum reads one double per slot.
+    double next_event = 0.0;
+
+    /// Down: rebuilding or blocked on a spare (counts as a fault either way).
+    [[nodiscard]] bool restoring() const noexcept;
+    [[nodiscard]] bool defective() const noexcept;
+  };
+
+  void install_fresh_drive(std::size_t i, double now, rng::RandomStream& rs);
+  void start_defect_countdown(std::size_t i, double now,
+                              rng::RandomStream& rs);
+  void handle_op_failure(std::size_t group, std::size_t i, double now,
+                         rng::RandomStream& rs, TrialResult& out,
+                         SparePool& pool);
+  void handle_restore_done(std::size_t i, double now, rng::RandomStream& rs,
+                           TrialResult& out);
+  void handle_latent_defect(std::size_t i, double now, rng::RandomStream& rs,
+                            TrialResult& out);
+
+  /// Begin the physical rebuild of a failed slot (a spare is in hand).
+  void begin_restore(std::size_t i, double now, double duration);
+
+  /// Recompute the cached earliest pending event time of a slot; must run
+  /// after any handler mutates one of the slot's four timers.
+  static void refresh_next_event(Slot& s) noexcept;
+  /// Recompute the group minimum (next_time_, next_slot_) from the slots.
+  inline void refresh_next_time() noexcept;
+
+  /// Probability that enough other currently operational drives fail inside
+  /// (now, now + window] to exceed the redundancy, from their exact
+  /// residual lifetimes (util::poisson_binomial_tail over per-drive window
+  /// probabilities — exact m-overlap events for any redundancy).
+  [[nodiscard]] double probe_probability(std::size_t failed_slot, double now,
+                                         double window) const;
+
+  /// Declustered restore-time scale at the instant slot `failed_slot`
+  /// fails: data_drives / surviving rebuild sources (other drives not down
+  /// or rebuilding; defective-but-operational drives still serve reads and
+  /// count). See raid::RebuildModel::kDeclustered.
+  [[nodiscard]] double declustered_restore_scale(
+      std::size_t failed_slot) const noexcept;
+
+  const raid::GroupConfig& cfg_;
+  std::vector<SlotKernel> kernels_;  ///< lowered laws, one per slot
+  std::vector<Slot> slots_;
+  double next_time_ = 0.0;
+  std::size_t next_slot_ = 0;
+  // Importance-sampling state: tilted_ is true whenever a TiltSpec was
+  // passed (unit or not) so the unit-tilt equivalence tests exercise the
+  // weighted kernels; log_w_ accumulates the running trial's log weight.
+  HazardTilt op_tilt_;
+  HazardTilt ld_tilt_;
+  bool tilted_ = false;
+  bool declustered_ = false;  ///< cfg_.rebuild == kDeclustered
+  double log_w_ = 0.0;
+  double group_failed_until_ = 0.0;  ///< DDF freeze window end
+  std::size_t ddf_slot_ = SIZE_MAX;  ///< slot whose restore ends the freeze
+
+  // Scratch buffers for probe_probability, sized to the group so groups of
+  // any width are counted in full (probe_dist_ holds the Poisson-binomial
+  // count distribution, hence one extra element).
+  mutable std::vector<double> probe_p_;
+  mutable std::vector<double> probe_dist_;
+};
+
+/// The event loop shared by GroupSimulator and FleetSimulator: simulate one
+/// mission of every core against one pool into `out` (one cleared result
+/// per core); a non-null `trace` is cleared first. The next event is the
+/// earliest group minimum, scanned in group order with strict `<` (the
+/// first group, then its first slot, wins a tie); a spare arrival at the
+/// same instant goes first.
+void run_missions(std::span<GroupCore> cores, SparePool& pool,
+                  rng::RandomStream& rs, std::span<TrialResult> out,
+                  obs::TrialTrace* trace);
+
+}  // namespace detail
+
 /// Simulates missions of a fixed group configuration. Construct once, call
 /// run_trial once per mission with that trial's private random stream.
 /// The configuration (and its distributions) must outlive the simulator and
@@ -109,90 +273,8 @@ class GroupSimulator {
                  obs::TrialTrace* trace = nullptr);
 
  private:
-  struct Slot {
-    double install_time = 0.0;
-    double next_op = 0.0;        ///< absolute op-failure time; +inf rebuilding
-    double restore_done = 0.0;   ///< absolute; +inf when operational
-    double next_ld = 0.0;        ///< next defect arrival; +inf if n/a
-    double defect_occurred = 0.0;///< outstanding defect birth; +inf if none
-    double defect_clears = 0.0;  ///< scrub completion; +inf w/o scrub/defect
-    std::uint64_t defect_zone = 0;  ///< stripe zone (stripe_zones > 0 only)
-    bool awaiting_spare = false; ///< failed, rebuild blocked on the pool
-    double pending_restore_duration = 0.0;  ///< sampled TTR while waiting
-    /// Cached min of the four timers above, maintained by every mutator so
-    /// the event loop reads one double per slot instead of recomputing the
-    /// min (same values, same comparisons — ordering is unchanged).
-    double next_event = 0.0;
-
-    /// Down: rebuilding or blocked on a spare (counts as a fault either way).
-    [[nodiscard]] bool restoring() const noexcept;
-    [[nodiscard]] bool defective() const noexcept;
-  };
-
-  void install_fresh_drive(std::size_t i, double now, rng::RandomStream& rs);
-  void start_defect_countdown(std::size_t i, double now,
-                              rng::RandomStream& rs);
-  void handle_op_failure(std::size_t i, double now, rng::RandomStream& rs,
-                         TrialResult& out);
-  void handle_restore_done(std::size_t i, double now, rng::RandomStream& rs,
-                           TrialResult& out);
-  void handle_latent_defect(std::size_t i, double now, rng::RandomStream& rs,
-                            TrialResult& out);
-  void handle_defect_cleared(std::size_t i, double now, rng::RandomStream& rs,
-                             TrialResult& out);
-
-  /// Begin the physical rebuild of a failed slot (a spare is in hand).
-  void begin_restore(std::size_t i, double now, double duration);
-  /// Take a spare for slot i, or queue it when the pool is empty.
-  void request_spare(std::size_t i, double now, double duration);
-  void handle_spare_arrival(double now, TrialResult& out);
-  [[nodiscard]] double next_spare_arrival() const noexcept;
-
-  /// Recompute the cached earliest pending event time of a slot; must run
-  /// after any handler mutates one of the slot's four timers.
-  static void refresh_next_event(Slot& s) noexcept;
-
-  /// Probability that enough other currently operational drives fail inside
-  /// (now, now + window] to exceed the redundancy, from their exact
-  /// residual lifetimes (util::poisson_binomial_tail over per-drive window
-  /// probabilities — exact m-overlap events for any redundancy).
-  [[nodiscard]] double probe_probability(std::size_t failed_slot, double now,
-                                         double window) const;
-
-  /// Declustered restore-time scale at the instant slot `failed_slot`
-  /// fails: data_drives / surviving rebuild sources (other drives not down
-  /// or rebuilding; defective-but-operational drives still serve reads and
-  /// count). See raid::RebuildModel::kDeclustered.
-  [[nodiscard]] double declustered_restore_scale(
-      std::size_t failed_slot) const noexcept;
-
-  const raid::GroupConfig& cfg_;
-  std::vector<SlotKernel> kernels_;  ///< lowered laws, one per slot
-  std::vector<Slot> slots_;
-  // Importance-sampling state: tilted_ is true whenever a TiltSpec was
-  // passed (unit or not) so the unit-tilt equivalence tests exercise the
-  // weighted kernels; log_w_ accumulates the running trial's log weight.
-  HazardTilt op_tilt_;
-  HazardTilt ld_tilt_;
-  bool tilted_ = false;
-  bool declustered_ = false;  ///< cfg_.rebuild == kDeclustered
-  double log_w_ = 0.0;
-  double group_failed_until_ = 0.0;  ///< DDF freeze window end
-  std::size_t ddf_slot_ = SIZE_MAX;  ///< slot whose restore ends the freeze
-
-  // Scratch buffers for probe_probability, sized to the group so groups of
-  // any width are counted in full (probe_dist_ holds the Poisson-binomial
-  // count distribution, hence one extra element).
-  mutable std::vector<double> probe_p_;
-  mutable std::vector<double> probe_dist_;
-
-  // Spare-pool state (unused when cfg_.spare_pool is absent). The FIFO
-  // queue is a vector plus a head index so popping the front is O(1); the
-  // storage is recycled whenever the queue drains.
-  unsigned spares_available_ = 0;
-  std::vector<double> pending_orders_;   ///< replacement arrival times
-  std::vector<std::size_t> spare_queue_; ///< slots waiting, FIFO
-  std::size_t spare_queue_head_ = 0;     ///< index of the queue front
+  detail::GroupCore core_;
+  detail::SparePool pool_;
 };
 
 }  // namespace raidrel::sim

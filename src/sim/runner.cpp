@@ -189,6 +189,165 @@ void fan_out(unsigned threads, ThreadPool* pool, fault::FaultInjector* fault,
   workers.run(threads, worker);
 }
 
+// Fold one run_lane call's occupancy profile (reset per call) into the
+// worker's counters; min/max merge with 0 meaning "nothing settled yet".
+void accumulate_occupancy(obs::WorkerStats& ws,
+                          const BatchGroupSimulator::LaneOccupancy& oc) {
+  if (oc.rounds == 0) return;
+  ws.lane_rounds += oc.rounds;
+  ws.active_lane_rounds += oc.active_lane_rounds;
+  ws.capacity_lane_rounds += oc.capacity_lane_rounds;
+  for (int d = 0; d < 10; ++d) ws.occupancy_hist[d] += oc.occupancy_hist[d];
+  if (oc.lanes_settled > 0) {
+    ws.settle_rounds_min =
+        ws.lanes_settled == 0
+            ? oc.settle_rounds_min
+            : std::min(ws.settle_rounds_min, oc.settle_rounds_min);
+    ws.settle_rounds_max = std::max(ws.settle_rounds_max, oc.settle_rounds_max);
+  }
+  ws.lanes_settled += oc.lanes_settled;
+  ws.settle_rounds_sum += oc.settle_rounds_sum;
+}
+
+// Fold one group-mission into a worker's result and, with telemetry, its
+// counters.
+void fold_trial(RunResult& local, obs::WorkerStats& ws,
+                const TrialResult& trial, bool telemetry) {
+  local.add_trial(trial);
+  if (!telemetry) return;
+  ++ws.trials;
+  ws.ddfs += trial.ddfs.size();
+  ws.op_failures += trial.op_failures;
+  ws.latent_defects += trial.latent_defects;
+  ws.scrubs_completed += trial.scrubs_completed;
+  ws.restores_completed += trial.restores_completed;
+  ws.spare_arrivals += trial.spare_arrivals;
+}
+
+// The runner every engine shares. Workers claim chunks of the trial range
+// and hand them to their own engine `lane` trials at a time:
+// make_engine() runs once per worker and returns a callable
+// (streams, first_trial_index, n, local, ws) that simulates n <= lane
+// trials and folds every resulting group-mission into `local` and `ws`.
+// `max_chunk` caps a claim; `groups` is the number of group-missions one
+// trial yields (the batch telemetry counts those).
+template <typename MakeEngine>
+RunResult run_workers(const RunOptions& options, std::uint64_t digest,
+                      double mission, std::size_t lane, std::size_t max_chunk,
+                      std::size_t groups, const MakeEngine& make_engine) {
+  unsigned threads = options.threads;
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  threads = static_cast<unsigned>(
+      std::min<std::size_t>(threads, options.trials));
+
+  if (options.telemetry) {
+    // The scalar engines (lane 1) use no lane backend and are always
+    // exact; batched runs record the resolved ISA and the math tier so an
+    // archived throughput number is attributable to the code path that
+    // produced it.
+    options.telemetry->configure(
+        options.seed, digest, threads, lane,
+        lane > 1 ? util::isa_name(lane_ops().isa) : "",
+        lane > 1 ? math_tier_name(options.math_tier) : "");
+  }
+  const auto batch_start = std::chrono::steady_clock::now();
+
+  RunResult total(mission, options.bucket_hours);
+  const rng::StreamFactory streams(options.seed);
+  std::mutex merge_mutex;
+  // Claim trials in chunks to keep the claim cursors out of the hot path
+  // while preserving per-trial seeding (work split does not affect
+  // results). Multi-threaded runs on a multi-node topology partition the
+  // range per node so pinned pool workers touch node-local state first;
+  // probing here (not in workers) surfaces a bad RAIDREL_FORCE_NUMA_NODES
+  // before any thread spawns.
+  const std::size_t chunk =
+      claim_chunk(options.trials, threads, lane, max_chunk);
+  // A lone worker with home node 0 drains the partitions in ascending
+  // global order, so even single-threaded runs can partition: results and
+  // accumulation order are identical to one shared cursor (and the
+  // equivalence tests pin that down with the order-sensitive probe sum).
+  const std::size_t claim_nodes = util::active_topology().node_count();
+  TrialClaims claims(options.trials, lane, chunk, claim_nodes);
+  std::atomic<std::size_t> home_ticket{0};
+
+  // Drain protocol: once the token reads cancelled, a worker stops
+  // claiming and abandons the rest of its current claim — but everything
+  // it already completed still merges below, so the caller gets an honest
+  // partial result. Poll granularity is one engine call: one trial
+  // (scalar/fleet) or one lane (batched) — coarse enough to stay off the
+  // hot path, fine enough that cancel latency is bounded by one simulated
+  // mission.
+  auto cancel_requested = [&options]() noexcept {
+    return options.cancel != nullptr &&
+           options.cancel->poll_quiet() != util::CancelReason::kNone;
+  };
+
+  auto worker = [&] {
+    // Innermost cancellation context for layers below that have no token
+    // parameter (the fault injector's hang kind polls this).
+    const util::CancelScope cancel_scope(options.cancel);
+    const auto worker_start = std::chrono::steady_clock::now();
+    obs::WorkerStats ws;
+    RunResult local(mission, options.bucket_hours);
+    auto engine = make_engine();
+    bool drained = false;
+    const std::size_t home = claim_home(claims.nodes(), home_ticket);
+    while (!drained) {
+      std::size_t begin = 0;
+      std::size_t end = 0;
+      if (!claims.claim(home, &begin, &end)) break;
+      for (std::size_t lb = begin; lb < end; lb += lane) {
+        if (cancel_requested()) {
+          drained = true;
+          break;
+        }
+        const std::size_t n = std::min(lane, end - lb);
+        if (options.fault != nullptr) {
+          for (std::size_t k = 0; k < n; ++k) {
+            options.fault->check("runner_trial");
+          }
+        }
+        engine(streams, options.first_trial_index + lb, n, local, ws);
+      }
+    }
+    const std::lock_guard<std::mutex> lock(merge_mutex);
+    total.merge(local);
+    if (options.telemetry) {
+      ws.wall_seconds = elapsed_seconds(worker_start);
+      options.telemetry->add_worker(ws);
+    }
+  };
+
+  fan_out(threads, options.pool, options.fault, worker);
+  if (options.telemetry) {
+    obs::BatchStats batch;
+    batch.first_trial_index = options.first_trial_index;
+    batch.trials = options.trials * groups;
+    batch.wall_seconds = elapsed_seconds(batch_start);
+    batch.trials_per_second =
+        batch.wall_seconds > 0.0
+            ? static_cast<double>(batch.trials) / batch.wall_seconds
+            : 0.0;
+    options.telemetry->add_batch(batch);
+    if (options.tilt && options.tilt->engaged()) {
+      // Convergence loops overwrite this with the merged totals after each
+      // batch, so the manifest always carries the cumulative diagnostics.
+      options.telemetry->set_importance_sampling(
+          {options.tilt->op_theta, options.tilt->ld_theta, total.ess(),
+           total.weight_sum(), total.max_weight()});
+    }
+    if (options.cancel != nullptr && options.cancel->cancelled()) {
+      options.telemetry->set_stop_reason(
+          {util::to_string(options.cancel->reason()), options.cancel->polls(),
+           options.cancel->seconds_since_cancel()});
+    }
+  }
+  return total;
+}
+
 }  // namespace
 
 std::uint64_t config_digest(const raid::GroupConfig& config) {
@@ -227,188 +386,47 @@ RunResult run_monte_carlo(const raid::GroupConfig& config,
                     SlotKernel::compile(slot, options.kernel_policy));
     }
   }
-
-  unsigned threads = options.threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, options.trials));
-
+  const bool telemetry = options.telemetry != nullptr;
+  // Only telemetry reads the digest; it costs a string build per call.
+  const std::uint64_t digest = telemetry ? config_digest(config) : 0;
   const std::size_t lane = std::max<std::size_t>(1, options.batch_width);
-  if (options.telemetry) {
-    // The scalar engine (lane 1) uses no lane backend and is always
-    // exact; batched runs record the resolved ISA and the math tier so an
-    // archived throughput number is attributable to the code path that
-    // produced it.
-    options.telemetry->configure(
-        options.seed, config_digest(config), threads, lane,
-        lane > 1 ? util::isa_name(lane_ops().isa) : "",
-        lane > 1 ? math_tier_name(options.math_tier) : "");
+  if (lane == 1) {
+    return run_workers(
+        options, digest, config.mission_hours, 1, 1024, 1, [&] {
+          return [&, simulator = GroupSimulator(config, options.kernel_policy,
+                                                options.tilt),
+                  trial = TrialResult()](const rng::StreamFactory& streams,
+                                         std::uint64_t index, std::size_t,
+                                         RunResult& local,
+                                         obs::WorkerStats& ws) mutable {
+            auto rs = streams.stream(index);
+            simulator.run_trial(
+                rs, trial,
+                options.trace ? options.trace->trial_slot(index) : nullptr);
+            fold_trial(local, ws, trial, telemetry);
+          };
+        });
   }
-  const auto batch_start = std::chrono::steady_clock::now();
-
-  RunResult total(config.mission_hours, options.bucket_hours);
-  const rng::StreamFactory streams(options.seed);
-  std::mutex merge_mutex;
-  // Claim trials in chunks to keep the claim cursors out of the hot path
-  // while preserving per-trial seeding (work split does not affect
-  // results). Multi-threaded runs on a multi-node topology partition the
-  // range per node so pinned pool workers touch node-local state first;
-  // probing here (not in workers) surfaces a bad RAIDREL_FORCE_NUMA_NODES
-  // before any thread spawns.
-  const std::size_t chunk = claim_chunk(options.trials, threads, lane, 1024);
-  // A lone worker with home node 0 drains the partitions in ascending
-  // global order, so even single-threaded runs can partition: results and
-  // accumulation order are identical to one shared cursor (and the
-  // equivalence tests pin that down with the order-sensitive probe sum).
-  const std::size_t claim_nodes = util::active_topology().node_count();
-  TrialClaims claims(options.trials, lane, chunk, claim_nodes);
-  std::atomic<std::size_t> home_ticket{0};
-
-  // Fold one run_lane call's occupancy profile (reset per call) into the
-  // worker's counters; min/max merge with 0 meaning "nothing settled yet".
-  auto accumulate_occupancy = [](obs::WorkerStats& ws,
-                                 const BatchGroupSimulator::LaneOccupancy&
-                                     oc) {
-    if (oc.rounds == 0) return;
-    ws.lane_rounds += oc.rounds;
-    ws.active_lane_rounds += oc.active_lane_rounds;
-    ws.capacity_lane_rounds += oc.capacity_lane_rounds;
-    for (int d = 0; d < 10; ++d) ws.occupancy_hist[d] += oc.occupancy_hist[d];
-    if (oc.lanes_settled > 0) {
-      ws.settle_rounds_min =
-          ws.lanes_settled == 0
-              ? oc.settle_rounds_min
-              : std::min(ws.settle_rounds_min, oc.settle_rounds_min);
-      ws.settle_rounds_max = std::max(ws.settle_rounds_max, oc.settle_rounds_max);
-    }
-    ws.lanes_settled += oc.lanes_settled;
-    ws.settle_rounds_sum += oc.settle_rounds_sum;
-  };
-
-  auto accumulate = [&options](obs::WorkerStats& ws,
-                               const TrialResult& trial) {
-    if (!options.telemetry) return;
-    ++ws.trials;
-    ws.ddfs += trial.ddfs.size();
-    ws.op_failures += trial.op_failures;
-    ws.latent_defects += trial.latent_defects;
-    ws.scrubs_completed += trial.scrubs_completed;
-    ws.restores_completed += trial.restores_completed;
-    ws.spare_arrivals += trial.spare_arrivals;
-  };
-
-  // Drain protocol: once the token reads cancelled, a worker stops
-  // claiming and abandons the rest of its current claim — but everything
-  // it already completed still merges below, so the caller gets an honest
-  // partial result. Poll granularity is one trial (scalar/fleet) or one
-  // lane (batched): coarse enough to stay off the hot path, fine enough
-  // that cancel latency is bounded by one simulated mission.
-  auto cancel_requested = [&options]() noexcept {
-    return options.cancel != nullptr &&
-           options.cancel->poll_quiet() != util::CancelReason::kNone;
-  };
-
-  auto worker = [&] {
-    // Innermost cancellation context for layers below that have no token
-    // parameter (the fault injector's hang kind polls this).
-    const util::CancelScope cancel_scope(options.cancel);
-    const auto worker_start = std::chrono::steady_clock::now();
-    obs::WorkerStats ws;
-    RunResult local(config.mission_hours, options.bucket_hours);
-    bool drained = false;
-    const std::size_t home = claim_home(claims.nodes(), home_ticket);
-    if (lane == 1) {
-      GroupSimulator simulator(config, options.kernel_policy, options.tilt);
-      TrialResult trial;
-      while (!drained) {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        if (!claims.claim(home, &begin, &end)) break;
-        for (std::size_t i = begin; i < end; ++i) {
-          if (cancel_requested()) {
-            drained = true;
-            break;
-          }
-          const std::uint64_t index = options.first_trial_index + i;
-          if (options.fault != nullptr) options.fault->check("runner_trial");
-          auto rs = streams.stream(index);
-          simulator.run_trial(
-              rs, trial,
-              options.trace ? options.trace->trial_slot(index) : nullptr);
-          local.add_trial(trial);
-          accumulate(ws, trial);
-        }
-      }
-    } else {
-      // Batched lockstep path: chunks are lane-aligned (claim_chunk), so a
-      // lane never straddles a claim; partial lanes only appear at the run
-      // tail. Lane results are folded in trial-index order, keeping even
-      // the aggregation order identical to the scalar path per worker.
-      BatchGroupSimulator simulator(config, lane, options.kernel_policy,
-                                    options.tilt, options.math_tier);
-      while (!drained) {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        if (!claims.claim(home, &begin, &end)) break;
-        for (std::size_t lb = begin; lb < end; lb += lane) {
-          if (cancel_requested()) {
-            drained = true;
-            break;
-          }
-          const std::size_t n = std::min(lane, end - lb);
-          if (options.fault != nullptr) {
-            for (std::size_t k = 0; k < n; ++k) {
-              options.fault->check("runner_trial");
-            }
-          }
-          simulator.run_lane(streams, options.first_trial_index + lb, n,
-                             options.trace);
-          if (options.telemetry) {
-            accumulate_occupancy(ws, simulator.occupancy());
-          }
+  // Batched lockstep path: chunks are lane-aligned (claim_chunk), so a lane
+  // never straddles a claim; partial lanes only appear at the run tail.
+  // Lane results are folded in trial-index order, keeping even the
+  // aggregation order identical to the scalar path per worker.
+  return run_workers(
+      options, digest, config.mission_hours, lane, 1024, 1, [&] {
+        return [&, simulator = BatchGroupSimulator(config, lane,
+                                                   options.kernel_policy,
+                                                   options.tilt,
+                                                   options.math_tier)](
+                   const rng::StreamFactory& streams, std::uint64_t first,
+                   std::size_t n, RunResult& local,
+                   obs::WorkerStats& ws) mutable {
+          simulator.run_lane(streams, first, n, options.trace);
+          if (telemetry) accumulate_occupancy(ws, simulator.occupancy());
           for (std::size_t k = 0; k < n; ++k) {
-            const TrialResult& trial = simulator.result(k);
-            local.add_trial(trial);
-            accumulate(ws, trial);
+            fold_trial(local, ws, simulator.result(k), telemetry);
           }
-        }
-      }
-    }
-    const std::lock_guard<std::mutex> lock(merge_mutex);
-    total.merge(local);
-    if (options.telemetry) {
-      ws.wall_seconds = elapsed_seconds(worker_start);
-      options.telemetry->add_worker(ws);
-    }
-  };
-
-  fan_out(threads, options.pool, options.fault, worker);
-  if (options.telemetry) {
-    obs::BatchStats batch;
-    batch.first_trial_index = options.first_trial_index;
-    batch.trials = options.trials;
-    batch.wall_seconds = elapsed_seconds(batch_start);
-    batch.trials_per_second =
-        batch.wall_seconds > 0.0
-            ? static_cast<double>(batch.trials) / batch.wall_seconds
-            : 0.0;
-    options.telemetry->add_batch(batch);
-    if (options.tilt && options.tilt->engaged()) {
-      // Convergence loops overwrite this with the merged totals after each
-      // batch, so the manifest always carries the cumulative diagnostics.
-      options.telemetry->set_importance_sampling(
-          {options.tilt->op_theta, options.tilt->ld_theta, total.ess(),
-           total.weight_sum(), total.max_weight()});
-    }
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      options.telemetry->set_stop_reason(
-          {util::to_string(options.cancel->reason()), options.cancel->polls(),
-           options.cancel->seconds_since_cancel()});
-    }
-  }
-  return total;
+        };
+      });
 }
 
 RunResult run_fleet_monte_carlo(const FleetConfig& config,
@@ -417,98 +435,27 @@ RunResult run_fleet_monte_carlo(const FleetConfig& config,
   RAIDREL_REQUIRE(!options.tilt || !options.tilt->engaged(),
                   "fleet runs do not support importance-sampling tilt");
   config.validate();
-  const double mission = config.mission_hours();
-
-  unsigned threads = options.threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads =
-      static_cast<unsigned>(std::min<std::size_t>(threads, options.trials));
-
-  if (options.telemetry) {
-    // The fleet engine is always scalar: batch_width records as 1.
-    options.telemetry->configure(options.seed, config_digest(config),
-                                 threads, 1);
-  }
-  const auto batch_start = std::chrono::steady_clock::now();
-
-  RunResult total(mission, options.bucket_hours);
-  const rng::StreamFactory streams(options.seed);
-  std::atomic<std::size_t> next_trial{0};
-  std::mutex merge_mutex;
-  // Fleet trials are heavyweight, so the claim cap stays small.
-  const std::size_t chunk = claim_chunk(options.trials, threads, 1, 8);
-
-  auto cancel_requested = [&options]() noexcept {
-    return options.cancel != nullptr &&
-           options.cancel->poll_quiet() != util::CancelReason::kNone;
-  };
-
-  auto worker = [&] {
-    const util::CancelScope cancel_scope(options.cancel);
-    const auto worker_start = std::chrono::steady_clock::now();
-    obs::WorkerStats ws;
-    RunResult local(mission, options.bucket_hours);
-    FleetSimulator simulator(config, options.kernel_policy);
-    FleetTrialResult trial;
-    bool drained = false;
-    while (!drained) {
-      const std::size_t begin = next_trial.fetch_add(chunk);
-      if (begin >= options.trials) break;
-      const std::size_t end = std::min(begin + chunk, options.trials);
-      for (std::size_t i = begin; i < end; ++i) {
-        if (cancel_requested()) {
-          drained = true;
-          break;
-        }
-        const std::uint64_t index = options.first_trial_index + i;
-        if (options.fault != nullptr) options.fault->check("runner_trial");
-        auto rs = streams.stream(index);
-        simulator.run_trial(
-            rs, trial,
-            options.trace ? options.trace->trial_slot(index) : nullptr);
-        for (const auto& group : trial.per_group) {
-          local.add_trial(group);
-          if (options.telemetry) {
-            // Telemetry counts group-missions, matching RunResult::trials.
-            ++ws.trials;
-            ws.ddfs += group.ddfs.size();
-            ws.op_failures += group.op_failures;
-            ws.latent_defects += group.latent_defects;
-            ws.scrubs_completed += group.scrubs_completed;
-            ws.restores_completed += group.restores_completed;
-            ws.spare_arrivals += group.spare_arrivals;
+  const bool telemetry = options.telemetry != nullptr;
+  // Fleet trials are heavyweight, so the claim cap stays small. Every trial
+  // folds one result per group: RunResult and telemetry count
+  // group-missions.
+  return run_workers(
+      options, telemetry ? config_digest(config) : 0, config.mission_hours(),
+      1, 8, config.groups.size(), [&] {
+        return [&, simulator = FleetSimulator(config, options.kernel_policy),
+                trial = FleetTrialResult()](const rng::StreamFactory& streams,
+                                            std::uint64_t index, std::size_t,
+                                            RunResult& local,
+                                            obs::WorkerStats& ws) mutable {
+          auto rs = streams.stream(index);
+          simulator.run_trial(
+              rs, trial,
+              options.trace ? options.trace->trial_slot(index) : nullptr);
+          for (const TrialResult& group : trial.per_group) {
+            fold_trial(local, ws, group, telemetry);
           }
-        }
-      }
-    }
-    const std::lock_guard<std::mutex> lock(merge_mutex);
-    total.merge(local);
-    if (options.telemetry) {
-      ws.wall_seconds = elapsed_seconds(worker_start);
-      options.telemetry->add_worker(ws);
-    }
-  };
-
-  fan_out(threads, options.pool, options.fault, worker);
-  if (options.telemetry) {
-    obs::BatchStats batch;
-    batch.first_trial_index = options.first_trial_index;
-    batch.trials = options.trials * config.groups.size();
-    batch.wall_seconds = elapsed_seconds(batch_start);
-    batch.trials_per_second =
-        batch.wall_seconds > 0.0
-            ? static_cast<double>(batch.trials) / batch.wall_seconds
-            : 0.0;
-    options.telemetry->add_batch(batch);
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      options.telemetry->set_stop_reason(
-          {util::to_string(options.cancel->reason()), options.cancel->polls(),
-           options.cancel->seconds_since_cancel()});
-    }
-  }
-  return total;
+        };
+      });
 }
 
 }  // namespace raidrel::sim

@@ -3,10 +3,12 @@
 #include "sim/runner.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "core/presets.h"
+#include "obs/run_telemetry.h"
 #include "stats/weibull.h"
 #include "support/degenerate.h"
 #include "util/error.h"
@@ -29,31 +31,132 @@ SlotModel scripted_slot(double op, double restore, double ld = 1e18,
   return m;
 }
 
-TEST(FleetSimulator, SingleGroupMatchesGroupSimulatorExactly) {
-  // A fleet of one group with no shared pool must reproduce GroupSimulator
-  // draw for draw — same events, same RNG consumption.
-  const auto group = core::presets::base_case().to_group_config();
-  FleetConfig fleet;
-  fleet.groups.push_back(group.clone());
+// A 6-drive RAID-5 group busy enough that every handler fires many times
+// per mission: overlapping failures, scrubbed defects, DDFs.
+GroupConfig busy_group() {
+  SlotModel m;
+  m.time_to_op_failure = std::make_unique<stats::Weibull>(0.0, 3000.0, 1.1);
+  m.time_to_restore = std::make_unique<stats::Weibull>(6.0, 100.0, 2.0);
+  m.time_to_latent_defect =
+      std::make_unique<stats::Weibull>(0.0, 2000.0, 1.0);
+  m.time_to_scrub = std::make_unique<stats::Weibull>(6.0, 300.0, 3.0);
+  return raid::make_uniform_group(6, 1, m, 20000.0);
+}
 
-  GroupSimulator single(group);
-  FleetSimulator multi(fleet);
-  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    rng::RandomStream rs1(seed), rs2(seed);
-    TrialResult a;
-    FleetTrialResult b;
-    single.run_trial(rs1, a);
-    multi.run_trial(rs2, b);
-    const TrialResult& g0 = b.per_group[0];
-    ASSERT_EQ(a.ddfs.size(), g0.ddfs.size()) << seed;
-    for (std::size_t i = 0; i < a.ddfs.size(); ++i) {
-      EXPECT_DOUBLE_EQ(a.ddfs[i].time, g0.ddfs[i].time);
-      EXPECT_EQ(a.ddfs[i].kind, g0.ddfs[i].kind);
+TEST(FleetSimulator, SingleGroupMatchesGroupSimulatorExactly) {
+  // A fleet of one group must reproduce GroupSimulator draw for draw —
+  // same events, same RNG consumption, same probe — for every feature of
+  // the group model. The starved case pits the fleet's shared pool against
+  // the same pool as the group's private one.
+  struct Case {
+    const char* name;
+    GroupConfig group;
+    std::optional<raid::SparePoolConfig> pool;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"base", core::presets::base_case().to_group_config(), {}});
+  cases.push_back({"starved pool", busy_group(),
+                   raid::SparePoolConfig{1, 1500.0}});
+  cases.push_back({"stripe zones", busy_group(), {}});
+  cases.back().group.stripe_zones = 3;
+  cases.push_back({"declustered", busy_group(), {}});
+  cases.back().group.rebuild = raid::RebuildModel::kDeclustered;
+  cases.push_back({"reconstruction defects", busy_group(), {}});
+  cases.back().group.reconstruction_defect_probability = 0.3;
+  cases.push_back({"defects kept after DDF", busy_group(), {}});
+  cases.back().group.clear_defects_on_ddf_restore = false;
+
+  for (const Case& c : cases) {
+    GroupConfig private_pool = c.group.clone();
+    private_pool.spare_pool = c.pool;
+    FleetConfig fleet;
+    fleet.groups.push_back(c.group.clone());
+    fleet.shared_pool = c.pool;
+    GroupSimulator single(private_pool);
+    FleetSimulator multi(fleet);
+    std::uint64_t ddfs = 0;
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      rng::RandomStream rs1(seed), rs2(seed);
+      TrialResult a;
+      FleetTrialResult b;
+      single.run_trial(rs1, a);
+      multi.run_trial(rs2, b);
+      const TrialResult& g0 = b.per_group[0];
+      ASSERT_EQ(a.ddfs.size(), g0.ddfs.size()) << c.name << " " << seed;
+      for (std::size_t i = 0; i < a.ddfs.size(); ++i) {
+        EXPECT_EQ(a.ddfs[i].time, g0.ddfs[i].time) << c.name;
+        EXPECT_EQ(a.ddfs[i].kind, g0.ddfs[i].kind) << c.name;
+      }
+      EXPECT_EQ(a.double_op_probe, g0.double_op_probe) << c.name << seed;
+      EXPECT_EQ(a.op_failures, g0.op_failures) << c.name << " " << seed;
+      EXPECT_EQ(a.latent_defects, g0.latent_defects) << c.name << seed;
+      EXPECT_EQ(a.scrubs_completed, g0.scrubs_completed) << c.name << seed;
+      EXPECT_EQ(a.restores_completed, g0.restores_completed) << c.name;
+      EXPECT_EQ(a.spare_arrivals, g0.spare_arrivals) << c.name << seed;
+      ddfs += a.ddfs.size();
     }
-    EXPECT_EQ(a.op_failures, g0.op_failures) << seed;
-    EXPECT_EQ(a.latent_defects, g0.latent_defects) << seed;
-    EXPECT_EQ(a.scrubs_completed, g0.scrubs_completed) << seed;
-    EXPECT_EQ(a.restores_completed, g0.restores_completed) << seed;
+    EXPECT_GT(ddfs, 0u) << c.name << ": the case never reached a DDF";
+  }
+}
+
+// bench_shared_spares' fleet: 50 aging 8-drive RAID-5 groups over 2.5 years.
+FleetConfig aging_fleet(std::optional<raid::SparePoolConfig> pool) {
+  FleetConfig fleet;
+  for (int g = 0; g < 50; ++g) {
+    SlotModel m;
+    m.time_to_op_failure = std::make_unique<stats::Weibull>(0.0, 23000.0, 1.12);
+    m.time_to_restore = std::make_unique<stats::Weibull>(6.0, 12.0, 2.0);
+    m.time_to_latent_defect =
+        std::make_unique<stats::Weibull>(0.0, 9259.0, 1.0);
+    m.time_to_scrub = std::make_unique<stats::Weibull>(6.0, 168.0, 3.0);
+    fleet.groups.push_back(raid::make_uniform_group(8, 1, m, 21900.0));
+  }
+  fleet.shared_pool = pool;
+  return fleet;
+}
+
+template <typename T>
+std::uint64_t mix(std::uint64_t h, T value) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  return obs::fnv1a64({bytes, sizeof(T)}, h);
+}
+
+TEST(FleetSimulator, MultiGroupHistoryDigestIsPinned) {
+  // One-group tests cannot see cross-group event order: which group's
+  // event runs first and which group the pool's FIFO serves next. This
+  // digest of every group's DDF history and counters, plus the backlog at
+  // the end of each mission, pins both for a 50-group fleet.
+  const std::optional<raid::SparePoolConfig> pools[] = {
+      std::nullopt, raid::SparePoolConfig{2, 168.0},
+      raid::SparePoolConfig{4, 168.0}};
+  const std::uint64_t expected[] = {6408580992846043451ull,
+                                    17525067476733595790ull,
+                                    9019645702178127131ull};
+  for (std::size_t p = 0; p < 3; ++p) {
+    const FleetConfig fleet = aging_fleet(pools[p]);
+    FleetSimulator sim(fleet);
+    const rng::StreamFactory streams(20070625);
+    FleetTrialResult out;
+    std::uint64_t h = obs::fnv1a64("");
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      auto rs = streams.stream(i);
+      sim.run_trial(rs, out);
+      for (const TrialResult& g : out.per_group) {
+        h = mix(h, g.ddfs.size());
+        for (const auto& d : g.ddfs) {
+          h = mix(h, d.time);
+          h = mix(h, d.kind);
+        }
+        h = mix(h, g.op_failures);
+        h = mix(h, g.latent_defects);
+        h = mix(h, g.scrubs_completed);
+        h = mix(h, g.restores_completed);
+        h = mix(h, g.spare_arrivals);
+      }
+      h = mix(h, sim.waiting_drives_at_end());
+    }
+    EXPECT_EQ(h, expected[p]) << "pool case " << p;
   }
 }
 
@@ -174,6 +277,16 @@ TEST(FleetRunner, NormalizationMatchesSingleGroupRunner) {
                      single_run.total_ddfs_per_1000_sem();
   EXPECT_NEAR(fleet_run.total_ddfs_per_1000(),
               single_run.total_ddfs_per_1000(), 6.0 * sem);
+  // The fleet runs the same probe, so its per-1000-group-mission estimate
+  // lands on the single-group runner's too. The counting band above is
+  // ~100x the probe's value, so it would pass a missing probe; the band
+  // here is 6 SDs of the difference, from the probe's measured spread
+  // (SD ~1.6% of the mean over 30 seeds at 4000 group-missions).
+  const double single_probe =
+      single_run.total_ddfs_per_1000(Estimator::kDoubleOpProbe);
+  EXPECT_GT(single_probe, 0.0);
+  EXPECT_NEAR(fleet_run.total_ddfs_per_1000(Estimator::kDoubleOpProbe),
+              single_probe, 0.14 * single_probe);
 }
 
 TEST(FleetRunner, ThreadCountDoesNotChangeCounts) {
@@ -215,12 +328,9 @@ TEST(FleetSimulator, Validation) {
   pools.shared_pool = raid::SparePoolConfig{4, 24.0};
   EXPECT_THROW(FleetSimulator{pools}, ModelError);
 
-  // Stripe zones unsupported.
-  FleetConfig zones;
-  auto z = core::presets::base_case().to_group_config();
-  z.stripe_zones = 100;
-  zones.groups.push_back(std::move(z));
-  EXPECT_THROW(FleetSimulator{zones}, ModelError);
+  // Private pools without a shared one.
+  pools.shared_pool.reset();
+  EXPECT_THROW(FleetSimulator{pools}, ModelError);
 }
 
 }  // namespace
