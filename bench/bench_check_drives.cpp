@@ -27,6 +27,7 @@
 #include "core/model.h"
 #include "report/table.h"
 #include "sim/lane_ops.h"
+#include "sim/latent_credit.h"
 #include "sim/runner.h"
 #include "util/cli.h"
 #include "util/cpu_features.h"
@@ -116,7 +117,11 @@ int main(int argc, char** argv) {
       rec.real_time_ns = elapsed_ns / static_cast<double>(res.run.trials());
       rec.trials_per_second =
           static_cast<double>(res.run.trials()) / (elapsed_ns * 1e-9);
-      rec.config_digest = sim::config_digest(scenario.to_group_config());
+      const raid::GroupConfig group = scenario.to_group_config();
+      rec.config_digest = sim::config_digest(group);
+      rec.estimator = sim::latent_credit_exclusion(group)
+                          ? sim::kEventsEstimator
+                          : sim::kLatentCreditEstimator;
       rec.threads = opt.threads;
       rec.batch_width = sim::kDefaultBatchWidth;
       rec.isa = util::isa_name(sim::lane_ops().isa);

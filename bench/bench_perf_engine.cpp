@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "analytic/latent_curve.h"
 #include "bench_support.h"
 #include "core/presets.h"
 #include "obs/run_telemetry.h"
@@ -26,6 +27,7 @@
 #include "sim/batch_engine.h"
 #include "sim/group_simulator.h"
 #include "sim/lane_ops.h"
+#include "sim/latent_credit.h"
 #include "sim/runner.h"
 #include "sim/thread_pool.h"
 #include "sim/timing_engine.h"
@@ -51,6 +53,7 @@ struct EngineMeta {
   std::size_t items_per_iteration = 1;
   std::string isa;
   std::string math_tier;
+  std::string estimator;
   std::size_t numa_nodes = 0;
 };
 
@@ -59,13 +62,22 @@ std::map<std::string, EngineMeta>& perf_meta() {
   return meta;
 }
 
+// The estimator a group mission of `cfg` runs on (sim/latent_credit.h):
+// latent-credited and event-path throughputs are never compared.
+const char* estimator_of(const raid::GroupConfig& cfg) {
+  return sim::latent_credit_exclusion(cfg) ? sim::kEventsEstimator
+                                           : sim::kLatentCreditEstimator;
+}
+
 void note_engine_config(const std::string& bench_name,
-                        std::uint64_t config_digest, unsigned threads,
+                        const raid::GroupConfig& cfg, unsigned threads,
                         std::size_t batch_width = 0,
                         std::size_t items_per_iteration = 1,
-                        sim::MathTier tier = sim::MathTier::kExact) {
+                        sim::MathTier tier = sim::MathTier::kExact,
+                        const char* estimator = nullptr) {
   EngineMeta meta;
-  meta.config_digest = config_digest;
+  meta.config_digest = sim::config_digest(cfg);
+  meta.estimator = estimator ? estimator : estimator_of(cfg);
   meta.threads = threads;
   meta.batch_width = batch_width;
   meta.items_per_iteration = items_per_iteration;
@@ -103,18 +115,37 @@ void BM_WeibullResidualSample(benchmark::State& state) {
 }
 BENCHMARK(BM_WeibullResidualSample);
 
+// The latent-credit tables (analytic/latent_curve.h), one per run_monte_carlo
+// call and distinct (latent rate, scrub law): the build at the four
+// corners of the sweep_grid latent-rate x scrub grid (Table 1's lowest and
+// highest rates, scrub 12 h and 720 h). Budget: 2 ms per table.
+void BM_LatentCurve(benchmark::State& state) {
+  const double rate = state.range(0) == 0 ? 1.08e-5 : 4.32e-3;
+  const stats::Weibull scrub(6.0, static_cast<double>(state.range(1)), 3.0);
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    const analytic::LatentCurve curve(rate, &scrub, 87600.0);
+    nodes = curve.nodes();
+    benchmark::DoNotOptimize(curve(1000.0));
+  }
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_LatentCurve)
+    ->ArgsProduct({{0, 1}, {12, 720}})
+    ->Unit(benchmark::kMillisecond);
+
 // The mission benchmarks run the engine exactly as the runner drives it:
 // the lockstep lane engine at the default width. One iteration = one lane
 // of kDefaultBatchWidth trials, so items/s (trials per second) is the
 // number to compare across commits — it is lane-width-independent, unlike
 // the per-iteration wall time. BM_GroupMission_BaseCase_Scalar keeps the
-// one-trial-at-a-time engine measured alongside.
-void BM_GroupMission_BaseCase(benchmark::State& state) {
-  const auto cfg = core::presets::base_case().to_group_config();
-  note_engine_config("BM_GroupMission_BaseCase", sim::config_digest(cfg), 1,
-                     sim::kDefaultBatchWidth, sim::kDefaultBatchWidth);
-  sim::BatchGroupSimulator simulator(cfg, sim::kDefaultBatchWidth);
-  rng::StreamFactory streams(3);
+// one-trial-at-a-time engine measured alongside. The base case is
+// latent-credited (its lanes are forwarded to the scalar core, docs/MODEL.md
+// §19); BM_GroupMission_WeibullLatent keeps the lockstep event engine
+// measured on the same group with beta_ld = 1.2.
+void run_lanes(benchmark::State& state, sim::BatchGroupSimulator& simulator,
+               std::uint64_t seed) {
+  rng::StreamFactory streams(seed);
   std::uint64_t trial = 0;
   for (auto _ : state) {
     simulator.run_lane(streams, trial, sim::kDefaultBatchWidth);
@@ -124,32 +155,46 @@ void BM_GroupMission_BaseCase(benchmark::State& state) {
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(sim::kDefaultBatchWidth));
+}
+
+void BM_GroupMission_BaseCase(benchmark::State& state) {
+  const auto cfg = core::presets::base_case().to_group_config();
+  note_engine_config("BM_GroupMission_BaseCase", cfg, 1,
+                     sim::kDefaultBatchWidth, sim::kDefaultBatchWidth);
+  sim::BatchGroupSimulator simulator(cfg, sim::kDefaultBatchWidth);
+  run_lanes(state, simulator, 3);
 }
 BENCHMARK(BM_GroupMission_BaseCase);
 
-// Same lane, fast math tier (sim/lane_ops.h): the polynomial log/exp
-// kernels replace libm in the hot Weibull refills. The delta against
-// BM_GroupMission_BaseCase is the price of bit-exactness.
-void BM_GroupMission_BaseCase_FastMath(benchmark::State& state) {
-  const auto cfg = core::presets::base_case().to_group_config();
-  note_engine_config("BM_GroupMission_BaseCase_FastMath",
-                     sim::config_digest(cfg), 1, sim::kDefaultBatchWidth,
-                     sim::kDefaultBatchWidth, sim::MathTier::kFast);
+raid::GroupConfig weibull_latent_case() {
+  core::ScenarioConfig s = core::presets::base_case();
+  s.ttld->beta = 1.2;
+  return s.to_group_config();
+}
+
+void BM_GroupMission_WeibullLatent(benchmark::State& state) {
+  const auto cfg = weibull_latent_case();
+  note_engine_config("BM_GroupMission_WeibullLatent", cfg, 1,
+                     sim::kDefaultBatchWidth, sim::kDefaultBatchWidth);
+  sim::BatchGroupSimulator simulator(cfg, sim::kDefaultBatchWidth);
+  run_lanes(state, simulator, 3);
+}
+BENCHMARK(BM_GroupMission_WeibullLatent);
+
+// The event lane at the fast math tier (sim/lane_ops.h): the polynomial
+// log/exp kernels replace libm in the hot Weibull refills. The delta
+// against BM_GroupMission_WeibullLatent is the price of bit-exactness.
+void BM_GroupMission_WeibullLatent_FastMath(benchmark::State& state) {
+  const auto cfg = weibull_latent_case();
+  note_engine_config("BM_GroupMission_WeibullLatent_FastMath", cfg, 1,
+                     sim::kDefaultBatchWidth, sim::kDefaultBatchWidth,
+                     sim::MathTier::kFast);
   sim::BatchGroupSimulator simulator(cfg, sim::kDefaultBatchWidth,
                                      sim::KernelPolicy::kLowered,
                                      std::nullopt, sim::MathTier::kFast);
-  rng::StreamFactory streams(3);
-  std::uint64_t trial = 0;
-  for (auto _ : state) {
-    simulator.run_lane(streams, trial, sim::kDefaultBatchWidth);
-    trial += sim::kDefaultBatchWidth;
-    benchmark::DoNotOptimize(simulator.result(0).op_failures);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(sim::kDefaultBatchWidth));
+  run_lanes(state, simulator, 3);
 }
-BENCHMARK(BM_GroupMission_BaseCase_FastMath);
+BENCHMARK(BM_GroupMission_WeibullLatent_FastMath);
 
 // Long-tail mission: a short window over the base-case laws, so most
 // trials see only their install burst and settle, while the unlucky few
@@ -159,16 +204,19 @@ BENCHMARK(BM_GroupMission_BaseCase_FastMath);
 // per-trial gain here exceeds the full-lane base case (super-linear
 // relative to mean occupancy). Watched by the perf gate;
 // active_lane_ratio is reported so the regime is visible per commit.
+// The TTLd shape is 1.2, not 1: an exponential TTLd at redundancy 1 would
+// be latent-credited (docs/MODEL.md §19), simulating no defect or scrub
+// chains at all.
 void BM_GroupMission_LongTail(benchmark::State& state) {
   raid::SlotModel m;
   m.time_to_op_failure =
       std::make_unique<stats::Weibull>(0.0, 461386.0, 1.12);
   m.time_to_restore = std::make_unique<stats::Weibull>(6.0, 12.0, 2.0);
   m.time_to_latent_defect =
-      std::make_unique<stats::Weibull>(0.0, 9259.0, 1.0);
+      std::make_unique<stats::Weibull>(0.0, 9259.0, 1.2);
   m.time_to_scrub = std::make_unique<stats::Weibull>(6.0, 168.0, 3.0);
   const auto cfg = raid::make_uniform_group(8, 1, m, 2000.0);
-  note_engine_config("BM_GroupMission_LongTail", sim::config_digest(cfg), 1,
+  note_engine_config("BM_GroupMission_LongTail", cfg, 1,
                      sim::kDefaultBatchWidth, sim::kDefaultBatchWidth);
   sim::BatchGroupSimulator simulator(cfg, sim::kDefaultBatchWidth);
   rng::StreamFactory streams(7);
@@ -193,7 +241,7 @@ BENCHMARK(BM_GroupMission_LongTail);
 void BM_GroupMission_BaseCase_Scalar(benchmark::State& state) {
   const auto cfg = core::presets::base_case().to_group_config();
   note_engine_config("BM_GroupMission_BaseCase_Scalar",
-                     sim::config_digest(cfg), 1);
+                     cfg, 1);
   sim::GroupSimulator simulator(cfg);
   rng::StreamFactory streams(3);
   sim::TrialResult out;
@@ -209,7 +257,7 @@ BENCHMARK(BM_GroupMission_BaseCase_Scalar);
 
 void BM_GroupMission_NoLatent(benchmark::State& state) {
   const auto cfg = core::presets::no_latent_defects().to_group_config();
-  note_engine_config("BM_GroupMission_NoLatent", sim::config_digest(cfg), 1,
+  note_engine_config("BM_GroupMission_NoLatent", cfg, 1,
                      sim::kDefaultBatchWidth, sim::kDefaultBatchWidth);
   sim::BatchGroupSimulator simulator(cfg, sim::kDefaultBatchWidth);
   rng::StreamFactory streams(4);
@@ -228,8 +276,9 @@ BENCHMARK(BM_GroupMission_NoLatent);
 void BM_TimingEngineMission_BaseCase(benchmark::State& state) {
   auto cfg = core::presets::base_case().to_group_config();
   cfg.clear_defects_on_ddf_restore = false;
-  note_engine_config("BM_TimingEngineMission_BaseCase",
-                     sim::config_digest(cfg), 1);
+  // The paper-procedure engine always simulates every event.
+  note_engine_config("BM_TimingEngineMission_BaseCase", cfg, 1, 0, 1,
+                     sim::MathTier::kExact, sim::kEventsEstimator);
   sim::TimingDiagramEngine engine(cfg);
   rng::StreamFactory streams(5);
   sim::TrialResult out;
@@ -245,7 +294,7 @@ BENCHMARK(BM_TimingEngineMission_BaseCase);
 
 void BM_FullRun_MultiThreaded(benchmark::State& state) {
   const auto cfg = core::presets::base_case().to_group_config();
-  note_engine_config("BM_FullRun_MultiThreaded", sim::config_digest(cfg),
+  note_engine_config("BM_FullRun_MultiThreaded", cfg,
                      resolved_threads(0), sim::kDefaultBatchWidth, 2000);
   // One persistent pool across iterations, exactly how the convergence
   // loop drives batched runs; thread spawn/join is not part of the cost.
@@ -274,7 +323,7 @@ void BM_FullRun_ThreadScaling(benchmark::State& state) {
   const auto cfg = core::presets::base_case().to_group_config();
   note_engine_config(
       "BM_FullRun_ThreadScaling/" + std::to_string(threads),
-      sim::config_digest(cfg), threads, sim::kDefaultBatchWidth, 2000);
+      cfg, threads, sim::kDefaultBatchWidth, 2000);
   sim::ThreadPool pool;
   for (auto _ : state) {
     sim::RunOptions options{.trials = 2000, .seed = 6,
@@ -305,7 +354,7 @@ BENCHMARK(BM_FullRun_ThreadScaling)
 // in the noise.
 void BM_FullRun_Telemetry(benchmark::State& state) {
   const auto cfg = core::presets::base_case().to_group_config();
-  note_engine_config("BM_FullRun_Telemetry", sim::config_digest(cfg),
+  note_engine_config("BM_FullRun_Telemetry", cfg,
                      resolved_threads(0), sim::kDefaultBatchWidth, 2000);
   sim::ThreadPool pool;
   for (auto _ : state) {
@@ -354,6 +403,7 @@ class CapturingReporter : public benchmark::ConsoleReporter {
         rec.batch_width = meta->second.batch_width;
         rec.isa = meta->second.isa;
         rec.math_tier = meta->second.math_tier;
+        rec.estimator = meta->second.estimator;
         rec.numa_nodes = meta->second.numa_nodes;
         // Schema v3: real_time_ns is per work item. A lane iteration
         // simulates batch-width trials; report the per-trial time so the

@@ -170,6 +170,9 @@ void write_perf_json(std::ostream& out,
     if (!r.math_tier.empty()) {
       w.kv("math_tier", std::string_view(r.math_tier));
     }
+    if (!r.estimator.empty()) {
+      w.kv("estimator", std::string_view(r.estimator));
+    }
     if (r.numa_nodes != 0) {
       w.kv("numa_nodes", static_cast<std::uint64_t>(r.numa_nodes));
     }

@@ -79,6 +79,10 @@ struct PerfRecord {
   std::size_t batch_width = 0;     ///< lockstep lane width (0 = n/a)
   std::string isa;        ///< resolved lane backend ("" = not recorded)
   std::string math_tier;  ///< lane math tier ("" = not recorded)
+  /// Estimator the simulated model ran on ("events" or "latent-credit",
+  /// docs/MODEL.md §19; "" = not recorded). Like math_tier, differing
+  /// values are never compared by the gate.
+  std::string estimator;
   /// Scheduling NUMA nodes the run saw (util::active_topology); 0 = not
   /// recorded. Engine numbers from a pinned multi-node run are not
   /// like-for-like with single-node ones, so the gate treats differing

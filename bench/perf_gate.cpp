@@ -13,7 +13,8 @@ bool supported_schema(const std::string& schema) {
   // v1 always wrote a trials_per_second field (0 meaning "not
   // reported"); v2 omits the field entirely for microbenchmarks; v3
   // normalizes real_time_ns per work item and tags engine benchmarks
-  // with isa / math_tier / batch_width. All are readable through the
+  // with isa / math_tier / batch_width (and, later, estimator — an optional
+  // field, so the schema did not change). All are readable through the
   // same accessors below — the gate compares trials_per_second, which
   // has always been per-item.
   return schema == "raidrel-bench-perf/1" ||
@@ -28,6 +29,7 @@ struct BenchEntry {
   double tps = 0.0;
   std::string isa;
   std::string math_tier;
+  std::string estimator;
   std::uint64_t batch_width = 0;
   std::uint64_t numa_nodes = 0;
 };
@@ -45,6 +47,9 @@ BenchEntry find_bench(const obs::JsonValue& benchmarks,
     }
     if (const obs::JsonValue* tier = bench.find("math_tier")) {
       entry.math_tier = tier->as_string();
+    }
+    if (const obs::JsonValue* est = bench.find("estimator")) {
+      entry.estimator = est->as_string();
     }
     if (const obs::JsonValue* width = bench.find("batch_width")) {
       entry.batch_width = static_cast<std::uint64_t>(width->as_double());
@@ -72,6 +77,18 @@ std::string tag_mismatch(const BenchEntry& baseline,
       baseline.math_tier != candidate.math_tier) {
     return "math_tier (baseline " + baseline.math_tier + ", candidate " +
            candidate.math_tier + ")";
+  }
+  // A latent-credited mission simulates a few events where the event path
+  // simulates ~150: its throughput says nothing about the other's. Unlike
+  // the other tags, an untagged baseline is not a wildcard here: the tag
+  // arrived with the latent-credit estimator, so every artifact without it
+  // was measured on the event path.
+  const std::string baseline_estimator =
+      baseline.estimator.empty() ? "events" : baseline.estimator;
+  if (!candidate.estimator.empty() &&
+      baseline_estimator != candidate.estimator) {
+    return "estimator (baseline " + baseline_estimator + ", candidate " +
+           candidate.estimator + ")";
   }
   if (baseline.batch_width != 0 && candidate.batch_width != 0 &&
       baseline.batch_width != candidate.batch_width) {

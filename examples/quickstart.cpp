@@ -68,7 +68,12 @@ int main(int argc, char** argv) try {
             << " trials/s\n  events: " << totals.op_failures
             << " op failures, " << totals.latent_defects
             << " latent defects, " << totals.scrubs_completed << " scrubs, "
-            << totals.restores_completed << " restores\n";
+            << totals.restores_completed << " restores\n  estimator: "
+            << telemetry.estimator()
+            << (telemetry.estimator() == "latent-credit"
+                    ? " (latent defects and scrubs integrated, not simulated)"
+                    : " (" + telemetry.estimator_reason() + ")")
+            << "\n";
   const std::string manifest = args.get_string("manifest", "");
   if (!manifest.empty()) {
     std::ofstream out(manifest);

@@ -61,6 +61,12 @@ void RunTelemetry::configure(std::uint64_t master_seed,
   configured_ = true;
 }
 
+void RunTelemetry::set_estimator(std::string_view estimator,
+                                 std::string_view reason) {
+  estimator_ = estimator;
+  estimator_reason_ = reason;
+}
+
 void RunTelemetry::add_worker(const WorkerStats& ws) {
   const std::lock_guard<std::mutex> lock(mutex_);
   workers_.push_back(ws);
@@ -152,6 +158,12 @@ void RunTelemetry::write_json(JsonWriter& w) const {
   if (!isa_.empty()) w.kv("isa", std::string_view(isa_));
   if (!math_tier_.empty()) {
     w.kv("math_tier", std::string_view(math_tier_));
+  }
+  if (!estimator_.empty()) {
+    w.kv("estimator", std::string_view(estimator_));
+    if (!estimator_reason_.empty()) {
+      w.kv("estimator_reason", std::string_view(estimator_reason_));
+    }
   }
   w.kv("wall_seconds", wall_seconds());
   w.kv("trials_per_second", trials_per_second());

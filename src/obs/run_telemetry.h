@@ -134,6 +134,21 @@ class RunTelemetry {
                  unsigned threads, std::size_t batch_width = 1,
                  std::string_view isa = {}, std::string_view math_tier = {});
 
+  /// Record which estimator produced the run's numbers ("events" or
+  /// "latent-credit", docs/MODEL.md §19) and why the configuration — or,
+  /// in a fleet, its first such group — is out of the latent-credit
+  /// scope; a fleet mixing both paths is "latent-credit" with a reason.
+  /// The manifest gains
+  /// "estimator" (and "estimator_reason" when `reason` is non-empty) only
+  /// after this is called.
+  void set_estimator(std::string_view estimator, std::string_view reason);
+  [[nodiscard]] const std::string& estimator() const noexcept {
+    return estimator_;
+  }
+  [[nodiscard]] const std::string& estimator_reason() const noexcept {
+    return estimator_reason_;
+  }
+
   void add_worker(const WorkerStats& ws);  // thread-safe
   void add_batch(const BatchStats& bs);
   /// Record the convergence trajectory point for the latest batch.
@@ -215,6 +230,8 @@ class RunTelemetry {
   std::size_t batch_width_ = 1;
   std::string isa_;        ///< lane backend of batched runs; "" = scalar
   std::string math_tier_;  ///< transform tier of batched runs; "" = scalar
+  std::string estimator_;         ///< "" until set_estimator
+  std::string estimator_reason_;  ///< why the event path; "" otherwise
   bool configured_ = false;
   ImportanceSamplingStats importance_sampling_;
   bool has_importance_sampling_ = false;

@@ -17,7 +17,9 @@ BatchGroupSimulator::BatchGroupSimulator(const raid::GroupConfig& config,
                                          std::size_t width,
                                          KernelPolicy policy,
                                          std::optional<TiltSpec> tilt,
-                                         MathTier tier)
+                                         MathTier tier,
+                                         std::shared_ptr<const LatentCurves>
+                                             curves)
     : cfg_(config),
       ops_(&lane_ops()),
       tier_(tier),
@@ -25,6 +27,11 @@ BatchGroupSimulator::BatchGroupSimulator(const raid::GroupConfig& config,
       nslots_(config.slots.size()) {
   RAIDREL_REQUIRE(width >= 1, "batch width must be at least 1");
   cfg_.validate();
+  if (latent_credit_exclusion(cfg_, tilt) == nullptr) {
+    forward_.emplace(cfg_, policy, tilt, std::move(curves));
+    results_.resize(width_);
+    return;
+  }
   kernels_.reserve(nslots_);
   for (const auto& slot : cfg_.slots) {
     kernels_.push_back(SlotKernel::compile(slot, policy));
@@ -731,6 +738,16 @@ void BatchGroupSimulator::run_lane(const rng::StreamFactory& streams,
   RAIDREL_REQUIRE(count >= 1 && count <= width_,
                   "lane count must be in [1, width]");
   count_ = count;
+  if (forward_) {
+    occ_ = LaneOccupancy{};
+    for (std::size_t w = 0; w < count; ++w) {
+      const std::uint64_t index = first_stream_index + w;
+      auto rs = streams.stream(index);
+      forward_->run_trial(rs, results_[w],
+                          trace ? trace->trial_slot(index) : nullptr);
+    }
+    return;
+  }
   streams_.clear();
   for (std::size_t w = 0; w < count; ++w) {
     streams_.push_back(streams.stream(first_stream_index + w));

@@ -27,9 +27,18 @@
 // through the same scalar arithmetic; only the hot refills batch. Lanes
 // that finish their mission drop out of the round loop, so a lane with one
 // long-running trial degrades to the scalar engine's behavior, not worse.
+//
+// Configurations in the latent-credit scope (sim/latent_credit.h) are not
+// run in lockstep: at about three events per trial the rounds would run
+// nearly empty (docs/MODEL.md §19), so run_lane forwards each trial to a
+// GroupSimulator on the trial's own stream. result(w) is then that
+// engine's credited TrialResult — `ddfs` the realized sample path,
+// `latent_credit` the estimate's input, latent_defects and
+// scrubs_completed 0 — and occupancy() stays empty.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -60,10 +69,13 @@ class BatchGroupSimulator {
   /// The lane backend itself (generic or AVX-512) is resolved at
   /// construction from util::active_isa() and never changes a bit at
   /// either tier.
+  /// `curves` shares a run's latent-credit tables; null builds them here
+  /// when the config is in scope.
   BatchGroupSimulator(const raid::GroupConfig& config, std::size_t width,
                       KernelPolicy policy = KernelPolicy::kLowered,
                       std::optional<TiltSpec> tilt = std::nullopt,
-                      MathTier tier = MathTier::kExact);
+                      MathTier tier = MathTier::kExact,
+                      std::shared_ptr<const LatentCurves> curves = nullptr);
 
   /// Simulate `count` (1..width()) missions in lockstep. Trial w draws
   /// from streams.stream(first_stream_index + w), so the lane's results
@@ -169,6 +181,9 @@ class BatchGroupSimulator {
   void process_latent_defects();
 
   const raid::GroupConfig& cfg_;
+  /// Set for latent-credit configs: run_lane forwards every trial here and
+  /// none of the lockstep state below is allocated.
+  std::optional<GroupSimulator> forward_;
   std::vector<SlotKernel> kernels_;  ///< lowered laws, one per slot
   /// Constructor-resolved lane backend (never null) and math tier; every
   /// bulk refill and the round-loop argmin route through this table.

@@ -39,12 +39,14 @@ void FleetTrialResult::clear(std::size_t groups) {
   for (auto& g : per_group) g.clear();
 }
 
-FleetSimulator::FleetSimulator(const FleetConfig& config, KernelPolicy policy)
+FleetSimulator::FleetSimulator(const FleetConfig& config, KernelPolicy policy,
+                               std::shared_ptr<const LatentCurves> curves)
     : pool_(config.shared_pool) {
   config.validate();
+  curves_ = curves ? std::move(curves) : latent_curves_for(config.groups);
   cores_.reserve(config.groups.size());
   for (const auto& group : config.groups) {
-    cores_.emplace_back(group, policy, std::nullopt);
+    cores_.emplace_back(group, policy, std::nullopt, curves_.get());
   }
 }
 

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -56,9 +57,12 @@ class FleetSimulator {
  public:
   /// `policy` selects between the compiled sampling kernels (default) and
   /// the reference virtual-dispatch path; both produce bit-identical event
-  /// histories (see slot_kernel.h).
+  /// histories (see slot_kernel.h). Groups in the latent-credit scope run
+  /// credited (sim/latent_credit.h); `curves` shares a run's tables, null
+  /// builds them here.
   explicit FleetSimulator(const FleetConfig& config,
-                          KernelPolicy policy = KernelPolicy::kLowered);
+                          KernelPolicy policy = KernelPolicy::kLowered,
+                          std::shared_ptr<const LatentCurves> curves = nullptr);
 
   /// Simulate one mission of the whole fleet. A non-null `trace` is
   /// cleared and receives every dispatched event in processing order with
@@ -72,6 +76,7 @@ class FleetSimulator {
   [[nodiscard]] std::size_t waiting_drives_at_end() const noexcept;
 
  private:
+  std::shared_ptr<const LatentCurves> curves_;
   std::vector<detail::GroupCore> cores_;
   detail::SparePool pool_;
 };

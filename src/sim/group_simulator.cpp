@@ -15,6 +15,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 void TrialResult::clear() {
   ddfs.clear();
+  latent_credit.clear();
+  latent_credited = false;
   double_op_probe.clear();
   log_weight = 0.0;
   op_failures = 0;
@@ -84,7 +86,8 @@ std::optional<SparePool::Waiter> SparePool::arrive(double now) {
 }
 
 GroupCore::GroupCore(const raid::GroupConfig& config, KernelPolicy policy,
-                     const std::optional<TiltSpec>& tilt)
+                     const std::optional<TiltSpec>& tilt,
+                     const LatentCurves* curves)
     : cfg_(config) {
   cfg_.validate();
   kernels_.reserve(cfg_.slots.size());
@@ -98,6 +101,12 @@ GroupCore::GroupCore(const raid::GroupConfig& config, KernelPolicy policy,
     tilted_ = true;
   }
   declustered_ = cfg_.rebuild == raid::RebuildModel::kDeclustered;
+  credit_ = latent_credit_exclusion(cfg_, tilt) == nullptr;
+  if (credit_) {
+    RAIDREL_REQUIRE(curves != nullptr,
+                    "an in-scope config needs its latent curves");
+    for (const auto& slot : cfg_.slots) curves_.push_back(&curves->of(slot));
+  }
   slots_.resize(cfg_.slots.size());
   probe_p_.resize(slots_.size());
   probe_dist_.resize(slots_.size() + 1);
@@ -129,7 +138,8 @@ void GroupCore::start_defect_countdown(std::size_t i, double now,
   const CompiledLaw& latent = kernels_[i].latent;
   s.defect_occurred = kInf;
   s.defect_clears = kInf;
-  if (!latent.present()) {
+  s.seen_clean = now;
+  if (credit_ || !latent.present()) {
     s.next_ld = kInf;
     refresh_next_event(s);
     return;
@@ -256,7 +266,21 @@ void GroupCore::handle_op_failure(std::size_t group, std::size_t i,
         ++defective;
       }
     }
-    if (down + defective > cfg_.redundancy) {
+    bool loss = down + defective > cfg_.redundancy;
+    if (credit_ && !loss) {
+      // Latent credit (m = 1 and no other drive down, so every partner is
+      // operational): credit the probability that some partner is
+      // defective, then realize it so the sample path freezes and clears
+      // as the event path would. Partners found clean restart their
+      // renewals from now (the up phase is memoryless).
+      const double p = latent_loss_probability(i, now);
+      out.latent_credit.emplace_back(now, p);
+      loss = rs.bernoulli(p);
+      if (!loss) {
+        for (Slot& other : slots_) other.seen_clean = now;
+      }
+    }
+    if (loss) {
       const raid::DdfKind kind = down > cfg_.redundancy
                                      ? raid::DdfKind::kDoubleOperational
                                      : raid::DdfKind::kLatentThenOp;
@@ -322,9 +346,10 @@ void GroupCore::handle_restore_done(std::size_t i, double now,
   if (group_failed_until_ > 0.0 && now >= group_failed_until_) {
     if (cfg_.clear_defects_on_ddf_restore) {
       // The restore that ends a DDF returns the group to the paper's
-      // state 1: "all HDDs operating, no latent defects".
+      // state 1: "all HDDs operating, no latent defects". Credited slots
+      // carry no defect timers: every operational drive is clean now.
       for (std::size_t j = 0; j < slots_.size(); ++j) {
-        if (slots_[j].defective()) {
+        if (credit_ ? !slots_[j].restoring() : slots_[j].defective()) {
           start_defect_countdown(j, now, rs);
         }
       }
@@ -332,6 +357,16 @@ void GroupCore::handle_restore_done(std::size_t i, double now,
     group_failed_until_ = 0.0;
     ddf_slot_ = SIZE_MAX;
   }
+}
+
+double GroupCore::latent_loss_probability(std::size_t failed_slot,
+                                          double now) const {
+  double clean = 1.0;
+  for (std::size_t j = 0; j < slots_.size(); ++j) {
+    if (j == failed_slot || slots_[j].restoring()) continue;
+    clean *= 1.0 - (*curves_[j])(now - slots_[j].seen_clean);
+  }
+  return 1.0 - clean;
 }
 
 void GroupCore::handle_latent_defect(std::size_t i, double now,
@@ -473,6 +508,7 @@ void run_missions(std::span<GroupCore> cores, SparePool& pool,
   }
   for (std::size_t g = 0; g < cores.size(); ++g) {
     out[g].log_weight = cores[g].log_weight();
+    out[g].latent_credited = cores[g].latent_credited();
   }
 }
 
@@ -480,8 +516,11 @@ void run_missions(std::span<GroupCore> cores, SparePool& pool,
 
 GroupSimulator::GroupSimulator(const raid::GroupConfig& config,
                                KernelPolicy policy,
-                               std::optional<TiltSpec> tilt)
-    : core_(config, policy, tilt), pool_(config.spare_pool) {}
+                               std::optional<TiltSpec> tilt,
+                               std::shared_ptr<const LatentCurves> curves)
+    : curves_(curves ? std::move(curves) : latent_curves_for(config, tilt)),
+      core_(config, policy, tilt, curves_.get()),
+      pool_(config.spare_pool) {}
 
 void GroupSimulator::run_trial(rng::RandomStream& rs, TrialResult& out,
                                obs::TrialTrace* trace) {

@@ -35,6 +35,17 @@
 // state 1 ("fully functional, no latent defects"), so outstanding defects
 // are cleared and their drives start fresh defect countdowns.
 //
+// Configurations in the latent-credit scope (sim/latent_credit.h: m = 1,
+// exponential TTLd, ...) simulate no defect or scrub events at all: each
+// slot keeps only the instant since which its latent state is unobserved,
+// and each censused op failure with no other drive down credits the
+// probability P that some partner is defective (TrialResult::
+// latent_credit), then draws Bernoulli(P) to decide the realized DDF
+// (docs/MODEL.md §19). TrialResult::ddfs stays a valid sample path of the
+// model; RunResult folds the credits, not the realized latent-then-op
+// DDFs, into its estimates; latent_defects and scrubs_completed count
+// simulated events only, so they stay 0 on credited trials.
+//
 // The per-group state and handlers live in detail::GroupCore and the event
 // loop in detail::run_missions; FleetSimulator runs one core per group
 // through the same loop against a shared detail::SparePool (docs/MODEL.md
@@ -42,6 +53,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -49,13 +61,24 @@
 #include "obs/trace.h"
 #include "raid/group_config.h"
 #include "rng/rng.h"
+#include "sim/latent_credit.h"
 #include "sim/slot_kernel.h"
 
 namespace raidrel::sim {
 
 /// Outcome of simulating one group over one mission.
 struct TrialResult {
+  /// The realized sample path's data losses. On latent-credited trials its
+  /// latent-then-op entries are Bernoulli draws; the estimate uses
+  /// `latent_credit` instead (see RunResult::add_trial).
   std::vector<raid::DdfEvent> ddfs;
+
+  /// Latent-credit estimator (docs/MODEL.md §19): one entry per censused
+  /// op failure with no other drive down, (failure time, probability that
+  /// some partner carried a latent defect at that instant). Empty unless
+  /// `latent_credited`.
+  std::vector<std::pair<double, double>> latent_credit;
+  bool latent_credited = false;
 
   /// Conditional-expectation probe: one entry per operational failure,
   /// (failure time, probability that this failure *initiates* a data loss,
@@ -76,6 +99,7 @@ struct TrialResult {
   double log_weight = 0.0;
 
   std::uint64_t op_failures = 0;
+  /// Simulated defect arrivals and scrub completions: 0 on credited trials.
   std::uint64_t latent_defects = 0;
   std::uint64_t scrubs_completed = 0;
   std::uint64_t restores_completed = 0;
@@ -133,9 +157,12 @@ class SparePool {
 /// per group for FleetSimulator, so both engines share every handler.
 class GroupCore {
  public:
-  /// See GroupSimulator's constructor for `policy` and `tilt`.
+  /// See GroupSimulator's constructor for `policy` and `tilt`. `curves`
+  /// must cover the config's slots when it is in the latent-credit scope
+  /// (and is ignored otherwise); it must outlive the core.
   GroupCore(const raid::GroupConfig& config, KernelPolicy policy,
-            const std::optional<TiltSpec>& tilt);
+            const std::optional<TiltSpec>& tilt,
+            const LatentCurves* curves);
 
   /// Reset per-mission state and install a fresh drive in every slot.
   void start(rng::RandomStream& rs);
@@ -155,6 +182,7 @@ class GroupCore {
     return cfg_.mission_hours;
   }
   [[nodiscard]] double log_weight() const noexcept { return log_w_; }
+  [[nodiscard]] bool latent_credited() const noexcept { return credit_; }
 
  private:
   struct Slot {
@@ -165,6 +193,9 @@ class GroupCore {
     double defect_occurred = 0.0;///< outstanding defect birth; +inf if none
     double defect_clears = 0.0;  ///< scrub completion; +inf w/o scrub/defect
     std::uint64_t defect_zone = 0;  ///< stripe zone (stripe_zones > 0 only)
+    /// Latent credit: the drive's latent state is unobserved since this
+    /// instant, when it was last known clean.
+    double seen_clean = 0.0;
     bool awaiting_spare = false; ///< failed, rebuild blocked on the pool
     double pending_restore_duration = 0.0;  ///< sampled TTR while waiting
     /// Cached min of the four timers above, maintained by every mutator so
@@ -186,6 +217,10 @@ class GroupCore {
                            TrialResult& out);
   void handle_latent_defect(std::size_t i, double now, rng::RandomStream& rs,
                             TrialResult& out);
+  /// Latent credit: probability that some operational drive other than
+  /// `failed_slot` is defective at `now`.
+  [[nodiscard]] double latent_loss_probability(std::size_t failed_slot,
+                                               double now) const;
 
   /// Begin the physical rebuild of a failed slot (a spare is in hand).
   void begin_restore(std::size_t i, double now, double duration);
@@ -222,6 +257,10 @@ class GroupCore {
   HazardTilt ld_tilt_;
   bool tilted_ = false;
   bool declustered_ = false;  ///< cfg_.rebuild == kDeclustered
+  /// Latent-credit path (sim/latent_credit.h): no defect or scrub events;
+  /// curves_ holds each slot's A(tau).
+  bool credit_ = false;
+  std::vector<const analytic::LatentCurve*> curves_;
   double log_w_ = 0.0;
   double group_failed_until_ = 0.0;  ///< DDF freeze window end
   std::size_t ddf_slot_ = SIZE_MAX;  ///< slot whose restore ends the freeze
@@ -248,7 +287,8 @@ void run_missions(std::span<GroupCore> cores, SparePool& pool,
 /// Simulates missions of a fixed group configuration. Construct once, call
 /// run_trial once per mission with that trial's private random stream.
 /// The configuration (and its distributions) must outlive the simulator and
-/// is never mutated, so one configuration can back many threads.
+/// is never mutated, so one configuration can back many threads. Configs in
+/// the latent-credit scope run the credited path (see the file comment).
 class GroupSimulator {
  public:
   /// `policy` selects between the compiled sampling kernels (default) and
@@ -259,10 +299,12 @@ class GroupSimulator {
   /// present-but-unit tilt exercises the weighted kernels and is
   /// bit-identical to the plain path. Engaged (non-unit) tilt requires the
   /// op/latent laws to be lowerable (no kVirtual fallback, which also rules
-  /// out KernelPolicy::kVirtualOnly).
+  /// out KernelPolicy::kVirtualOnly). `curves` shares a run's latent-credit
+  /// tables; null builds them here when the config is in scope.
   explicit GroupSimulator(const raid::GroupConfig& config,
                           KernelPolicy policy = KernelPolicy::kLowered,
-                          std::optional<TiltSpec> tilt = std::nullopt);
+                          std::optional<TiltSpec> tilt = std::nullopt,
+                          std::shared_ptr<const LatentCurves> curves = nullptr);
 
   /// Simulate one full mission; `out` is cleared first. Deterministic given
   /// the stream state. When `trace` is non-null it is cleared and then
@@ -273,6 +315,7 @@ class GroupSimulator {
                  obs::TrialTrace* trace = nullptr);
 
  private:
+  std::shared_ptr<const LatentCurves> curves_;
   detail::GroupCore core_;
   detail::SparePool pool_;
 };

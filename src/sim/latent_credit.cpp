@@ -1,0 +1,94 @@
+#include "sim/latent_credit.h"
+
+#include <algorithm>
+
+#include "stats/weibull.h"
+#include "util/error.h"
+
+namespace raidrel::sim {
+
+namespace {
+
+/// Lambda of an exponential (beta = 1, gamma = 0) Weibull TTLd, or 0.
+double exponential_rate(const stats::Distribution* law) noexcept {
+  const auto* w = dynamic_cast<const stats::Weibull*>(law);
+  if (w == nullptr || w->shape() != 1.0 || w->location() != 0.0) return 0.0;
+  return 1.0 / w->scale();
+}
+
+std::pair<double, std::string> curve_key(const raid::SlotModel& slot) {
+  return {exponential_rate(slot.time_to_latent_defect.get()),
+          slot.time_to_scrub ? slot.time_to_scrub->describe() : "-"};
+}
+
+}  // namespace
+
+const char* latent_credit_exclusion(
+    const raid::GroupConfig& config,
+    const std::optional<TiltSpec>& tilt) noexcept {
+  if (tilt && tilt->engaged()) return "importance-sampling tilt engaged";
+  if (config.redundancy != 1) return "redundancy above 1";
+  if (config.stripe_zones != 0) return "stripe zones modelled";
+  if (config.reconstruction_defect_probability != 0.0) {
+    return "reconstruction defects modelled";
+  }
+  if (!config.clear_defects_on_ddf_restore) {
+    return "defects kept across a DDF restore";
+  }
+  for (const raid::SlotModel& slot : config.slots) {
+    if (!slot.time_to_latent_defect) return "no latent-defect law";
+    if (exponential_rate(slot.time_to_latent_defect.get()) == 0.0) {
+      return "latent-defect law is not exponential";
+    }
+  }
+  return nullptr;
+}
+
+LatentCurves::LatentCurves(std::span<const raid::GroupConfig* const> groups) {
+  double horizon = 0.0;
+  for (const raid::GroupConfig* g : groups) {
+    RAIDREL_REQUIRE(latent_credit_exclusion(*g) == nullptr,
+                    "latent curves need in-scope groups");
+    horizon = std::max(horizon, g->mission_hours);
+  }
+  for (const raid::GroupConfig* g : groups) {
+    for (const raid::SlotModel& slot : g->slots) {
+      auto key = curve_key(slot);
+      const bool known =
+          std::any_of(curves_.begin(), curves_.end(),
+                      [&](const auto& c) { return c.first == key; });
+      if (known) continue;
+      auto curve = std::make_unique<analytic::LatentCurve>(
+          key.first, slot.time_to_scrub.get(), horizon);
+      curves_.emplace_back(std::move(key), std::move(curve));
+    }
+  }
+}
+
+const analytic::LatentCurve& LatentCurves::of(
+    const raid::SlotModel& slot) const {
+  const auto key = curve_key(slot);
+  for (const auto& [k, curve] : curves_) {
+    if (k == key) return *curve;
+  }
+  throw ModelError("no latent curve for this slot's laws");
+}
+
+std::shared_ptr<const LatentCurves> latent_curves_for(
+    const raid::GroupConfig& config, const std::optional<TiltSpec>& tilt) {
+  if (latent_credit_exclusion(config, tilt) != nullptr) return nullptr;
+  const raid::GroupConfig* group = &config;
+  return std::make_shared<const LatentCurves>(std::span(&group, 1));
+}
+
+std::shared_ptr<const LatentCurves> latent_curves_for(
+    std::span<const raid::GroupConfig> groups) {
+  std::vector<const raid::GroupConfig*> in_scope;
+  for (const raid::GroupConfig& g : groups) {
+    if (latent_credit_exclusion(g) == nullptr) in_scope.push_back(&g);
+  }
+  if (in_scope.empty()) return nullptr;
+  return std::make_shared<const LatentCurves>(in_scope);
+}
+
+}  // namespace raidrel::sim

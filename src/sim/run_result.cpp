@@ -7,6 +7,12 @@
 
 namespace raidrel::sim {
 
+double quantize_credit(double p) noexcept {
+  // Scaling by a power of two and rounding to an integer are exact, so the
+  // result is the multiple of 2^-26 nearest p.
+  return std::nearbyint(p * 0x1p26) * 0x1p-26;
+}
+
 RunResult::RunResult(double mission_hours, double bucket_hours)
     : mission_hours_(mission_hours), bucket_hours_(bucket_hours) {
   RAIDREL_REQUIRE(mission_hours > 0.0, "mission must be positive");
@@ -29,7 +35,14 @@ void RunResult::add_trial(const TrialResult& trial) {
   // below is bit-identical to the unweighted form (x * 1.0 == x,
   // += 1.0 matches the old constant).
   const double w = std::exp(trial.log_weight);
+  std::size_t counted = 0;
   for (const auto& ddf : trial.ddfs) {
+    // A credited trial's latent-then-op DDFs are Bernoulli draws of its
+    // credits below; the estimate takes the credits instead.
+    if (trial.latent_credited && ddf.kind == raid::DdfKind::kLatentThenOp) {
+      continue;
+    }
+    ++counted;
     const std::size_t b =
         util::bucket_index(ddf.time, mission_hours_, bucket_hours_);
     counting_[b] += w;
@@ -48,6 +61,14 @@ void RunResult::add_trial(const TrialResult& trial) {
   for (const auto& [t, p] : trial.double_op_probe) {
     probe_[util::bucket_index(t, mission_hours_, bucket_hours_)] += w * p;
   }
+  double credited = 0.0;
+  for (const auto& [t, p] : trial.latent_credit) {
+    const double c = w * quantize_credit(p);
+    const std::size_t b = util::bucket_index(t, mission_hours_, bucket_hours_);
+    counting_[b] += c;
+    latent_then_op_[b] += c;
+    credited += c;
+  }
   // The raw event counters stay unweighted: they are workload diagnostics
   // (how much simulation happened), not estimators of the nominal law.
   op_failures_ += trial.op_failures;
@@ -55,7 +76,11 @@ void RunResult::add_trial(const TrialResult& trial) {
   scrubs_completed_ += trial.scrubs_completed;
   restores_completed_ += trial.restores_completed;
   spare_arrivals_ += trial.spare_arrivals;
-  per_trial_ddfs_.add(w * static_cast<double>(trial.ddfs.size()));
+  if (trial.latent_credited) {
+    per_trial_ddfs_.add(w * static_cast<double>(counted) + credited);
+  } else {
+    per_trial_ddfs_.add(w * static_cast<double>(trial.ddfs.size()));
+  }
   weight_sum_ += w;
   weight_sq_sum_ += w * w;
   if (w > max_weight_) max_weight_ = w;

@@ -1,6 +1,14 @@
 // Aggregated results of a Monte Carlo run: DDFs bucketed over mission time,
 // normalized the way the paper plots them (per 1000 RAID groups), plus the
 // per-interval rate of occurrence of failure (ROCOF, the paper's Fig. 8).
+//
+// On latent-credited trials (docs/MODEL.md §19) the counting and
+// latent-then-op series hold the credited estimate: each trial's latent
+// credits, not its realized (sampled) latent-then-op DDFs. Credits enter
+// rounded to a multiple of 2^-26, so every bucket stays an exact sum —
+// independent of thread count and merge order — while it holds less than
+// 2^27. latent_defects() and scrubs_completed() count simulated events
+// only and therefore read 0 for credited runs.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +19,10 @@
 #include "util/math.h"
 
 namespace raidrel::sim {
+
+/// A latent credit rounded to the nearest multiple of 2^-26 (what
+/// RunResult::add_trial folds in).
+double quantize_credit(double p) noexcept;
 
 /// Which DDF estimator a query should read.
 enum class Estimator {
@@ -66,9 +78,11 @@ class RunResult {
   [[nodiscard]] std::uint64_t op_failures() const noexcept {
     return op_failures_;
   }
+  /// Simulated defect arrivals; 0 for latent-credited runs.
   [[nodiscard]] std::uint64_t latent_defects() const noexcept {
     return latent_defects_;
   }
+  /// Simulated scrub completions; 0 for latent-credited runs.
   [[nodiscard]] std::uint64_t scrubs_completed() const noexcept {
     return scrubs_completed_;
   }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "sim/batch_engine.h"
 #include "sim/fleet_simulator.h"
 #include "sim/group_simulator.h"
+#include "sim/latent_credit.h"
 #include "util/error.h"
 
 namespace raidrel::sim {
@@ -230,9 +232,11 @@ void fold_trial(RunResult& local, obs::WorkerStats& ws,
 // (streams, first_trial_index, n, local, ws) that simulates n <= lane
 // trials and folds every resulting group-mission into `local` and `ws`.
 // `max_chunk` caps a claim; `groups` is the number of group-missions one
-// trial yields (the batch telemetry counts those).
+// trial yields (the batch telemetry counts those). `credited` and
+// `estimator_reason` are what the manifest records as the estimator.
 template <typename MakeEngine>
 RunResult run_workers(const RunOptions& options, std::uint64_t digest,
+                      bool credited, std::string_view estimator_reason,
                       double mission, std::size_t lane, std::size_t max_chunk,
                       std::size_t groups, const MakeEngine& make_engine) {
   unsigned threads = options.threads;
@@ -251,6 +255,9 @@ RunResult run_workers(const RunOptions& options, std::uint64_t digest,
         options.seed, digest, threads, lane,
         lane > 1 ? util::isa_name(lane_ops().isa) : "",
         lane > 1 ? math_tier_name(options.math_tier) : "");
+    options.telemetry->set_estimator(
+        credited ? kLatentCreditEstimator : kEventsEstimator,
+        estimator_reason);
   }
   const auto batch_start = std::chrono::steady_clock::now();
 
@@ -389,12 +396,19 @@ RunResult run_monte_carlo(const raid::GroupConfig& config,
   const bool telemetry = options.telemetry != nullptr;
   // Only telemetry reads the digest; it costs a string build per call.
   const std::uint64_t digest = telemetry ? config_digest(config) : 0;
+  // Latent-credit tables: built once per call, before the fan-out, and
+  // shared read-only by every worker's engine.
+  const char* exclusion = latent_credit_exclusion(config, options.tilt);
+  const std::string_view reason = exclusion ? exclusion : "";
+  const std::shared_ptr<const LatentCurves> curves =
+      latent_curves_for(config, options.tilt);
   const std::size_t lane = std::max<std::size_t>(1, options.batch_width);
   if (lane == 1) {
     return run_workers(
-        options, digest, config.mission_hours, 1, 1024, 1, [&] {
+        options, digest, exclusion == nullptr, reason, config.mission_hours,
+        1, 1024, 1, [&] {
           return [&, simulator = GroupSimulator(config, options.kernel_policy,
-                                                options.tilt),
+                                                options.tilt, curves),
                   trial = TrialResult()](const rng::StreamFactory& streams,
                                          std::uint64_t index, std::size_t,
                                          RunResult& local,
@@ -412,11 +426,13 @@ RunResult run_monte_carlo(const raid::GroupConfig& config,
   // Lane results are folded in trial-index order, keeping even the
   // aggregation order identical to the scalar path per worker.
   return run_workers(
-      options, digest, config.mission_hours, lane, 1024, 1, [&] {
+      options, digest, exclusion == nullptr, reason, config.mission_hours,
+      lane, 1024, 1, [&] {
         return [&, simulator = BatchGroupSimulator(config, lane,
                                                    options.kernel_policy,
                                                    options.tilt,
-                                                   options.math_tier)](
+                                                   options.math_tier,
+                                                   curves)](
                    const rng::StreamFactory& streams, std::uint64_t first,
                    std::size_t n, RunResult& local,
                    obs::WorkerStats& ws) mutable {
@@ -436,13 +452,26 @@ RunResult run_fleet_monte_carlo(const FleetConfig& config,
                   "fleet runs do not support importance-sampling tilt");
   config.validate();
   const bool telemetry = options.telemetry != nullptr;
+  const std::shared_ptr<const LatentCurves> curves =
+      latent_curves_for(config.groups);
+  // A fleet is credited when any of its groups is. The manifest names the
+  // first group left on the event path, whose simulated latent defects and
+  // scrubs are the only ones the counters then hold.
+  std::string reason;
+  for (std::size_t g = 0; g < config.groups.size(); ++g) {
+    if (const char* why = latent_credit_exclusion(config.groups[g])) {
+      reason = "group " + std::to_string(g) + ": " + why;
+      break;
+    }
+  }
   // Fleet trials are heavyweight, so the claim cap stays small. Every trial
   // folds one result per group: RunResult and telemetry count
   // group-missions.
   return run_workers(
-      options, telemetry ? config_digest(config) : 0, config.mission_hours(),
-      1, 8, config.groups.size(), [&] {
-        return [&, simulator = FleetSimulator(config, options.kernel_policy),
+      options, telemetry ? config_digest(config) : 0, curves != nullptr,
+      reason, config.mission_hours(), 1, 8, config.groups.size(), [&] {
+        return [&, simulator = FleetSimulator(config, options.kernel_policy,
+                                              curves),
                 trial = FleetTrialResult()](const rng::StreamFactory& streams,
                                             std::uint64_t index, std::size_t,
                                             RunResult& local,

@@ -16,6 +16,7 @@
 #include "obs/json_reader.h"
 #include "obs/json_writer.h"
 #include "obs/run_telemetry.h"
+#include "sim/latent_credit.h"
 #include "sim/runner.h"
 #include "sim/thread_pool.h"
 #include "util/error.h"
@@ -42,7 +43,8 @@ void append_u64(std::string& out, std::uint64_t v) {
 }  // namespace
 
 std::uint64_t cell_cache_key(std::uint64_t config_digest,
-                             const sim::ConvergenceOptions& options) {
+                             const sim::ConvergenceOptions& options,
+                             bool latent_credit) {
   std::string canon;
   canon.reserve(192);
   canon += "cell{config=";
@@ -84,6 +86,10 @@ std::uint64_t cell_cache_key(std::uint64_t config_digest,
     canon += ";mtier=";
     canon += sim::math_tier_name(options.math_tier);
   }
+  // Credited cells estimate differently from the event path that earlier
+  // builds ran them on, so their keys must not match those cache entries;
+  // out-of-scope keys are unchanged.
+  if (latent_credit) canon += ";latent=credit";
   canon += '}';
   return obs::fnv1a64(canon);
 }
@@ -133,6 +139,11 @@ std::uint64_t cell_result_digest(const CellResult& r) {
     canon += ";rebuild=";
     canon += r.rebuild;
   }
+  // Credited cells only: event-path digests are unchanged.
+  if (r.latent_credited()) {
+    canon += ";estimator=";
+    canon += r.estimator;
+  }
   canon += '}';
   return obs::fnv1a64(canon);
 }
@@ -157,6 +168,19 @@ void retry_backoff(double base_ms, unsigned attempt) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
+/// Why a cell runs on the event path (sim/latent_credit.h); nullptr when
+/// it is latent-credited. A cell whose scenario cannot be materialized is
+/// left to simulate_cell, which fails and quarantines it.
+const char* cell_exclusion(const SweepCell& cell,
+                           const sim::ConvergenceOptions& options) {
+  try {
+    return sim::latent_credit_exclusion(cell.scenario.to_group_config(),
+                                        options.tilt);
+  } catch (const std::exception&) {
+    return "invalid configuration";
+  }
+}
+
 /// Per-cell effective convergence options: the shared base plus the
 /// cell's own importance-sampling tilt (an estimation knob carried on the
 /// scenario; see core/scenario.h). The tilt reaches cell_cache_key
@@ -170,6 +194,21 @@ sim::ConvergenceOptions cell_options(const SweepCell& cell,
     opt.tilt = sim::TiltSpec{cell.scenario.op_tilt, cell.scenario.ld_tilt};
   }
   return opt;
+}
+
+/// The cell's cache key under `base` (its own options, its estimator).
+std::uint64_t cell_key(const SweepCell& cell,
+                       const sim::ConvergenceOptions& base) {
+  const sim::ConvergenceOptions opt = cell_options(cell, base);
+  return cell_cache_key(cell.config_digest, opt,
+                        cell_exclusion(cell, opt) == nullptr);
+}
+
+/// Record which estimator a cell's numbers come from, and why not the
+/// latent credit when it is out of scope.
+void set_estimator(CellResult& r, const char* exclusion) {
+  r.estimator = exclusion ? sim::kEventsEstimator : sim::kLatentCreditEstimator;
+  r.estimator_reason = exclusion ? exclusion : "";
 }
 
 void note_event(obs::RunTelemetry* telemetry, std::string site,
@@ -238,6 +277,10 @@ std::unordered_map<std::uint64_t, CellResult> load_cache(
       if (const obs::JsonValue* v = entry.find("rebuild")) {
         r.rebuild = v->as_string();
       }
+      // Absent in manifests written before the latent credit: events.
+      if (const obs::JsonValue* v = entry.find("estimator")) {
+        r.estimator = v->as_string();
+      }
       r.result_digest = entry.get("result_digest").as_uint64();
       // A tampered or bit-rotted entry must not masquerade as a result.
       if (cell_result_digest(r) != r.result_digest) {
@@ -290,6 +333,10 @@ void write_cell(obs::JsonWriter& w, const CellResult& r) {
     w.kv("ess", r.ess);
   }
   if (!r.rebuild.empty()) w.kv("rebuild", std::string_view(r.rebuild));
+  w.kv("estimator", std::string_view(r.estimator));
+  if (!r.estimator_reason.empty()) {
+    w.kv("estimator_reason", std::string_view(r.estimator_reason));
+  }
   w.kv("result_digest", r.result_digest);
   w.end_object();
 }
@@ -429,7 +476,10 @@ CellResult simulate_cell(const SweepCell& cell,
   r.label = cell.label;
   r.coordinates = cell.coordinates;
   r.config_digest = cell.config_digest;
-  r.cell_key = cell_cache_key(cell.config_digest, effective);
+  const char* exclusion = sim::latent_credit_exclusion(config, effective.tilt);
+  set_estimator(r, exclusion);
+  r.cell_key =
+      cell_cache_key(cell.config_digest, effective, exclusion == nullptr);
   r.trials = run.result.trials();
   r.batches = run.batches;
   r.converged = run.converged;
@@ -546,14 +596,14 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
   std::vector<std::size_t> pending;
   std::size_t cached = 0;
   for (const SweepCell& cell : cells) {
-    const std::uint64_t key =
-        cell_cache_key(cell.config_digest, cell_options(cell, conv));
+    const std::uint64_t key = cell_key(cell, conv);
     const auto hit = cache.find(key);
     if (hit != cache.end()) {
       CellResult r = hit->second;
       r.index = cell.index;
       r.label = cell.label;
       r.coordinates = cell.coordinates;
+      set_estimator(r, cell_exclusion(cell, cell_options(cell, conv)));
       slots[cell.index] = std::move(r);
       done[cell.index] = true;
       ++cached;
@@ -744,8 +794,7 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
           failed[idx] = true;
           out.quarantined.push_back(
               {"cell_stalled", cell.index, cell.label,
-               cell_cache_key(cell.config_digest, cell_options(cell, conv)),
-               attempt, e.what()});
+               cell_key(cell, conv), attempt, e.what()});
           note_event(telemetry, "cell_stalled", "quarantine", attempt,
                      cell.label + ": " + e.what());
           checkpoint();  // a stall is persisted like any quarantine
@@ -772,8 +821,7 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
           failed[idx] = true;
           out.quarantined.push_back(
               {site, cell.index, cell.label,
-               cell_cache_key(cell.config_digest, cell_options(cell, conv)),
-               attempt, e.what()});
+               cell_key(cell, conv), attempt, e.what()});
           note_event(telemetry, site, "quarantine", attempt,
                      cell.label + ": " + e.what());
           checkpoint();  // a quarantine is persisted like any completion

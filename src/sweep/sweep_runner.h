@@ -188,10 +188,22 @@ struct CellResult {
   /// convention as the tilt fields, so pre-existing manifests keep their
   /// exact bytes. Empty = dedicated spare (the paper's model).
   std::string rebuild;
+  /// Which estimator produced the numbers (sim/latent_credit.h): "events"
+  /// or "latent-credit" — a latent-credited cell's latent_defects and
+  /// scrubs_completed are 0 — and, for the event path, why the cell is out
+  /// of the latent-credit scope. Both are written to the manifest and
+  /// follow from the cell's configuration; only a credited cell hashes
+  /// its estimator into the result digest, so event-path digests are
+  /// unchanged.
+  std::string estimator;
+  std::string estimator_reason;
   std::uint64_t result_digest = 0;
 
   [[nodiscard]] bool tilted() const noexcept {
     return op_tilt != 1.0 || ld_tilt != 1.0;
+  }
+  [[nodiscard]] bool latent_credited() const noexcept {
+    return estimator == sim::kLatentCreditEstimator;
   }
 };
 
@@ -243,9 +255,13 @@ struct SweepResult {
 };
 
 /// Digest keying one cell's cache entry: the config digest chained with
-/// the seed and every convergence option that affects the outcome.
+/// the seed and every convergence option that affects the outcome, plus a
+/// `;latent=credit` segment when the cell runs the latent-credit estimator
+/// (so entries an earlier build simulated on the event path are not
+/// served for it).
 std::uint64_t cell_cache_key(std::uint64_t config_digest,
-                             const sim::ConvergenceOptions& options);
+                             const sim::ConvergenceOptions& options,
+                             bool latent_credit = false);
 
 /// Canonical digest of a cell's numeric outcome (see CellResult).
 std::uint64_t cell_result_digest(const CellResult& r);

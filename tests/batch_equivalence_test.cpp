@@ -29,6 +29,7 @@
 #include "stats/weibull.h"
 #include "util/cpu_features.h"
 #include "util/error.h"
+#include "support/event_twin.h"
 
 namespace raidrel::sim {
 namespace {
@@ -149,6 +150,8 @@ void expect_trials_identical(const std::vector<TrialResult>& scalar,
     EXPECT_EQ(a.scrubs_completed, b.scrubs_completed);
     EXPECT_EQ(a.restores_completed, b.restores_completed);
     EXPECT_EQ(a.spare_arrivals, b.spare_arrivals);
+    EXPECT_EQ(a.latent_credited, b.latent_credited);
+    EXPECT_EQ(a.latent_credit, b.latent_credit);
     ASSERT_EQ(a.ddfs.size(), b.ddfs.size());
     for (std::size_t k = 0; k < a.ddfs.size(); ++k) {
       EXPECT_EQ(a.ddfs[k].time, b.ddfs[k].time) << "ddf " << k;
@@ -164,14 +167,19 @@ void expect_trials_identical(const std::vector<TrialResult>& scalar,
   }
 }
 
-void expect_engine_equivalence(const raid::GroupConfig& cfg,
+// A latent-credited config forwards every lane to the scalar engine, so
+// it is also compared as its event twin, which runs in lockstep.
+void expect_engine_equivalence(const raid::GroupConfig& config,
                                std::size_t n = 200,
                                KernelPolicy policy = KernelPolicy::kLowered) {
-  const auto scalar = scalar_trials(cfg, n, policy);
-  for (const std::size_t width : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{16}, std::size_t{64}}) {
-    SCOPED_TRACE("width " + std::to_string(width));
-    expect_trials_identical(scalar, batch_trials(cfg, n, width, policy));
+  for (const auto& cfg : test::with_event_twin(config)) {
+    SCOPED_TRACE(latent_credit_exclusion(cfg) ? "events" : "latent credit");
+    const auto scalar = scalar_trials(cfg, n, policy);
+    for (const std::size_t width : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{16}, std::size_t{64}}) {
+      SCOPED_TRACE("width " + std::to_string(width));
+      expect_trials_identical(scalar, batch_trials(cfg, n, width, policy));
+    }
   }
 }
 
@@ -255,33 +263,35 @@ TEST(BatchEquivalence, PartialLanesAndOffsets) {
   // Lane tails and non-zero stream offsets: results are a pure function of
   // the global trial index, so trials [17, 17+n) must match no matter how
   // lanes chop them up.
-  const auto cfg = spare_pool_group();
-  const std::size_t width = 16;
-  for (const std::size_t n : {std::size_t{1}, width - 1, width + 1,
-                              3 * width + 5}) {
-    SCOPED_TRACE("trials " + std::to_string(n));
-    const auto scalar = scalar_trials(cfg, n, KernelPolicy::kLowered, 17);
-    expect_trials_identical(
-        scalar, batch_trials(cfg, n, width, KernelPolicy::kLowered, 17));
+  for (const auto& cfg : test::with_event_twin(spare_pool_group())) {
+    const std::size_t width = 16;
+    for (const std::size_t n : {std::size_t{1}, width - 1, width + 1,
+                                3 * width + 5}) {
+      SCOPED_TRACE("trials " + std::to_string(n));
+      const auto scalar = scalar_trials(cfg, n, KernelPolicy::kLowered, 17);
+      expect_trials_identical(
+          scalar, batch_trials(cfg, n, width, KernelPolicy::kLowered, 17));
+    }
   }
 }
 
 TEST(BatchEquivalence, TracedHistoriesMatch) {
-  const auto cfg = spare_pool_group();
-  const std::size_t n = 40;
-  obs::EventTrace scalar_trace(n);
-  obs::EventTrace batch_trace(n);
-  const auto scalar =
-      scalar_trials(cfg, n, KernelPolicy::kLowered, 0, &scalar_trace);
-  const auto batch = batch_trials(cfg, n, 16, KernelPolicy::kLowered, 0,
-                                  &batch_trace);
-  expect_trials_identical(scalar, batch);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& ea = scalar_trace.trial(i).events();
-    const auto& eb = batch_trace.trial(i).events();
-    ASSERT_EQ(ea.size(), eb.size()) << "trial " << i;
-    for (std::size_t k = 0; k < ea.size(); ++k) {
-      EXPECT_EQ(ea[k], eb[k]) << "trial " << i << " event " << k;
+  for (const auto& cfg : test::with_event_twin(spare_pool_group())) {
+    const std::size_t n = 40;
+    obs::EventTrace scalar_trace(n);
+    obs::EventTrace batch_trace(n);
+    const auto scalar =
+        scalar_trials(cfg, n, KernelPolicy::kLowered, 0, &scalar_trace);
+    const auto batch = batch_trials(cfg, n, 16, KernelPolicy::kLowered, 0,
+                                    &batch_trace);
+    expect_trials_identical(scalar, batch);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& ea = scalar_trace.trial(i).events();
+      const auto& eb = batch_trace.trial(i).events();
+      ASSERT_EQ(ea.size(), eb.size()) << "trial " << i;
+      for (std::size_t k = 0; k < ea.size(); ++k) {
+        EXPECT_EQ(ea[k], eb[k]) << "trial " << i << " event " << k;
+      }
     }
   }
 }
@@ -380,7 +390,7 @@ TEST(BatchEquivalence, SettlePatternsUnderEveryForcedIsa) {
   // must agree with the scalar engine on every runnable tier.
   for (auto* make : {&first_round_settle_group, &ddf_stagger_group,
                      &survivor_tail_group}) {
-    const auto cfg = make();
+   for (const auto& cfg : test::with_event_twin(make())) {
     const auto scalar = scalar_trials(cfg, 120, KernelPolicy::kLowered);
     for (util::SimdIsa isa :
          {util::SimdIsa::kGeneric, util::SimdIsa::kAvx512}) {
@@ -395,6 +405,7 @@ TEST(BatchEquivalence, SettlePatternsUnderEveryForcedIsa) {
       }
       ::unsetenv("RAIDREL_FORCE_ISA");
     }
+   }
   }
 }
 
@@ -403,10 +414,12 @@ TEST(BatchEquivalence, OccupancyAccountingInvariants) {
   // equivalence tests prove correct; its internal identities must hold
   // on any schedule: every lane settles exactly once, capacity counts
   // full rounds, the decile histogram partitions the rounds, and settle
-  // rounds are ordered and bounded.
+  // rounds are ordered and bounded. The settle groups are latent-credited,
+  // whose lanes are forwarded (and leave no occupancy profile), so their
+  // event twins run here.
   for (auto* make : {&first_round_settle_group, &ddf_stagger_group,
                      &survivor_tail_group}) {
-    const auto cfg = make();
+    const auto cfg = test::event_twin(make());
     const rng::StreamFactory streams(kSeed);
     BatchGroupSimulator simulator(cfg, 16);
     simulator.run_lane(streams, 0, 12);  // partial lane on purpose
@@ -425,6 +438,13 @@ TEST(BatchEquivalence, OccupancyAccountingInvariants) {
     EXPECT_GE(oc.settle_rounds_sum, 12u * oc.settle_rounds_min);
     EXPECT_LE(oc.settle_rounds_sum, 12u * oc.settle_rounds_max);
   }
+  // A forwarded lane reports an empty profile.
+  const auto credited = first_round_settle_group();
+  ASSERT_EQ(latent_credit_exclusion(credited), nullptr);
+  BatchGroupSimulator forwarding(credited, 16);
+  forwarding.run_lane(rng::StreamFactory(kSeed), 0, 12);
+  EXPECT_EQ(forwarding.occupancy().rounds, 0u);
+  EXPECT_EQ(forwarding.occupancy().lanes_settled, 0u);
 }
 
 // ---- Runner-level invariance -------------------------------------------
@@ -460,34 +480,36 @@ void expect_runs_identical(const RunResult& a, const RunResult& b,
 }
 
 TEST(BatchRunnerEquivalence, WidthInvariantAcrossThreads) {
-  const auto cfg = spare_pool_group();
-  for (const unsigned threads : {1u, 4u}) {
-    const auto scalar = run_monte_carlo(cfg, runner_options(500, threads, 1));
-    for (const std::size_t width : {std::size_t{2}, std::size_t{64}}) {
-      const auto batched =
-          run_monte_carlo(cfg, runner_options(500, threads, width));
-      SCOPED_TRACE("threads " + std::to_string(threads) + " width " +
-                   std::to_string(width));
-      expect_runs_identical(scalar, batched, threads == 1);
+  for (const auto& cfg : test::with_event_twin(spare_pool_group())) {
+    for (const unsigned threads : {1u, 4u}) {
+      const auto scalar = run_monte_carlo(cfg, runner_options(500, threads, 1));
+      for (const std::size_t width : {std::size_t{2}, std::size_t{64}}) {
+        const auto batched =
+            run_monte_carlo(cfg, runner_options(500, threads, width));
+        SCOPED_TRACE("threads " + std::to_string(threads) + " width " +
+                     std::to_string(width));
+        expect_runs_identical(scalar, batched, threads == 1);
+      }
     }
   }
 }
 
 TEST(BatchRunnerEquivalence, AwkwardTrialCounts) {
-  const auto cfg = busy_group();
-  const std::size_t width = 64;
-  for (const std::size_t trials : {std::size_t{1}, width - 1, width + 1,
-                                   3 * width + 5}) {
-    SCOPED_TRACE("trials " + std::to_string(trials));
-    auto scalar_opt = runner_options(trials, 2, 1);
-    scalar_opt.first_trial_index = 1000;
-    auto batch_opt = runner_options(trials, 2, width);
-    batch_opt.first_trial_index = 1000;
-    expect_runs_identical(run_monte_carlo(cfg, scalar_opt),
-                          run_monte_carlo(cfg, batch_opt), false);
+  for (const auto& cfg : test::with_event_twin(busy_group())) {
+    const std::size_t width = 64;
+    for (const std::size_t trials : {std::size_t{1}, width - 1, width + 1,
+                                     3 * width + 5}) {
+      SCOPED_TRACE("trials " + std::to_string(trials));
+      auto scalar_opt = runner_options(trials, 2, 1);
+      scalar_opt.first_trial_index = 1000;
+      auto batch_opt = runner_options(trials, 2, width);
+      batch_opt.first_trial_index = 1000;
+      expect_runs_identical(run_monte_carlo(cfg, scalar_opt),
+                            run_monte_carlo(cfg, batch_opt), false);
+    }
+    EXPECT_THROW(run_monte_carlo(cfg, runner_options(0, 1, width)),
+                 ModelError);
   }
-  EXPECT_THROW(run_monte_carlo(cfg, runner_options(0, 1, width)),
-               ModelError);
 }
 
 TEST(BatchRunnerEquivalence, NodePartitionedClaimingIsInvariant) {
@@ -496,7 +518,7 @@ TEST(BatchRunnerEquivalence, NodePartitionedClaimingIsInvariant) {
   // streams derive from the global index, so the split must never change
   // results. A single worker additionally drains the partitions in global
   // order, so even the order-sensitive probe sum matches exactly.
-  const auto cfg = spare_pool_group();
+  for (const auto& cfg : test::with_event_twin(spare_pool_group())) {
   const auto baseline_1t = run_monte_carlo(cfg, runner_options(300, 1, 64));
   const auto baseline_4t = run_monte_carlo(cfg, runner_options(300, 4, 64));
   for (const char* nodes : {"2", "3"}) {
@@ -508,6 +530,7 @@ TEST(BatchRunnerEquivalence, NodePartitionedClaimingIsInvariant) {
         baseline_4t, run_monte_carlo(cfg, runner_options(300, 4, 64)),
         false);
     ::unsetenv("RAIDREL_FORCE_NUMA_NODES");
+  }
   }
 }
 

@@ -24,6 +24,7 @@
 #include "sweep/sweep_runner.h"
 #include "util/cancel.h"
 #include "util/error.h"
+#include "support/event_twin.h"
 
 namespace raidrel {
 namespace {
@@ -55,19 +56,23 @@ sim::RunOptions serial_run(std::size_t trials, std::size_t width) {
 
 // ---------------------------------------------------------------- engines
 
+// busy_group() is latent-credited; the engine-level cancellation tests
+// also run its event twin (support/event_twin.h), whose batched engine
+// really runs lanes in lockstep.
 TEST(RunnerCancellation, UncancelledTokenLeavesTheRunBitIdentical) {
-  const auto cfg = busy_group();
-  const auto bare = sim::run_monte_carlo(cfg, serial_run(400, 1));
-  CancelToken token;
-  auto opt = serial_run(400, 1);
-  opt.cancel = &token;
-  const auto polled = sim::run_monte_carlo(cfg, opt);
-  EXPECT_GT(token.polls(), 0u);
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_EQ(polled.trials(), bare.trials());
-  EXPECT_DOUBLE_EQ(polled.total_ddfs_per_1000(), bare.total_ddfs_per_1000());
-  EXPECT_EQ(polled.op_failures(), bare.op_failures());
-  EXPECT_EQ(polled.latent_defects(), bare.latent_defects());
+  for (const auto& cfg : test::with_event_twin(busy_group())) {
+    const auto bare = sim::run_monte_carlo(cfg, serial_run(400, 1));
+    CancelToken token;
+    auto opt = serial_run(400, 1);
+    opt.cancel = &token;
+    const auto polled = sim::run_monte_carlo(cfg, opt);
+    EXPECT_GT(token.polls(), 0u);
+    EXPECT_FALSE(token.cancelled());
+    EXPECT_EQ(polled.trials(), bare.trials());
+    EXPECT_DOUBLE_EQ(polled.total_ddfs_per_1000(), bare.total_ddfs_per_1000());
+    EXPECT_EQ(polled.op_failures(), bare.op_failures());
+    EXPECT_EQ(polled.latent_defects(), bare.latent_defects());
+  }
 }
 
 TEST(RunnerCancellation, PreCancelledRunDrainsToZeroTrials) {
@@ -85,29 +90,30 @@ TEST(RunnerCancellation, ScalarAndBatchedEnginesDrainAtTheSameBoundary) {
   // poll 2 stops both engines after exactly trials 0..63 — which must be
   // bit-identical to each other AND to an uncancelled 64-trial run,
   // because polling never touches a random stream.
-  const auto cfg = busy_group();
-  const auto reference = sim::run_monte_carlo(cfg, serial_run(64, 1));
+  for (const auto& cfg : test::with_event_twin(busy_group())) {
+    const auto reference = sim::run_monte_carlo(cfg, serial_run(64, 1));
 
-  CancelToken scalar_token;
-  scalar_token.cancel_after_polls(65);
-  auto scalar_opt = serial_run(1000, 1);
-  scalar_opt.cancel = &scalar_token;
-  const auto scalar = sim::run_monte_carlo(cfg, scalar_opt);
+    CancelToken scalar_token;
+    scalar_token.cancel_after_polls(65);
+    auto scalar_opt = serial_run(1000, 1);
+    scalar_opt.cancel = &scalar_token;
+    const auto scalar = sim::run_monte_carlo(cfg, scalar_opt);
 
-  CancelToken batched_token;
-  batched_token.cancel_after_polls(2);
-  auto batched_opt = serial_run(1000, 64);
-  batched_opt.cancel = &batched_token;
-  const auto batched = sim::run_monte_carlo(cfg, batched_opt);
+    CancelToken batched_token;
+    batched_token.cancel_after_polls(2);
+    auto batched_opt = serial_run(1000, 64);
+    batched_opt.cancel = &batched_token;
+    const auto batched = sim::run_monte_carlo(cfg, batched_opt);
 
-  ASSERT_EQ(scalar.trials(), 64u);
-  ASSERT_EQ(batched.trials(), 64u);
-  for (const auto& partial : {&scalar, &batched}) {
-    EXPECT_DOUBLE_EQ(partial->total_ddfs_per_1000(),
-                     reference.total_ddfs_per_1000());
-    EXPECT_EQ(partial->op_failures(), reference.op_failures());
-    EXPECT_EQ(partial->latent_defects(), reference.latent_defects());
-    EXPECT_EQ(partial->scrubs_completed(), reference.scrubs_completed());
+    ASSERT_EQ(scalar.trials(), 64u);
+    ASSERT_EQ(batched.trials(), 64u);
+    for (const auto& partial : {&scalar, &batched}) {
+      EXPECT_DOUBLE_EQ(partial->total_ddfs_per_1000(),
+                       reference.total_ddfs_per_1000());
+      EXPECT_EQ(partial->op_failures(), reference.op_failures());
+      EXPECT_EQ(partial->latent_defects(), reference.latent_defects());
+      EXPECT_EQ(partial->scrubs_completed(), reference.scrubs_completed());
+    }
   }
 }
 

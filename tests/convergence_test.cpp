@@ -7,6 +7,7 @@
 
 #include "stats/weibull.h"
 #include "support/degenerate.h"
+#include "support/event_twin.h"
 #include "util/error.h"
 
 namespace raidrel::sim {
@@ -30,20 +31,24 @@ raid::GroupConfig immortal_group() {
   return raid::make_uniform_group(4, 1, m, 20000.0);
 }
 
+// busy_group() is latent-credited; the tests that depend on how trials are
+// simulated also run its event twin (support/event_twin.h).
 TEST(Convergence, ReachesTargetOnBusyScenario) {
-  ConvergenceOptions opt;
-  opt.target_relative_sem = 0.05;
-  opt.batch_trials = 500;
-  opt.min_trials = 500;
-  opt.max_trials = 100000;
-  opt.seed = 1;
-  const auto run = run_until_converged(busy_group(), opt);
-  EXPECT_TRUE(run.converged);
-  EXPECT_EQ(run.stop, ConvergedRun::StopRule::kRelativeSem);
-  EXPECT_LE(run.relative_sem, 0.05);
-  EXPECT_GT(run.absolute_sem, 0.0);
-  EXPECT_GE(run.batches, 1u);
-  EXPECT_LE(run.result.trials(), opt.max_trials);
+  for (const auto& cfg : test::with_event_twin(busy_group())) {
+    ConvergenceOptions opt;
+    opt.target_relative_sem = 0.05;
+    opt.batch_trials = 500;
+    opt.min_trials = 500;
+    opt.max_trials = 100000;
+    opt.seed = 1;
+    const auto run = run_until_converged(cfg, opt);
+    EXPECT_TRUE(run.converged);
+    EXPECT_EQ(run.stop, ConvergedRun::StopRule::kRelativeSem);
+    EXPECT_LE(run.relative_sem, 0.05);
+    EXPECT_GT(run.absolute_sem, 0.0);
+    EXPECT_GE(run.batches, 1u);
+    EXPECT_LE(run.result.trials(), opt.max_trials);
+  }
 }
 
 TEST(Convergence, ZeroDdfConfigStopsByRuleOfThree) {
@@ -246,21 +251,23 @@ TEST(Convergence, StopsAtBudgetWhenTargetUnreachable) {
 
 TEST(Convergence, BatchedUnionEqualsSingleRun) {
   // Disjoint stream-index batches must reproduce one big run exactly
-  // (counting statistics are integer sums).
-  const auto cfg = busy_group();
-  ConvergenceOptions opt;
-  opt.target_relative_sem = 1e-9;  // force it to run out the budget
-  opt.batch_trials = 300;
-  opt.min_trials = 300;
-  opt.max_trials = 900;
-  opt.seed = 3;
-  const auto batched = run_until_converged(cfg, opt);
-  const auto single = run_monte_carlo(
-      cfg, {.trials = 900, .seed = 3, .threads = 0, .bucket_hours = 730.0});
-  EXPECT_DOUBLE_EQ(batched.result.total_ddfs_per_1000(),
-                   single.total_ddfs_per_1000());
-  EXPECT_EQ(batched.result.op_failures(), single.op_failures());
-  EXPECT_EQ(batched.result.latent_defects(), single.latent_defects());
+  // (counting statistics are integer sums, or 2^-26-quantized credits).
+  for (const auto& cfg : test::with_event_twin(busy_group())) {
+    ConvergenceOptions opt;
+    opt.target_relative_sem = 1e-9;  // force it to run out the budget
+    opt.batch_trials = 300;
+    opt.min_trials = 300;
+    opt.max_trials = 900;
+    opt.seed = 3;
+    const auto batched = run_until_converged(cfg, opt);
+    const auto single = run_monte_carlo(
+        cfg, {.trials = 900, .seed = 3, .threads = 0, .bucket_hours = 730.0});
+    EXPECT_DOUBLE_EQ(batched.result.total_ddfs_per_1000(),
+                     single.total_ddfs_per_1000());
+    EXPECT_EQ(batched.result.op_failures(), single.op_failures());
+    EXPECT_EQ(batched.result.latent_defects(), single.latent_defects());
+    EXPECT_EQ(batched.result.rocof_per_1000(), single.rocof_per_1000());
+  }
 }
 
 TEST(Convergence, MoreDemandingTargetUsesMoreTrials) {

@@ -1,6 +1,8 @@
 // Property suite over the event-driven engine: invariants that must hold
 // for ANY configuration — exercised across a parameter sweep of group
-// sizes, redundancies, time scales, scrub policies and spare pools.
+// sizes, redundancies, time scales, scrub policies and spare pools. Cases
+// in the latent-credit scope also run as their event twin
+// (support/event_twin.h), so both paths are held to every invariant.
 #include <algorithm>
 #include <sstream>
 
@@ -8,6 +10,7 @@
 
 #include "sim/group_simulator.h"
 #include "stats/weibull.h"
+#include "support/event_twin.h"
 
 namespace raidrel::sim {
 namespace {
@@ -78,53 +81,77 @@ class EngineInvariants : public ::testing::TestWithParam<EngineCase> {
 };
 
 TEST_P(EngineInvariants, EventAccountingIsConsistent) {
-  const auto cfg = build(GetParam());
-  GroupSimulator sim(cfg);
-  rng::StreamFactory streams(101);
-  TrialResult out;
-  for (int i = 0; i < kTrials; ++i) {
-    auto rs = streams.stream(static_cast<std::uint64_t>(i));
-    sim.run_trial(rs, out);
-    // Restores never exceed failures; scrubs never exceed defects.
-    EXPECT_LE(out.restores_completed, out.op_failures);
-    EXPECT_LE(out.scrubs_completed, out.latent_defects);
-    // Probe entries are at most one per op failure, each a probability.
-    EXPECT_LE(out.double_op_probe.size(), out.op_failures);
-    for (const auto& [t, p] : out.double_op_probe) {
-      EXPECT_GE(p, 0.0);
-      EXPECT_LE(p, 1.0);
-      EXPECT_GE(t, 0.0);
-      EXPECT_LT(t, cfg.mission_hours);
+  for (const auto& cfg : test::with_event_twin(build(GetParam()))) {
+    GroupSimulator sim(cfg);
+    rng::StreamFactory streams(101);
+    TrialResult out;
+    for (int i = 0; i < kTrials; ++i) {
+      auto rs = streams.stream(static_cast<std::uint64_t>(i));
+      sim.run_trial(rs, out);
+      // Restores never exceed failures; scrubs never exceed defects.
+      EXPECT_LE(out.restores_completed, out.op_failures);
+      EXPECT_LE(out.scrubs_completed, out.latent_defects);
+      // Probe entries are at most one per op failure, each a probability.
+      EXPECT_LE(out.double_op_probe.size(), out.op_failures);
+      for (const auto& [t, p] : out.double_op_probe) {
+        EXPECT_GE(p, 0.0);
+        EXPECT_LE(p, 1.0);
+        EXPECT_GE(t, 0.0);
+        EXPECT_LT(t, cfg.mission_hours);
+      }
+      // Latent credits: at most one per op failure, each a probability;
+      // credited trials simulate no defect or scrub events.
+      EXPECT_LE(out.latent_credit.size(), out.op_failures);
+      for (const auto& [t, p] : out.latent_credit) {
+        EXPECT_GE(p, 0.0);
+        EXPECT_LE(p, 1.0);
+        EXPECT_LT(t, cfg.mission_hours);
+      }
+      if (out.latent_credited) {
+        EXPECT_EQ(out.latent_defects, 0u);
+        EXPECT_EQ(out.scrubs_completed, 0u);
+      } else {
+        EXPECT_TRUE(out.latent_credit.empty());
+      }
     }
   }
 }
 
 TEST_P(EngineInvariants, DdfTimelineIsSane) {
-  const auto cfg = build(GetParam());
-  GroupSimulator sim(cfg);
-  rng::StreamFactory streams(202);
-  TrialResult out;
-  for (int i = 0; i < kTrials; ++i) {
-    auto rs = streams.stream(static_cast<std::uint64_t>(i));
-    sim.run_trial(rs, out);
-    // DDFs sorted in time, strictly inside the mission, and each one only
-    // possible if at least redundancy+1 faults can exist: a DDF needs at
-    // least one op failure.
-    EXPECT_TRUE(std::is_sorted(
-        out.ddfs.begin(), out.ddfs.end(),
-        [](const raid::DdfEvent& a, const raid::DdfEvent& b) {
-          return a.time < b.time;
-        }));
-    for (const auto& ddf : out.ddfs) {
-      EXPECT_GE(ddf.time, 0.0);
-      EXPECT_LT(ddf.time, cfg.mission_hours);
-    }
-    if (!out.ddfs.empty()) {
-      EXPECT_GE(out.op_failures, 1u);
-      // A latent-then-op DDF requires at least one latent defect.
+  for (const auto& cfg : test::with_event_twin(build(GetParam()))) {
+    GroupSimulator sim(cfg);
+    rng::StreamFactory streams(202);
+    TrialResult out;
+    for (int i = 0; i < kTrials; ++i) {
+      auto rs = streams.stream(static_cast<std::uint64_t>(i));
+      sim.run_trial(rs, out);
+      // DDFs sorted in time, strictly inside the mission, and each one only
+      // possible if at least redundancy+1 faults can exist: a DDF needs at
+      // least one op failure.
+      EXPECT_TRUE(std::is_sorted(
+          out.ddfs.begin(), out.ddfs.end(),
+          [](const raid::DdfEvent& a, const raid::DdfEvent& b) {
+            return a.time < b.time;
+          }));
       for (const auto& ddf : out.ddfs) {
-        if (ddf.kind == raid::DdfKind::kLatentThenOp) {
-          EXPECT_GE(out.latent_defects, 1u);
+        EXPECT_GE(ddf.time, 0.0);
+        EXPECT_LT(ddf.time, cfg.mission_hours);
+      }
+      if (!out.ddfs.empty()) {
+        EXPECT_GE(out.op_failures, 1u);
+        // A latent-then-op DDF requires at least one latent defect — on a
+        // credited trial, a positive credit at that very failure.
+        for (const auto& ddf : out.ddfs) {
+          if (ddf.kind != raid::DdfKind::kLatentThenOp) continue;
+          if (!out.latent_credited) {
+            EXPECT_GE(out.latent_defects, 1u);
+            continue;
+          }
+          EXPECT_TRUE(std::any_of(
+              out.latent_credit.begin(), out.latent_credit.end(),
+              [&](const auto& c) {
+                return c.first == ddf.time && c.second > 0.0;
+              }));
         }
       }
     }
@@ -132,26 +159,28 @@ TEST_P(EngineInvariants, DdfTimelineIsSane) {
 }
 
 TEST_P(EngineInvariants, SameSeedReproducesExactly) {
-  const auto cfg = build(GetParam());
-  GroupSimulator sim(cfg);
-  rng::StreamFactory streams(303);
-  TrialResult a, b;
-  auto rs1 = streams.stream(7);
-  sim.run_trial(rs1, a);
-  auto rs2 = streams.stream(7);
-  sim.run_trial(rs2, b);
-  ASSERT_EQ(a.ddfs.size(), b.ddfs.size());
-  for (std::size_t i = 0; i < a.ddfs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.ddfs[i].time, b.ddfs[i].time);
-    EXPECT_EQ(a.ddfs[i].kind, b.ddfs[i].kind);
-  }
-  EXPECT_EQ(a.op_failures, b.op_failures);
-  EXPECT_EQ(a.latent_defects, b.latent_defects);
-  EXPECT_EQ(a.scrubs_completed, b.scrubs_completed);
-  ASSERT_EQ(a.double_op_probe.size(), b.double_op_probe.size());
-  for (std::size_t i = 0; i < a.double_op_probe.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.double_op_probe[i].second,
-                     b.double_op_probe[i].second);
+  for (const auto& cfg : test::with_event_twin(build(GetParam()))) {
+    GroupSimulator sim(cfg);
+    rng::StreamFactory streams(303);
+    TrialResult a, b;
+    auto rs1 = streams.stream(7);
+    sim.run_trial(rs1, a);
+    auto rs2 = streams.stream(7);
+    sim.run_trial(rs2, b);
+    ASSERT_EQ(a.ddfs.size(), b.ddfs.size());
+    for (std::size_t i = 0; i < a.ddfs.size(); ++i) {
+      EXPECT_DOUBLE_EQ(a.ddfs[i].time, b.ddfs[i].time);
+      EXPECT_EQ(a.ddfs[i].kind, b.ddfs[i].kind);
+    }
+    EXPECT_EQ(a.op_failures, b.op_failures);
+    EXPECT_EQ(a.latent_defects, b.latent_defects);
+    EXPECT_EQ(a.scrubs_completed, b.scrubs_completed);
+    ASSERT_EQ(a.double_op_probe.size(), b.double_op_probe.size());
+    for (std::size_t i = 0; i < a.double_op_probe.size(); ++i) {
+      EXPECT_DOUBLE_EQ(a.double_op_probe[i].second,
+                       b.double_op_probe[i].second);
+    }
+    EXPECT_EQ(a.latent_credit, b.latent_credit);
   }
 }
 

@@ -100,14 +100,17 @@ TEST(FleetSimulator, SingleGroupMatchesGroupSimulatorExactly) {
 }
 
 // bench_shared_spares' fleet: 50 aging 8-drive RAID-5 groups over 2.5 years.
-FleetConfig aging_fleet(std::optional<raid::SparePoolConfig> pool) {
+// Its exponential TTLd puts it in the latent-credit scope; latent_beta != 1
+// keeps it on the event path.
+FleetConfig aging_fleet(std::optional<raid::SparePoolConfig> pool,
+                        double latent_beta = 1.0) {
   FleetConfig fleet;
   for (int g = 0; g < 50; ++g) {
     SlotModel m;
     m.time_to_op_failure = std::make_unique<stats::Weibull>(0.0, 23000.0, 1.12);
     m.time_to_restore = std::make_unique<stats::Weibull>(6.0, 12.0, 2.0);
     m.time_to_latent_defect =
-        std::make_unique<stats::Weibull>(0.0, 9259.0, 1.0);
+        std::make_unique<stats::Weibull>(0.0, 9259.0, latent_beta);
     m.time_to_scrub = std::make_unique<stats::Weibull>(6.0, 168.0, 3.0);
     fleet.groups.push_back(raid::make_uniform_group(8, 1, m, 21900.0));
   }
@@ -122,19 +125,17 @@ std::uint64_t mix(std::uint64_t h, T value) {
   return obs::fnv1a64({bytes, sizeof(T)}, h);
 }
 
-TEST(FleetSimulator, MultiGroupHistoryDigestIsPinned) {
-  // One-group tests cannot see cross-group event order: which group's
-  // event runs first and which group the pool's FIFO serves next. This
-  // digest of every group's DDF history and counters, plus the backlog at
-  // the end of each mission, pins both for a 50-group fleet.
+// One-group tests cannot see cross-group event order: which group's event
+// runs first and which group the pool's FIFO serves next. This digest of
+// every group's DDF history, latent credits and counters, plus the backlog
+// at the end of each mission, pins both for a 50-group fleet.
+void expect_fleet_history_digests(double latent_beta,
+                                  const std::uint64_t (&expected)[3]) {
   const std::optional<raid::SparePoolConfig> pools[] = {
       std::nullopt, raid::SparePoolConfig{2, 168.0},
       raid::SparePoolConfig{4, 168.0}};
-  const std::uint64_t expected[] = {6408580992846043451ull,
-                                    17525067476733595790ull,
-                                    9019645702178127131ull};
   for (std::size_t p = 0; p < 3; ++p) {
-    const FleetConfig fleet = aging_fleet(pools[p]);
+    const FleetConfig fleet = aging_fleet(pools[p], latent_beta);
     FleetSimulator sim(fleet);
     const rng::StreamFactory streams(20070625);
     FleetTrialResult out;
@@ -148,6 +149,10 @@ TEST(FleetSimulator, MultiGroupHistoryDigestIsPinned) {
           h = mix(h, d.time);
           h = mix(h, d.kind);
         }
+        for (const auto& [t, credit] : g.latent_credit) {
+          h = mix(h, t);
+          h = mix(h, credit);
+        }
         h = mix(h, g.op_failures);
         h = mix(h, g.latent_defects);
         h = mix(h, g.scrubs_completed);
@@ -158,6 +163,21 @@ TEST(FleetSimulator, MultiGroupHistoryDigestIsPinned) {
     }
     EXPECT_EQ(h, expected[p]) << "pool case " << p;
   }
+}
+
+TEST(FleetSimulator, MultiGroupHistoryDigestIsPinned) {
+  // The fleet is latent-credited: these digests pin the credited path.
+  expect_fleet_history_digests(1.0, {17819431534426896993ull,
+                                     1674705057730592444ull,
+                                     12821165610119342079ull});
+}
+
+TEST(FleetSimulator, MultiGroupEventHistoryDigestIsPinned) {
+  // The same fleet with beta_ld = 1.2 stays on the event path; these
+  // digests were computed on the sources before the latent credit existed.
+  expect_fleet_history_digests(1.2, {13871893921399182348ull,
+                                     2980961146552491470ull,
+                                     15027248184009925176ull});
 }
 
 TEST(FleetSimulator, SharedPoolContentionAcrossGroups) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stats/piecewise.h"
 #include "stats/weibull.h"
 #include "support/degenerate.h"
 
@@ -328,11 +329,15 @@ TEST(GroupSimulator, SpareArrivingAtFailureInstantPreventsDdf) {
 TEST(GroupSimulator, StatisticalLatentDefectRateMatchesLaw) {
   // Paper base case TTLd (eta 9259 h, beta 1) with an instantaneous scrub:
   // the defect renewal then has period E[TTLd], so expect ~8 * 87600/9259
-  // defects per mission.
+  // defects per mission. The law is written as a one-segment piecewise
+  // hazard, which keeps the config on the event path that simulates (and
+  // counts) the defects; as a Weibull it is latent-credited and simulates
+  // none.
   raid::SlotModel m;
   m.time_to_op_failure = std::make_unique<Degenerate>(1e18);
   m.time_to_restore = std::make_unique<Degenerate>(10.0);
-  m.time_to_latent_defect = std::make_unique<Weibull>(0.0, 9259.0, 1.0);
+  m.time_to_latent_defect = std::make_unique<stats::PiecewiseConstantHazard>(
+      std::vector<stats::PiecewiseConstantHazard::Segment>{{0.0, 1.0 / 9259.0}});
   m.time_to_scrub = std::make_unique<Degenerate>(0.0);
   auto cfg = raid::make_uniform_group(8, 1, m, 87600.0);
   GroupSimulator sim(cfg);
@@ -346,6 +351,14 @@ TEST(GroupSimulator, StatisticalLatentDefectRateMatchesLaw) {
   }
   const double expected = 8.0 * 87600.0 / 9259.0;  // ~75.7 per mission
   EXPECT_NEAR(total / trials, expected, expected * 0.03);
+
+  for (auto& slot : cfg.slots) {
+    slot.time_to_latent_defect = std::make_unique<Weibull>(0.0, 9259.0, 1.0);
+  }
+  GroupSimulator credited(cfg);
+  credited.run_trial(rs, out);
+  EXPECT_TRUE(out.latent_credited);
+  EXPECT_EQ(out.latent_defects, 0u);
 }
 
 TEST(GroupSimulator, StatisticalOpFailureRateMatchesWeibull) {

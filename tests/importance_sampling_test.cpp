@@ -24,6 +24,7 @@
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
 #include "util/error.h"
+#include "support/event_twin.h"
 
 namespace raidrel::sim {
 namespace {
@@ -70,23 +71,26 @@ TEST(ImportanceSampling, UnitTiltBitIdenticalAcrossWidthsAndPolicies) {
   // Acceptance criterion: widths {1, 64} x both engines. Width 1 runs the
   // scalar GroupSimulator, width 64 the batched lockstep engine; the
   // virtual-only policy additionally proves the kVirtual forwarding arm
-  // consumes no extra draws.
-  const auto cfg = busy_group();
-  for (const auto policy :
-       {KernelPolicy::kLowered, KernelPolicy::kVirtualOnly}) {
-    for (const std::size_t width : {std::size_t{1}, std::size_t{64}}) {
-      const auto plain = run_monte_carlo(cfg, options_for(width, policy));
-      auto tilted_opt = options_for(width, policy);
-      tilted_opt.tilt = TiltSpec{};  // present but unit
-      const auto unit = run_monte_carlo(cfg, tilted_opt);
-      SCOPED_TRACE(testing::Message()
-                   << "policy=" << static_cast<int>(policy)
-                   << " width=" << width);
-      expect_identical(plain, unit);
-      // Unit weights: every trial contributes exactly 1.0.
-      EXPECT_DOUBLE_EQ(unit.ess(), static_cast<double>(unit.trials()));
-      EXPECT_DOUBLE_EQ(unit.weight_sum(), static_cast<double>(unit.trials()));
-      EXPECT_DOUBLE_EQ(unit.max_weight(), 1.0);
+  // consumes no extra draws. busy_group() is latent-credited under a unit
+  // tilt; its event twin (support/event_twin.h) runs the weighted latent
+  // samplers.
+  for (const auto& cfg : test::with_event_twin(busy_group())) {
+    for (const auto policy :
+         {KernelPolicy::kLowered, KernelPolicy::kVirtualOnly}) {
+      for (const std::size_t width : {std::size_t{1}, std::size_t{64}}) {
+        const auto plain = run_monte_carlo(cfg, options_for(width, policy));
+        auto tilted_opt = options_for(width, policy);
+        tilted_opt.tilt = TiltSpec{};  // present but unit
+        const auto unit = run_monte_carlo(cfg, tilted_opt);
+        SCOPED_TRACE(testing::Message()
+                     << "policy=" << static_cast<int>(policy)
+                     << " width=" << width);
+        expect_identical(plain, unit);
+        // Unit weights: every trial contributes exactly 1.0.
+        EXPECT_DOUBLE_EQ(unit.ess(), static_cast<double>(unit.trials()));
+        EXPECT_DOUBLE_EQ(unit.weight_sum(), static_cast<double>(unit.trials()));
+        EXPECT_DOUBLE_EQ(unit.max_weight(), 1.0);
+      }
     }
   }
 }

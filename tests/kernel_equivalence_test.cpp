@@ -8,9 +8,15 @@
 // fallback (composite distributions).
 //
 // Threading note: per-trial counters are integers and the counting DDF
-// series sums integers per bucket, so both are exact under any merge
-// order and safe to compare across thread counts. Probe-estimator sums
-// are order-sensitive doubles and are only compared at threads=1.
+// series sums integers (and 2^-26-quantized latent credits) per bucket, so
+// both are exact under any merge order and safe to compare across thread
+// counts. Probe-estimator sums are order-sensitive doubles and are only
+// compared at threads=1.
+//
+// Latent-credited configs (sim/latent_credit.h) draw no latent or scrub
+// lifetimes, so every in-scope config is also compared as its event twin
+// (support/event_twin.h); the exponential group additionally runs at
+// redundancy 2, which keeps its beta = 1 latent law on the event path.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,6 +30,7 @@
 #include "sim/thread_pool.h"
 #include "stats/composite.h"
 #include "stats/weibull.h"
+#include "support/event_twin.h"
 
 namespace raidrel::sim {
 namespace {
@@ -78,29 +85,39 @@ RunOptions options_for(unsigned threads, KernelPolicy policy) {
   return opt;
 }
 
-void expect_identical_runs(const raid::GroupConfig& cfg, unsigned threads) {
-  const auto lowered =
-      run_monte_carlo(cfg, options_for(threads, KernelPolicy::kLowered));
-  const auto reference =
-      run_monte_carlo(cfg, options_for(threads, KernelPolicy::kVirtualOnly));
-  EXPECT_EQ(lowered.trials(), reference.trials());
-  EXPECT_EQ(lowered.op_failures(), reference.op_failures());
-  EXPECT_EQ(lowered.latent_defects(), reference.latent_defects());
-  EXPECT_EQ(lowered.scrubs_completed(), reference.scrubs_completed());
-  EXPECT_EQ(lowered.restores_completed(), reference.restores_completed());
-  EXPECT_EQ(lowered.spare_arrivals(), reference.spare_arrivals());
-  const auto cl = lowered.cumulative_ddfs_per_1000();
-  const auto cr = reference.cumulative_ddfs_per_1000();
-  ASSERT_EQ(cl.size(), cr.size());
-  for (std::size_t i = 0; i < cl.size(); ++i) {
-    EXPECT_DOUBLE_EQ(cl[i], cr[i]) << "bucket " << i;
+void expect_identical_runs(const raid::GroupConfig& config, unsigned threads) {
+  for (const auto& cfg : test::with_event_twin(config)) {
+    SCOPED_TRACE(latent_credit_exclusion(cfg) ? "events" : "latent credit");
+    const auto lowered =
+        run_monte_carlo(cfg, options_for(threads, KernelPolicy::kLowered));
+    const auto reference =
+        run_monte_carlo(cfg, options_for(threads, KernelPolicy::kVirtualOnly));
+    EXPECT_EQ(lowered.trials(), reference.trials());
+    EXPECT_EQ(lowered.op_failures(), reference.op_failures());
+    EXPECT_EQ(lowered.latent_defects(), reference.latent_defects());
+    EXPECT_EQ(lowered.scrubs_completed(), reference.scrubs_completed());
+    EXPECT_EQ(lowered.restores_completed(), reference.restores_completed());
+    EXPECT_EQ(lowered.spare_arrivals(), reference.spare_arrivals());
+    const auto cl = lowered.cumulative_ddfs_per_1000();
+    const auto cr = reference.cumulative_ddfs_per_1000();
+    ASSERT_EQ(cl.size(), cr.size());
+    for (std::size_t i = 0; i < cl.size(); ++i) {
+      EXPECT_DOUBLE_EQ(cl[i], cr[i]) << "bucket " << i;
+    }
+    if (threads == 1) {
+      // Single worker: even the order-sensitive probe sums accumulate in
+      // one deterministic order, so the rare-event estimator matches too.
+      EXPECT_DOUBLE_EQ(
+          lowered.total_ddfs_per_1000(Estimator::kDoubleOpProbe),
+          reference.total_ddfs_per_1000(Estimator::kDoubleOpProbe));
+    }
   }
-  if (threads == 1) {
-    // Single worker: even the order-sensitive probe sums accumulate in
-    // one deterministic order, so the rare-event estimator matches too.
-    EXPECT_DOUBLE_EQ(lowered.total_ddfs_per_1000(Estimator::kDoubleOpProbe),
-                     reference.total_ddfs_per_1000(Estimator::kDoubleOpProbe));
-  }
+}
+
+raid::GroupConfig exponential_raid6_group() {
+  auto cfg = exponential_group();
+  cfg.redundancy = 2;
+  return cfg;
 }
 
 TEST(KernelEquivalence, BaseCaseSingleThread) {
@@ -117,10 +134,12 @@ TEST(KernelEquivalence, BusyGroupWithSparePoolSingleThread) {
 
 TEST(KernelEquivalence, ExponentialLawsSingleThread) {
   expect_identical_runs(exponential_group(), 1);
+  expect_identical_runs(exponential_raid6_group(), 1);
 }
 
 TEST(KernelEquivalence, ExponentialLawsFourThreads) {
   expect_identical_runs(exponential_group(), 4);
+  expect_identical_runs(exponential_raid6_group(), 4);
 }
 
 TEST(KernelEquivalence, CompositeLawFallbackSingleThread) {
@@ -145,27 +164,34 @@ TEST(KernelEquivalence, DigestIndependentOfPolicy) {
 }
 
 TEST(KernelEquivalence, FleetSingleAndFourThreads) {
-  FleetConfig fleet;
-  for (int g = 0; g < 3; ++g) fleet.groups.push_back(busy_group());
-  for (auto& group : fleet.groups) group.spare_pool.reset();
-  fleet.shared_pool = raid::SparePoolConfig{2, 300.0};
-  for (unsigned threads : {1u, 4u}) {
-    const auto lowered = run_fleet_monte_carlo(
-        fleet, options_for(threads, KernelPolicy::kLowered));
-    const auto reference = run_fleet_monte_carlo(
-        fleet, options_for(threads, KernelPolicy::kVirtualOnly));
-    EXPECT_EQ(lowered.trials(), reference.trials());
-    EXPECT_EQ(lowered.op_failures(), reference.op_failures());
-    EXPECT_EQ(lowered.latent_defects(), reference.latent_defects());
-    EXPECT_EQ(lowered.scrubs_completed(), reference.scrubs_completed());
-    EXPECT_EQ(lowered.restores_completed(), reference.restores_completed());
-    EXPECT_EQ(lowered.spare_arrivals(), reference.spare_arrivals());
-    const auto cl = lowered.cumulative_ddfs_per_1000();
-    const auto cr = reference.cumulative_ddfs_per_1000();
-    ASSERT_EQ(cl.size(), cr.size());
-    for (std::size_t i = 0; i < cl.size(); ++i) {
-      EXPECT_DOUBLE_EQ(cl[i], cr[i]) << "threads " << threads << " bucket "
-                                     << i;
+  // The busy groups are latent-credited; the twin fleet runs on events.
+  for (const bool twin : {false, true}) {
+    SCOPED_TRACE(twin ? "event twins" : "latent credit");
+    FleetConfig fleet;
+    for (int g = 0; g < 3; ++g) {
+      fleet.groups.push_back(twin ? test::event_twin(busy_group())
+                                  : busy_group());
+    }
+    for (auto& group : fleet.groups) group.spare_pool.reset();
+    fleet.shared_pool = raid::SparePoolConfig{2, 300.0};
+    for (unsigned threads : {1u, 4u}) {
+      const auto lowered = run_fleet_monte_carlo(
+          fleet, options_for(threads, KernelPolicy::kLowered));
+      const auto reference = run_fleet_monte_carlo(
+          fleet, options_for(threads, KernelPolicy::kVirtualOnly));
+      EXPECT_EQ(lowered.trials(), reference.trials());
+      EXPECT_EQ(lowered.op_failures(), reference.op_failures());
+      EXPECT_EQ(lowered.latent_defects(), reference.latent_defects());
+      EXPECT_EQ(lowered.scrubs_completed(), reference.scrubs_completed());
+      EXPECT_EQ(lowered.restores_completed(), reference.restores_completed());
+      EXPECT_EQ(lowered.spare_arrivals(), reference.spare_arrivals());
+      const auto cl = lowered.cumulative_ddfs_per_1000();
+      const auto cr = reference.cumulative_ddfs_per_1000();
+      ASSERT_EQ(cl.size(), cr.size());
+      for (std::size_t i = 0; i < cl.size(); ++i) {
+        EXPECT_DOUBLE_EQ(cl[i], cr[i]) << "threads " << threads << " bucket "
+                                       << i;
+      }
     }
   }
 }

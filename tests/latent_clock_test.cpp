@@ -16,17 +16,28 @@ namespace {
 
 TEST(LatentClock, ModesIdenticalForExponentialLaw) {
   // Memoryless TTLd: the residual draw and the fresh draw transform the
-  // same Exp(1) variate identically, so whole runs match bit for bit.
-  auto renewal = core::presets::base_case().to_group_config();
-  auto drive_age = renewal.clone();
-  drive_age.latent_clock = raid::LatentClock::kDriveAge;
-  const RunOptions run{.trials = 400, .seed = 3, .threads = 1,
-                       .bucket_hours = 730.0};
-  const auto a = run_monte_carlo(renewal, run);
-  const auto b = run_monte_carlo(drive_age, run);
-  EXPECT_DOUBLE_EQ(a.total_ddfs_per_1000(), b.total_ddfs_per_1000());
-  EXPECT_EQ(a.latent_defects(), b.latent_defects());
-  EXPECT_EQ(a.scrubs_completed(), b.scrubs_completed());
+  // same Exp(1) variate identically, so whole runs match bit for bit. The
+  // base case is latent-credited (no latent draws at all); keeping defects
+  // across a DDF restore puts the same exponential law on the event path,
+  // where the two clocks really draw.
+  auto credited = core::presets::base_case().to_group_config();
+  auto events = credited.clone();
+  events.clear_defects_on_ddf_restore = false;
+  for (const raid::GroupConfig* renewal : {&credited, &events}) {
+    auto drive_age = renewal->clone();
+    drive_age.latent_clock = raid::LatentClock::kDriveAge;
+    const RunOptions run{.trials = 400, .seed = 3, .threads = 1,
+                         .bucket_hours = 730.0};
+    const auto a = run_monte_carlo(*renewal, run);
+    const auto b = run_monte_carlo(drive_age, run);
+    EXPECT_DOUBLE_EQ(a.total_ddfs_per_1000(), b.total_ddfs_per_1000());
+    EXPECT_EQ(a.latent_defects(), b.latent_defects());
+    EXPECT_EQ(a.scrubs_completed(), b.scrubs_completed());
+  }
+  EXPECT_GT(run_monte_carlo(events, {.trials = 50, .seed = 3, .threads = 1,
+                                     .bucket_hours = 730.0})
+                .latent_defects(),
+            0u);
 }
 
 TEST(LatentClock, DriveAgeRespectsQuietPhase) {

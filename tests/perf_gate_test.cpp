@@ -161,7 +161,8 @@ TEST(PerfGate, MalformedJsonThrows) {
 std::string tagged_artifact(double base_tps, const std::string& isa,
                             const std::string& tier,
                             std::uint64_t batch_width = 64,
-                            std::uint64_t numa_nodes = 0) {
+                            std::uint64_t numa_nodes = 0,
+                            const std::string& estimator = "") {
   std::string s = "{\"schema\": \"raidrel-bench-perf/3\", \"benchmarks\": [";
   s += "{\"name\": \"BM_GroupMission_BaseCase\", \"trials_per_second\": " +
        std::to_string(base_tps);
@@ -173,6 +174,7 @@ std::string tagged_artifact(double base_tps, const std::string& isa,
   if (numa_nodes != 0) {
     s += ", \"numa_nodes\": " + std::to_string(numa_nodes);
   }
+  if (!estimator.empty()) s += ", \"estimator\": \"" + estimator + "\"";
   s += "},";
   s += "{\"name\": \"BM_GroupMission_LongTail\", \"trials_per_second\": "
        "2000.0},";
@@ -256,6 +258,45 @@ TEST(PerfGate, MathTierAndWidthMismatchesAlsoSkip) {
                     tagged_artifact(400.0, "avx512", "exact", 8));
   EXPECT_EQ(widths.checks[0].status, PerfGateCheck::Status::kSkip);
   EXPECT_NE(widths.checks[0].note.find("batch_width"), std::string::npos);
+}
+
+TEST(PerfGate, EstimatorMismatchSkipsAndUntaggedBaselineReadsAsEvents) {
+  // An event-path baseline says nothing about a latent-credited candidate
+  // (or back): a named skip, never a pass or a failure.
+  const auto across = run_perf_gate(
+      tagged_artifact(1000.0, "avx512", "exact", 64, 1, "events"),
+      tagged_artifact(20000.0, "avx512", "exact", 64, 1, "latent-credit"));
+  EXPECT_FALSE(across.failed);
+  EXPECT_TRUE(across.degraded);
+  EXPECT_EQ(across.checks[0].status, PerfGateCheck::Status::kSkip);
+  EXPECT_NE(across.checks[0].note.find("estimator"), std::string::npos);
+
+  const auto regressed = run_perf_gate(
+      tagged_artifact(1000.0, "avx512", "exact", 64, 1, "latent-credit"),
+      tagged_artifact(600.0, "avx512", "exact", 64, 1, "latent-credit"));
+  EXPECT_TRUE(regressed.failed);
+
+  // Artifacts from before the tag existed were all measured on events:
+  // they compare against an events candidate, regressions included...
+  const auto untagged = run_perf_gate(
+      tagged_artifact(1000.0, "avx512", "exact", 64, 1),
+      tagged_artifact(990.0, "avx512", "exact", 64, 1, "events"));
+  EXPECT_FALSE(untagged.failed);
+  EXPECT_FALSE(untagged.degraded);
+  const auto untagged_regressed = run_perf_gate(
+      tagged_artifact(1000.0, "avx512", "exact", 64, 1),
+      tagged_artifact(600.0, "avx512", "exact", 64, 1, "events"));
+  EXPECT_TRUE(untagged_regressed.failed);
+
+  // ...and never against a latent-credited one.
+  const auto untagged_across = run_perf_gate(
+      tagged_artifact(1000.0, "avx512", "exact", 64, 1),
+      tagged_artifact(20000.0, "avx512", "exact", 64, 1, "latent-credit"));
+  EXPECT_FALSE(untagged_across.failed);
+  EXPECT_EQ(untagged_across.checks[0].status, PerfGateCheck::Status::kSkip);
+  EXPECT_NE(untagged_across.checks[0].note.find(
+                "estimator (baseline events, candidate latent-credit)"),
+            std::string::npos);
 }
 
 TEST(PerfGate, UntaggedBaselineComparesAsWildcard) {

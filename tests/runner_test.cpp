@@ -9,47 +9,64 @@
 namespace raidrel::sim {
 namespace {
 
-raid::GroupConfig busy_group(double mission = 20000.0) {
-  // Failure-heavy configuration so short runs still produce DDFs.
+raid::GroupConfig busy_group(double mission = 20000.0,
+                             double latent_beta = 1.0) {
+  // Failure-heavy configuration so short runs still produce DDFs. Its
+  // exponential TTLd is latent-credited; latent_beta != 1 keeps it on the
+  // event path.
   raid::SlotModel m;
   m.time_to_op_failure = std::make_unique<stats::Weibull>(0.0, 4000.0, 1.2);
   m.time_to_restore = std::make_unique<stats::Weibull>(6.0, 100.0, 2.0);
-  m.time_to_latent_defect = std::make_unique<stats::Weibull>(0.0, 2000.0, 1.0);
+  m.time_to_latent_defect =
+      std::make_unique<stats::Weibull>(0.0, 2000.0, latent_beta);
   m.time_to_scrub = std::make_unique<stats::Weibull>(6.0, 300.0, 3.0);
   return raid::make_uniform_group(8, 1, m, mission);
 }
 
 TEST(Runner, AccumulatesRequestedTrials) {
-  const auto cfg = busy_group();
-  const auto result =
-      run_monte_carlo(cfg, {.trials = 500, .seed = 1, .threads = 2,
-                            .bucket_hours = 1000.0});
-  EXPECT_EQ(result.trials(), 500u);
-  EXPECT_GT(result.total_ddfs_per_1000(), 0.0);
-  EXPECT_GT(result.op_failures(), 0u);
-  EXPECT_GT(result.latent_defects(), 0u);
+  for (const double latent_beta : {1.0, 1.2}) {
+    const auto cfg = busy_group(20000.0, latent_beta);
+    const auto result =
+        run_monte_carlo(cfg, {.trials = 500, .seed = 1, .threads = 2,
+                              .bucket_hours = 1000.0});
+    EXPECT_EQ(result.trials(), 500u);
+    EXPECT_GT(result.total_ddfs_per_1000(), 0.0);
+    EXPECT_GT(result.op_failures(), 0u);
+    if (latent_beta == 1.0) {
+      // Credited: latent state is integrated out, never simulated.
+      EXPECT_EQ(result.latent_defects(), 0u);
+      EXPECT_EQ(result.scrubs_completed(), 0u);
+      EXPECT_GT(result.total_per_1000(raid::DdfKind::kLatentThenOp), 0.0);
+    } else {
+      EXPECT_GT(result.latent_defects(), 0u);
+    }
+  }
 }
 
 TEST(Runner, CountingTotalsIndependentOfThreadCount) {
   // Per-trial streams are derived from (seed, trial index): the same DDFs
-  // occur whether 1 or 4 workers run them. Counts are integer sums, so
-  // they match exactly.
-  const auto cfg = busy_group();
-  const RunOptions base{.trials = 400, .seed = 7, .threads = 1,
-                        .bucket_hours = 1000.0};
-  RunOptions multi = base;
-  multi.threads = 4;
-  const auto r1 = run_monte_carlo(cfg, base);
-  const auto r4 = run_monte_carlo(cfg, multi);
-  EXPECT_DOUBLE_EQ(r1.total_ddfs_per_1000(), r4.total_ddfs_per_1000());
-  EXPECT_EQ(r1.op_failures(), r4.op_failures());
-  EXPECT_EQ(r1.latent_defects(), r4.latent_defects());
-  EXPECT_EQ(r1.scrubs_completed(), r4.scrubs_completed());
-  const auto c1 = r1.cumulative_ddfs_per_1000();
-  const auto c4 = r4.cumulative_ddfs_per_1000();
-  ASSERT_EQ(c1.size(), c4.size());
-  for (std::size_t i = 0; i < c1.size(); ++i) {
-    EXPECT_DOUBLE_EQ(c1[i], c4[i]) << i;
+  // occur whether 1 or 4 workers run them. Counts are integer sums — and
+  // latent credits multiples of 2^-26 — so they match exactly.
+  for (const double latent_beta : {1.0, 1.2}) {
+    SCOPED_TRACE(latent_beta);
+    const auto cfg = busy_group(20000.0, latent_beta);
+    const RunOptions base{.trials = 400, .seed = 7, .threads = 1,
+                          .bucket_hours = 1000.0};
+    RunOptions multi = base;
+    multi.threads = 4;
+    const auto r1 = run_monte_carlo(cfg, base);
+    const auto r4 = run_monte_carlo(cfg, multi);
+    EXPECT_DOUBLE_EQ(r1.total_ddfs_per_1000(), r4.total_ddfs_per_1000());
+    EXPECT_EQ(r1.op_failures(), r4.op_failures());
+    EXPECT_EQ(r1.latent_defects(), r4.latent_defects());
+    EXPECT_EQ(r1.scrubs_completed(), r4.scrubs_completed());
+    const auto c1 = r1.cumulative_ddfs_per_1000();
+    const auto c4 = r4.cumulative_ddfs_per_1000();
+    ASSERT_EQ(c1.size(), c4.size());
+    for (std::size_t i = 0; i < c1.size(); ++i) {
+      EXPECT_DOUBLE_EQ(c1[i], c4[i]) << i;
+    }
+    EXPECT_EQ(r1.rocof_per_1000(), r4.rocof_per_1000());  // bit for bit
   }
 }
 

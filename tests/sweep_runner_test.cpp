@@ -14,20 +14,22 @@
 namespace raidrel::sweep {
 namespace {
 
-// Small, busy scenario so 600-trial cells finish in milliseconds.
-core::ScenarioConfig small_base() {
+// Small, busy scenario so 600-trial cells finish in milliseconds. Its
+// exponential TTLd puts every cell in the latent-credit scope;
+// latent_beta != 1 keeps the cells on the event path.
+core::ScenarioConfig small_base(double latent_beta = 1.0) {
   core::ScenarioConfig s;
   s.group_drives = 4;
   s.mission_hours = 20000.0;
   s.ttop = {0.0, 4000.0, 1.2};
   s.ttr = {6.0, 100.0, 2.0};
-  s.ttld = stats::WeibullParams{0.0, 2000.0, 1.0};
+  s.ttld = stats::WeibullParams{0.0, 2000.0, latent_beta};
   s.ttscrub = stats::WeibullParams{6.0, 300.0, 3.0};
   return s;
 }
 
-SweepSpec small_spec() {
-  SweepSpec spec("runner-test", small_base());
+SweepSpec small_spec(double latent_beta = 1.0) {
+  SweepSpec spec("runner-test", small_base(latent_beta));
   spec.add_restore_eta_axis({12.0, 48.0});
   spec.add_group_size_axis({4, 6});
   return spec;
@@ -108,19 +110,24 @@ TEST(SweepRunner, BatchWidthLeavesEveryCellAndManifestByteIdentical) {
   // The lockstep lane engine must be invisible to the cache layer: cell
   // digests, sweep digest, and manifest bytes are pinned across lane
   // widths (1 = the scalar path), so cached cells stay valid when the
-  // default width changes.
-  const std::string scalar_path = temp_manifest("width1");
-  auto scalar_opt = fast_options(scalar_path);
-  scalar_opt.convergence.batch_width = 1;
-  const auto scalar = SweepRunner(scalar_opt).run(small_spec());
+  // default width changes. small_spec() is latent-credited (its lanes are
+  // forwarded to the scalar core); its beta_ld = 1.2 twin runs in lockstep.
+  for (const double latent_beta : {1.0, 1.2}) {
+    SCOPED_TRACE(latent_beta);
+    const std::string scalar_path = temp_manifest("width1");
+    auto scalar_opt = fast_options(scalar_path);
+    scalar_opt.convergence.batch_width = 1;
+    const auto scalar = SweepRunner(scalar_opt).run(small_spec(latent_beta));
 
-  const std::string batched_path = temp_manifest("width64");
-  auto batched_opt = fast_options(batched_path);
-  batched_opt.convergence.batch_width = 64;
-  const auto batched = SweepRunner(batched_opt).run(small_spec());
+    const std::string batched_path = temp_manifest("width64");
+    auto batched_opt = fast_options(batched_path);
+    batched_opt.convergence.batch_width = 64;
+    const auto batched =
+        SweepRunner(batched_opt).run(small_spec(latent_beta));
 
-  expect_same_cells(scalar, batched);
-  EXPECT_EQ(read_file(scalar_path), read_file(batched_path));
+    expect_same_cells(scalar, batched);
+    EXPECT_EQ(read_file(scalar_path), read_file(batched_path));
+  }
 }
 
 // The ISSUE's acceptance test: interrupt a sweep after k of n cells, rerun
@@ -290,30 +297,76 @@ TEST(SweepRunner, EmptyCellListIsAnError) {
 // Fault tolerance. Everything below drives the failure paths through
 // fault/fault_injection.h, deterministically.
 
-// Pre-fault-layer baseline digests for small_spec() + fast_options(),
-// captured before the injection sites were threaded through the stack. An
-// attached-but-empty injector must not perturb a single bit of any result.
+// Baseline digests for small_spec() + fast_options(). An attached-but-
+// empty injector must not perturb a single bit of any result. The cells
+// are latent-credited; these values were regenerated when the latent
+// credit replaced the event path for them (the keys gained
+// ";latent=credit"). kEventBaseline* pins the same cells on the event path
+// (small_spec(1.2)) at values computed before the latent credit existed.
 constexpr std::uint64_t kBaselineCellDigests[4] = {
-    6023635762572510617ull,   // restore=12 group=4
-    8864948377784057330ull,   // restore=12 group=6
-    8378114386324848958ull,   // restore=48 group=4
-    4832777957626923056ull,   // restore=48 group=6
+    5019490286786490750ull,   // restore=12 group=4
+    3522424281825935407ull,   // restore=12 group=6
+    10165139196089274896ull,  // restore=48 group=4
+    4468028601451009090ull,   // restore=48 group=6
 };
 constexpr std::uint64_t kBaselineCellKeys[4] = {
-    2500358673728549282ull,
-    13906092786162545732ull,
-    13373188361043272321ull,
-    16980643836755293884ull,
+    4463436831175020063ull,
+    1356337448245001889ull,
+    11586256915450966580ull,
+    18276616709843326313ull,
 };
-constexpr std::uint64_t kBaselineSweepDigest = 17783286741236303588ull;
+constexpr std::uint64_t kBaselineSweepDigest = 13810852051136803361ull;
+
+constexpr std::uint64_t kEventBaselineCellDigests[4] = {
+    6254353089952317175ull,
+    13411002153504360020ull,
+    18288557195181847445ull,
+    13746897163646997465ull,
+};
+constexpr std::uint64_t kEventBaselineCellKeys[4] = {
+    8762108573894510679ull,
+    3362846238973966196ull,
+    1567831259872028063ull,
+    16608546610652596556ull,
+};
+constexpr std::uint64_t kEventBaselineSweepDigest = 16334322280079168935ull;
 
 void expect_baseline(const SweepResult& result) {
   ASSERT_EQ(result.cells.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(result.cells[i].result_digest, kBaselineCellDigests[i]) << i;
     EXPECT_EQ(result.cells[i].cell_key, kBaselineCellKeys[i]) << i;
+    EXPECT_EQ(result.cells[i].estimator, "latent-credit") << i;
   }
   EXPECT_EQ(result.sweep_digest, kBaselineSweepDigest);
+}
+
+TEST(SweepFaults, EventPathCellsKeepTheirDigestsAndKeys) {
+  const std::string path = temp_manifest("eventbaseline");
+  fault::FaultInjector injector{fault::FaultPlan{}};
+  auto opt = fast_options(path);
+  opt.fault = &injector;
+  const auto result = SweepRunner(opt).run(small_spec(1.2));
+  ASSERT_EQ(result.cells.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(result.cells[i].result_digest, kEventBaselineCellDigests[i])
+        << i;
+    EXPECT_EQ(result.cells[i].cell_key, kEventBaselineCellKeys[i]) << i;
+    EXPECT_EQ(result.cells[i].estimator, "events") << i;
+    EXPECT_EQ(result.cells[i].estimator_reason,
+              "latent-defect law is not exponential")
+        << i;
+  }
+  EXPECT_EQ(result.sweep_digest, kEventBaselineSweepDigest);
+  // The manifest names the estimator, and a resume serves every cell from
+  // it with the same provenance.
+  const auto resumed = SweepRunner(opt).run(small_spec(1.2));
+  EXPECT_EQ(resumed.cached, 4u);
+  EXPECT_EQ(resumed.sweep_digest, kEventBaselineSweepDigest);
+  EXPECT_EQ(resumed.cells[0].estimator_reason,
+            "latent-defect law is not exponential");
+  const auto root = obs::parse_json(read_file(path));
+  EXPECT_EQ(root.get("cells").at(0).get("estimator").as_string(), "events");
 }
 
 TEST(SweepFaults, EmptyPlanInjectorLeavesEveryDigestBitIdentical) {

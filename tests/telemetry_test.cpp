@@ -24,12 +24,14 @@ namespace {
 
 // An eventful group: failures, latent defects, scrubs, and a pool small
 // enough that drives regularly wait for spares.
-raid::GroupConfig busy_pool_group() {
+// Latent-credited as written (exponential TTLd); latent_beta != 1 keeps it
+// on the event path.
+raid::GroupConfig busy_pool_group(double latent_beta = 1.0) {
   raid::SlotModel m;
   m.time_to_op_failure = std::make_unique<stats::Weibull>(0.0, 4000.0, 1.2);
   m.time_to_restore = std::make_unique<stats::Weibull>(6.0, 100.0, 2.0);
   m.time_to_latent_defect =
-      std::make_unique<stats::Weibull>(0.0, 2000.0, 1.0);
+      std::make_unique<stats::Weibull>(0.0, 2000.0, latent_beta);
   m.time_to_scrub = std::make_unique<stats::Weibull>(6.0, 300.0, 3.0);
   auto cfg = raid::make_uniform_group(8, 1, m, 20000.0);
   cfg.spare_pool = raid::SparePoolConfig{1, 200.0};
@@ -103,60 +105,76 @@ TEST(ConfigDigest, StableAndSensitive) {
 }
 
 TEST(RunTelemetry, TotalsMatchRunResultCounters) {
-  const auto cfg = busy_pool_group();
-  obs::RunTelemetry telemetry;
-  sim::RunOptions run;
-  run.trials = 2000;
-  run.seed = 11;
-  run.threads = 4;
-  run.telemetry = &telemetry;
-  const auto result = sim::run_monte_carlo(cfg, run);
+  for (const double latent_beta : {1.0, 1.2}) {
+    SCOPED_TRACE(latent_beta);
+    const bool credited = latent_beta == 1.0;
+    const auto cfg = busy_pool_group(latent_beta);
+    obs::RunTelemetry telemetry;
+    sim::RunOptions run;
+    run.trials = 2000;
+    run.seed = 11;
+    run.threads = 4;
+    run.telemetry = &telemetry;
+    const auto result = sim::run_monte_carlo(cfg, run);
 
-  const obs::WorkerStats totals = telemetry.totals();
-  EXPECT_EQ(totals.trials, result.trials());
-  EXPECT_EQ(totals.op_failures, result.op_failures());
-  EXPECT_EQ(totals.latent_defects, result.latent_defects());
-  EXPECT_EQ(totals.scrubs_completed, result.scrubs_completed());
-  EXPECT_EQ(totals.restores_completed, result.restores_completed());
-  EXPECT_EQ(totals.spare_arrivals, result.spare_arrivals());
-  EXPECT_GT(totals.spare_arrivals, 0u);  // the pool really was exercised
-  // Counted DDFs agree with the bucketed counting series (integer-valued
-  // doubles, so the comparison is exact).
-  EXPECT_DOUBLE_EQ(static_cast<double>(totals.ddfs) * 1000.0 /
-                       static_cast<double>(result.trials()),
-                   result.total_ddfs_per_1000());
+    const obs::WorkerStats totals = telemetry.totals();
+    EXPECT_EQ(totals.trials, result.trials());
+    EXPECT_EQ(totals.op_failures, result.op_failures());
+    EXPECT_EQ(totals.latent_defects, result.latent_defects());
+    EXPECT_EQ(totals.scrubs_completed, result.scrubs_completed());
+    EXPECT_EQ(totals.restores_completed, result.restores_completed());
+    EXPECT_EQ(totals.spare_arrivals, result.spare_arrivals());
+    EXPECT_GT(totals.spare_arrivals, 0u);  // the pool really was exercised
+    EXPECT_EQ(telemetry.estimator(), credited ? "latent-credit" : "events");
+    if (credited) {
+      // The sink counts the realized sample path; the estimate is credited.
+      EXPECT_TRUE(telemetry.estimator_reason().empty());
+      EXPECT_EQ(totals.latent_defects, 0u);
+    } else {
+      EXPECT_EQ(telemetry.estimator_reason(),
+                "latent-defect law is not exponential");
+      // Counted DDFs agree with the bucketed counting series (integer-valued
+      // doubles, so the comparison is exact).
+      EXPECT_DOUBLE_EQ(static_cast<double>(totals.ddfs) * 1000.0 /
+                           static_cast<double>(result.trials()),
+                       result.total_ddfs_per_1000());
+    }
 
-  EXPECT_EQ(telemetry.master_seed(), 11u);
-  EXPECT_EQ(telemetry.config_digest(), sim::config_digest(cfg));
-  EXPECT_EQ(telemetry.threads(), 4u);
-  ASSERT_EQ(telemetry.batches().size(), 1u);
-  EXPECT_EQ(telemetry.batches()[0].trials, 2000u);
-  EXPECT_LE(telemetry.workers().size(), 4u);
-  std::uint64_t worker_trials = 0;
-  for (const auto& ws : telemetry.workers()) worker_trials += ws.trials;
-  EXPECT_EQ(worker_trials, 2000u);
+    EXPECT_EQ(telemetry.master_seed(), 11u);
+    EXPECT_EQ(telemetry.config_digest(), sim::config_digest(cfg));
+    EXPECT_EQ(telemetry.threads(), 4u);
+    ASSERT_EQ(telemetry.batches().size(), 1u);
+    EXPECT_EQ(telemetry.batches()[0].trials, 2000u);
+    EXPECT_LE(telemetry.workers().size(), 4u);
+    std::uint64_t worker_trials = 0;
+    for (const auto& ws : telemetry.workers()) worker_trials += ws.trials;
+    EXPECT_EQ(worker_trials, 2000u);
+  }
 }
 
 TEST(RunTelemetry, SinksDoNotPerturbResults) {
-  const auto cfg = busy_pool_group();
-  sim::RunOptions plain;
-  plain.trials = 500;
-  plain.seed = 12;
-  plain.threads = 2;
-  const auto expected = sim::run_monte_carlo(cfg, plain);
+  for (const double latent_beta : {1.0, 1.2}) {
+    SCOPED_TRACE(latent_beta);
+    const auto cfg = busy_pool_group(latent_beta);
+    sim::RunOptions plain;
+    plain.trials = 500;
+    plain.seed = 12;
+    plain.threads = 2;
+    const auto expected = sim::run_monte_carlo(cfg, plain);
 
-  obs::RunTelemetry telemetry;
-  obs::EventTrace trace(4);
-  sim::RunOptions observed = plain;
-  observed.telemetry = &telemetry;
-  observed.trace = &trace;
-  const auto got = sim::run_monte_carlo(cfg, observed);
+    obs::RunTelemetry telemetry;
+    obs::EventTrace trace(4);
+    sim::RunOptions observed = plain;
+    observed.telemetry = &telemetry;
+    observed.trace = &trace;
+    const auto got = sim::run_monte_carlo(cfg, observed);
 
-  EXPECT_EQ(got.op_failures(), expected.op_failures());
-  EXPECT_EQ(got.latent_defects(), expected.latent_defects());
-  EXPECT_EQ(got.spare_arrivals(), expected.spare_arrivals());
-  EXPECT_DOUBLE_EQ(got.total_ddfs_per_1000(),
-                   expected.total_ddfs_per_1000());
+    EXPECT_EQ(got.op_failures(), expected.op_failures());
+    EXPECT_EQ(got.latent_defects(), expected.latent_defects());
+    EXPECT_EQ(got.spare_arrivals(), expected.spare_arrivals());
+    EXPECT_DOUBLE_EQ(got.total_ddfs_per_1000(),
+                     expected.total_ddfs_per_1000());
+  }
 }
 
 TEST(RunTelemetry, FleetTotalsMatchRunResultCounters) {
@@ -184,6 +202,48 @@ TEST(RunTelemetry, FleetTotalsMatchRunResultCounters) {
   EXPECT_EQ(totals.spare_arrivals, result.spare_arrivals());
   EXPECT_GT(totals.spare_arrivals, 0u);
   EXPECT_EQ(telemetry.config_digest(), sim::config_digest(fleet));
+}
+
+TEST(RunTelemetry, FleetManifestNamesTheGroupLeftOnEvents) {
+  // Groups 0 and 1 are credited; group 2 (redundancy 2) simulates its
+  // latent defects, which are then the only ones the counters hold.
+  sim::FleetConfig fleet;
+  for (int g = 0; g < 3; ++g) {
+    auto group = busy_pool_group();
+    group.spare_pool.reset();
+    if (g == 2) group.redundancy = 2;
+    fleet.groups.push_back(std::move(group));
+  }
+  auto run_fleet = [](const sim::FleetConfig& f, obs::RunTelemetry& t) {
+    sim::RunOptions run;
+    run.trials = 40;
+    run.seed = 15;
+    run.threads = 2;
+    run.telemetry = &t;
+    return sim::run_fleet_monte_carlo(f, run);
+  };
+
+  obs::RunTelemetry mixed;
+  const auto result = run_fleet(fleet, mixed);
+  EXPECT_EQ(mixed.estimator(), "latent-credit");
+  EXPECT_EQ(mixed.estimator_reason(), "group 2: redundancy above 1");
+  EXPECT_GT(result.latent_defects(), 0u);
+  EXPECT_NE(mixed.json().find(
+                "\"estimator_reason\": \"group 2: redundancy above 1\""),
+            std::string::npos);
+
+  fleet.groups.pop_back();
+  obs::RunTelemetry credited;
+  run_fleet(fleet, credited);
+  EXPECT_EQ(credited.estimator(), "latent-credit");
+  EXPECT_TRUE(credited.estimator_reason().empty());
+  EXPECT_EQ(credited.json().find("estimator_reason"), std::string::npos);
+
+  for (auto& group : fleet.groups) group.redundancy = 2;
+  obs::RunTelemetry events;
+  run_fleet(fleet, events);
+  EXPECT_EQ(events.estimator(), "events");
+  EXPECT_EQ(events.estimator_reason(), "group 0: redundancy above 1");
 }
 
 TEST(RunTelemetry, ManifestJsonCarriesSchemaAndIdentity) {
