@@ -22,10 +22,12 @@
 //   $ ./raidrel_sweep --study table3 --inject cell:1       # survive a fault
 //
 // Graceful shutdown: the first SIGINT/SIGTERM drains cooperatively — the
-// in-flight cells are abandoned (nothing partial is written), the manifest
-// keeps its last checkpoint, and the process exits 4; rerunning resumes
-// from the checkpoint and converges to byte-identical manifests. A second
-// signal forces the conventional 128+N exit immediately. --wall-deadline
+// in-flight cells are abandoned (nothing partial is written), every
+// completed cell is compacted into the manifest, and the process exits 4;
+// rerunning resumes from the checkpoint and converges to byte-identical
+// manifests. A second signal forces the conventional 128+N exit
+// immediately; even then (or after a crash) the fsynced journal beside the
+// manifest keeps every completed cell for the rerun. --wall-deadline
 // bounds the whole invocation the same way; --cell-time-budget /
 // --cell-hard-budget bound individual cells (docs/MODEL.md §16).
 //
@@ -222,7 +224,7 @@ int main(int argc, char** argv) {
     // Cooperative shutdown: one root token for the whole invocation,
     // optionally bounded by a wall-clock deadline, tripped by the first
     // SIGINT/SIGTERM (the second forces _exit(128+sig)). Workers drain at
-    // trial granularity, so the checkpointed manifest stays durable.
+    // trial granularity, and every completed cell is already journaled.
     const double wall_deadline = args.get_double("wall-deadline", 0.0);
     RAIDREL_REQUIRE(wall_deadline >= 0.0,
                     "--wall-deadline must be non-negative seconds");
@@ -277,8 +279,8 @@ int main(int argc, char** argv) {
         exit_code = 3;
       }
       if (result.interrupted) {
-        // Signal or wall deadline: the manifest holds the last durable
-        // checkpoint, remaining studies are skipped, and exit code 4 tells
+        // Signal or wall deadline: the manifest holds every completed
+        // cell, remaining studies are skipped, and exit code 4 tells
         // scripts "rerun to resume byte-identically".
         std::cout << "sweep interrupted (" << result.stop_reason << ") after "
                   << result.cells.size() << "/" << result.total_cells

@@ -37,6 +37,8 @@ const std::vector<std::string>& registered_sites() {
   // fault-matrix job iterates it via `raidrel_sweep --list-inject-sites`.
   static const std::vector<std::string> kSites = {
       "cell",             // one sweep-cell simulation attempt
+      "journal_append",   // writing one sweep-journal record
+      "journal_sync",     // fdatasync of one sweep-journal record
       "manifest_read",    // loading the sweep manifest cache
       "manifest_rename",  // moving the manifest temp file into place
       "manifest_write",   // writing the manifest temp file

@@ -1,7 +1,11 @@
 #include "sweep/sweep_runner.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -9,7 +13,9 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 
@@ -218,21 +224,107 @@ void note_event(obs::RunTelemetry* telemetry, std::string site,
       {std::move(site), kind, attempt, std::move(detail)});
 }
 
-/// The manifest cache loaded from disk: result entries keyed by cell key.
-/// Identity fields (index, label, coordinates) always come from the
-/// *current* expansion, so relabeling an axis never stales the cache.
-/// Quarantined entries are deliberately not loaded: a resumed sweep gives
-/// every previously failed cell a fresh chance.
-std::unordered_map<std::uint64_t, CellResult> load_cache(
-    const std::string& path, obs::RunTelemetry* telemetry) {
-  std::unordered_map<std::uint64_t, CellResult> cache;
-  std::ifstream in(path);
-  if (!in) return cache;
+/// The result fields of one cell entry, as write_cell wrote them — the one
+/// parser for manifest entries and journal records. Throws ModelError on a
+/// missing or mistyped field; the caller checks the result digest.
+CellResult parse_cell(const obs::JsonValue& entry) {
+  CellResult r;
+  r.config_digest = entry.get("config_digest").as_uint64();
+  r.cell_key = entry.get("cell_key").as_uint64();
+  r.trials = entry.get("trials").as_uint64();
+  r.batches = entry.get("batches").as_uint64();
+  r.converged = entry.get("converged").as_bool();
+  r.stop = entry.get("stop").as_string();
+  r.total_ddfs_per_1000 = entry.get("total_ddfs_per_1000").as_double();
+  r.sem_per_1000 = entry.get("sem_per_1000").as_double();
+  r.relative_sem = entry.get("relative_sem").as_double();
+  r.year1_ddfs_per_1000 = entry.get("year1_ddfs_per_1000").as_double();
+  r.double_op_per_1000 = entry.get("double_op_per_1000").as_double();
+  r.latent_then_op_per_1000 = entry.get("latent_then_op_per_1000").as_double();
+  r.op_failures = entry.get("op_failures").as_uint64();
+  r.latent_defects = entry.get("latent_defects").as_uint64();
+  r.scrubs_completed = entry.get("scrubs_completed").as_uint64();
+  r.restores_completed = entry.get("restores_completed").as_uint64();
+  // Optional, present only for tilted cells (see CellResult).
+  if (const obs::JsonValue* v = entry.find("op_tilt")) {
+    r.op_tilt = v->as_double();
+  }
+  if (const obs::JsonValue* v = entry.find("ld_tilt")) {
+    r.ld_tilt = v->as_double();
+  }
+  if (const obs::JsonValue* v = entry.find("ess")) {
+    r.ess = v->as_double();
+  }
+  if (const obs::JsonValue* v = entry.find("rebuild")) {
+    r.rebuild = v->as_string();
+  }
+  // Absent in manifests written before the latent credit: events.
+  if (const obs::JsonValue* v = entry.find("estimator")) {
+    r.estimator = v->as_string();
+  }
+  r.result_digest = entry.get("result_digest").as_uint64();
+  r.from_cache = true;
+  return r;
+}
+
+std::string journal_path(const std::string& manifest) {
+  return manifest + ".journal";
+}
+
+constexpr std::size_t kChecksumDigits = 16;
+
+/// The fnv1a64 of a record's JSON as the 16 lowercase hex digits that
+/// lead its journal line.
+std::string record_checksum(std::string_view json) {
+  char sum[kChecksumDigits + 1];
+  std::snprintf(sum, sizeof sum, "%016llx",
+                static_cast<unsigned long long>(obs::fnv1a64(json)));
+  return std::string(sum, kChecksumDigits);
+}
+
+/// The cell a journal line (newline stripped) carries, or nullopt when the
+/// line is damaged: a bad checksum, bad JSON, a missing field, or a result
+/// digest that does not match.
+std::optional<CellResult> parse_record(std::string_view line) {
+  if (line.size() <= kChecksumDigits + 1 || line[kChecksumDigits] != ' ') {
+    return std::nullopt;
+  }
+  const std::string_view body = line.substr(kChecksumDigits + 1);
+  if (line.substr(0, kChecksumDigits) != record_checksum(body)) {
+    return std::nullopt;
+  }
+  try {
+    CellResult r = parse_cell(obs::parse_json(body));
+    if (cell_result_digest(r) != r.result_digest) return std::nullopt;
+    return r;
+  } catch (const ModelError&) {
+    return std::nullopt;
+  }
+}
+
+std::optional<std::string> read_whole_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
   std::ostringstream buf;
   buf << in.rdbuf();
+  return buf.str();
+}
+
+/// What a resume starts from: verified results keyed by cell key, and how
+/// much of the journal replayed.
+struct LoadedCache {
+  std::unordered_map<std::uint64_t, CellResult> cells;
+  std::size_t replayed = 0;         ///< journal records accepted
+  std::uint64_t journal_bytes = 0;  ///< length of the journal's valid prefix
+};
+
+/// The manifest's verified entries, keyed by cell key.
+std::unordered_map<std::uint64_t, CellResult> load_manifest(
+    const std::string& text, obs::RunTelemetry* telemetry) {
+  std::unordered_map<std::uint64_t, CellResult> cache;
   obs::JsonValue root;
   try {
-    root = obs::parse_json(buf.str());
+    root = obs::parse_json(text);
   } catch (const ModelError& e) {
     // Corrupt or truncated manifest: resimulate everything.
     note_event(telemetry, "manifest_read", "cache-reject", 0, e.what());
@@ -246,42 +338,7 @@ std::unordered_map<std::uint64_t, CellResult> load_cache(
       return cache;
     }
     for (const auto& entry : root.get("cells").items()) {
-      CellResult r;
-      r.config_digest = entry.get("config_digest").as_uint64();
-      r.cell_key = entry.get("cell_key").as_uint64();
-      r.trials = entry.get("trials").as_uint64();
-      r.batches = entry.get("batches").as_uint64();
-      r.converged = entry.get("converged").as_bool();
-      r.stop = entry.get("stop").as_string();
-      r.total_ddfs_per_1000 = entry.get("total_ddfs_per_1000").as_double();
-      r.sem_per_1000 = entry.get("sem_per_1000").as_double();
-      r.relative_sem = entry.get("relative_sem").as_double();
-      r.year1_ddfs_per_1000 = entry.get("year1_ddfs_per_1000").as_double();
-      r.double_op_per_1000 = entry.get("double_op_per_1000").as_double();
-      r.latent_then_op_per_1000 =
-          entry.get("latent_then_op_per_1000").as_double();
-      r.op_failures = entry.get("op_failures").as_uint64();
-      r.latent_defects = entry.get("latent_defects").as_uint64();
-      r.scrubs_completed = entry.get("scrubs_completed").as_uint64();
-      r.restores_completed = entry.get("restores_completed").as_uint64();
-      // Optional, present only for tilted cells (see CellResult).
-      if (const obs::JsonValue* v = entry.find("op_tilt")) {
-        r.op_tilt = v->as_double();
-      }
-      if (const obs::JsonValue* v = entry.find("ld_tilt")) {
-        r.ld_tilt = v->as_double();
-      }
-      if (const obs::JsonValue* v = entry.find("ess")) {
-        r.ess = v->as_double();
-      }
-      if (const obs::JsonValue* v = entry.find("rebuild")) {
-        r.rebuild = v->as_string();
-      }
-      // Absent in manifests written before the latent credit: events.
-      if (const obs::JsonValue* v = entry.find("estimator")) {
-        r.estimator = v->as_string();
-      }
-      r.result_digest = entry.get("result_digest").as_uint64();
+      CellResult r = parse_cell(entry);
       // A tampered or bit-rotted entry must not masquerade as a result.
       if (cell_result_digest(r) != r.result_digest) {
         note_event(telemetry, "manifest_read", "cache-reject", 0,
@@ -289,16 +346,55 @@ std::unordered_map<std::uint64_t, CellResult> load_cache(
                        std::to_string(r.cell_key));
         continue;
       }
-      r.from_cache = true;
       cache.emplace(r.cell_key, std::move(r));
     }
   } catch (const ModelError& e) {
-    // A malformed entry invalidates the whole cache: partial trust in a
+    // A malformed entry invalidates the whole manifest: partial trust in a
     // manifest is worse than an honest resimulation.
     cache.clear();
     note_event(telemetry, "manifest_read", "cache-reject", 0, e.what());
   }
   return cache;
+}
+
+/// The cache on disk: the manifest's entries, then the journal's records
+/// replayed in order up to the first torn or damaged line. Identity fields
+/// (index, label, coordinates, config digest) always come from the
+/// *current* expansion, so relabeling an axis never stales the cache. Quarantined entries are
+/// deliberately not loaded: a resumed sweep gives every previously failed
+/// cell a fresh chance.
+LoadedCache load_cache(const std::string& path,
+                       obs::RunTelemetry* telemetry) {
+  LoadedCache out;
+  if (const auto text = read_whole_file(path)) {
+    out.cells = load_manifest(*text, telemetry);
+  }
+  const auto journal = read_whole_file(journal_path(path));
+  if (!journal) return out;
+  const std::string_view text(*journal);
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t eol = text.find('\n', pos);
+    std::optional<CellResult> r;
+    if (eol != std::string_view::npos) {
+      r = parse_record(text.substr(pos, eol - pos));
+    }
+    if (!r) {
+      // A torn tail is what a crash mid-append leaves; anything after a
+      // bad line is not trusted either.
+      note_event(telemetry, "manifest_read", "cache-reject", 0,
+                 std::string(eol == std::string_view::npos ? "torn"
+                                                           : "damaged") +
+                     " journal record at byte " + std::to_string(pos) +
+                     "; replay stops there");
+      break;
+    }
+    out.cells.insert_or_assign(r->cell_key, std::move(*r));
+    ++out.replayed;
+    pos = eol + 1;
+  }
+  out.journal_bytes = pos;
+  return out;
 }
 
 void write_cell(obs::JsonWriter& w, const CellResult& r) {
@@ -341,12 +437,160 @@ void write_cell(obs::JsonWriter& w, const CellResult& r) {
   w.end_object();
 }
 
-/// Atomically (re)write the manifest with every completed cell, sorted by
-/// index. No wall-clock or host-specific fields: the final manifest of a
-/// resumed sweep must be byte-identical to a single-pass one, and a sweep
-/// whose quarantined cells recover on resume must be byte-identical to a
-/// pass that never failed (the quarantined array drains back to []).
-/// Throws SiteError on every failure so callers can retry by site.
+/// One journal record: the checksum, a space, the cell's compact JSON, a
+/// newline.
+std::string journal_record(const CellResult& r) {
+  std::ostringstream json;
+  {
+    obs::JsonWriter w(json, 0);
+    write_cell(w, r);
+  }
+  const std::string body = json.str();
+  return record_checksum(body) + ' ' + body + '\n';
+}
+
+std::string errno_message() {
+  return std::error_code(errno, std::generic_category()).message();
+}
+
+/// Write all of `bytes` at `offset`, across short writes and EINTR.
+bool write_at(int fd, std::string_view bytes, off_t offset) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::pwrite(fd, bytes.data(), bytes.size(), offset);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+    offset += n;
+  }
+  return true;
+}
+
+void create_parent_directory(const std::string& path, const char* site) {
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  if (parent.empty()) return;
+  std::error_code ec;
+  std::filesystem::create_directories(parent, ec);
+  if (ec) {
+    throw SiteError(site, "cannot create manifest directory " +
+                              parent.string() + ": " + ec.message());
+  }
+}
+
+/// fsync the directory holding `path`, so that a file created or renamed
+/// there survives a crash.
+bool sync_parent_directory(const std::string& path) {
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  const int fd = ::open(parent.empty() ? "." : parent.c_str(),
+                        O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced;
+}
+
+/// The append-only completion log beside the manifest. Every record is
+/// fdatasynced before append() returns, so a reported completion survives
+/// a crash; a failed append is cut back off the file.
+class Journal {
+ public:
+  /// `keep` is the length of the valid prefix a resume replayed; whatever
+  /// follows it is dropped when the journal is first opened.
+  Journal(std::string path, std::uint64_t keep)
+      : path_(std::move(path)), end_(keep) {}
+  Journal(const Journal&) = delete;
+  Journal& operator=(const Journal&) = delete;
+  ~Journal() { close(); }
+
+  void append(std::string_view record, fault::FaultInjector* fault) {
+    if (fd_ < 0) open();
+    const auto at = static_cast<off_t>(end_);
+    try {
+      if (!write_at(fd_, record, at)) {
+        throw SiteError("journal_append", "cannot append to sweep journal " +
+                                              path_ + ": " + errno_message());
+      }
+      if (fault != nullptr) fault->check("journal_append", path_);
+      if (fault != nullptr) fault->check("journal_sync", path_);
+      if (::fdatasync(fd_) != 0) {
+        throw SiteError("journal_sync", "cannot sync sweep journal " + path_ +
+                                            ": " + errno_message());
+      }
+    } catch (...) {
+      // Cut the unsynced bytes off, so neither the retry nor a resume
+      // after a crash sees a record whose completion was never reported.
+      // If the cut fails, the next append reopens the file and cuts again.
+      if (::ftruncate(fd_, at) != 0) close();
+      throw;
+    }
+    end_ += record.size();
+  }
+
+  /// After a compaction every record is in the manifest: drop the file.
+  /// A removal that does not happen, or is lost in a crash, only leaves
+  /// records that duplicate the manifest.
+  void clear() {
+    close();
+    std::remove(path_.c_str());
+    end_ = 0;
+  }
+
+ private:
+  void open() {
+    create_parent_directory(path_, "journal_append");
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0666);
+    if (fd_ < 0) {
+      throw SiteError("journal_append", "cannot open sweep journal " + path_ +
+                                            ": " + errno_message());
+    }
+    // Replay stops at the first bad line, so a record appended after a
+    // torn tail would never be read: drop the tail first. Syncing the
+    // directory makes a newly created journal itself durable.
+    if (::ftruncate(fd_, static_cast<off_t>(end_)) != 0 ||
+        !sync_parent_directory(path_)) {
+      const std::string why = errno_message();
+      close();
+      throw SiteError("journal_append",
+                      "cannot prepare sweep journal " + path_ + ": " + why);
+    }
+  }
+
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+  std::string path_;
+  int fd_ = -1;
+  std::uint64_t end_ = 0;  ///< synced length; nothing past it is trusted
+};
+
+/// Write `bytes` to a fresh file at `path` and fsync it.
+void write_synced_file(const std::string& path, std::string_view bytes) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    throw SiteError("manifest_write",
+                    "cannot open sweep manifest for writing: " + path);
+  }
+  const bool written = write_at(fd, bytes, 0) && ::fsync(fd) == 0;
+  if (!(::close(fd) == 0 && written)) {
+    throw SiteError("manifest_write",
+                    "write failed for sweep manifest: " + path);
+  }
+}
+
+/// Atomically and durably (re)write the manifest with every completed
+/// cell, sorted by index: fsync a temp file, rename(2) it into place, and
+/// fsync the directory. No wall-clock or host-specific fields: the final
+/// manifest of a resumed sweep must be byte-identical to a single-pass
+/// one, and a sweep whose quarantined cells recover on resume must be
+/// byte-identical to a pass that never failed (the quarantined array
+/// drains back to []). Throws SiteError on every failure so callers can
+/// retry by site, and never leaves the temp file behind.
 void write_manifest(const std::string& path, const std::string& sweep_name,
                     const sim::ConvergenceOptions& conv,
                     std::size_t total_cells,
@@ -354,24 +598,9 @@ void write_manifest(const std::string& path, const std::string& sweep_name,
                     const std::vector<ErrorRecord>& quarantined,
                     fault::FaultInjector* fault) {
   if (fault != nullptr) fault->check("manifest_write", path);
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);
-    if (ec) {
-      throw SiteError("manifest_write", "cannot create manifest directory " +
-                                            parent.string() + ": " +
-                                            ec.message());
-    }
-  }
-  const std::string tmp = path + ".tmp";
+  create_parent_directory(path, "manifest_write");
+  std::ostringstream out;
   {
-    std::ofstream out(tmp);
-    if (!out.good()) {
-      throw SiteError("manifest_write",
-                      "cannot open sweep manifest for writing: " + tmp);
-    }
     obs::JsonWriter w(out);
     w.begin_object();
     w.kv("schema", kSchema);
@@ -426,16 +655,23 @@ void write_manifest(const std::string& path, const std::string& sweep_name,
     w.end_array();
     w.end_object();
     out << '\n';
-    if (!out.good()) {
-      throw SiteError("manifest_write",
-                      "write failed for sweep manifest: " + tmp);
-    }
   }
-  if (fault != nullptr) fault->check("manifest_rename", path);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  const std::string tmp = path + ".tmp";
+  try {
+    write_synced_file(tmp, out.str());
+    if (fault != nullptr) fault->check("manifest_rename", path);
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      throw SiteError("manifest_rename",
+                      "cannot move sweep manifest into place: " + path);
+    }
+  } catch (...) {
     std::remove(tmp.c_str());
+    throw;
+  }
+  if (!sync_parent_directory(path)) {
     throw SiteError("manifest_rename",
-                    "cannot move sweep manifest into place: " + path);
+                    "cannot sync the directory of sweep manifest " + path +
+                        ": " + errno_message());
   }
 }
 
@@ -562,32 +798,43 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
     }
   };
 
-  std::unordered_map<std::uint64_t, CellResult> cache;
-  if (!options_.manifest_path.empty() && options_.resume) {
+  // Runs one manifest or journal operation under the manifest_attempts
+  // budget; on exhaustion records an io_error and returns false. Callers
+  // hold the mutex or run while no worker does.
+  auto with_io_retries = [&](const char* fallback_site, auto&& op) {
     for (unsigned attempt = 1;; ++attempt) {
       try {
-        if (fault != nullptr) {
-          fault->check("manifest_read", options_.manifest_path);
-        }
-        cache = load_cache(options_.manifest_path, telemetry);
-        break;
+        op();
+        return true;
       } catch (const std::exception& e) {
         observe(e);
-        const std::string site = error_site(e, "manifest_read");
+        const std::string site = error_site(e, fallback_site);
         if (attempt < options_.manifest_attempts) {
           retries.fetch_add(1);
           note_event(telemetry, site, "retry", attempt, e.what());
           retry_backoff(backoff_ms, attempt);
           continue;
         }
-        // Unreadable cache: the sweep still runs, it just resimulates.
         out.io_errors.push_back({site, 0, options_.manifest_path, 0, attempt,
                                  e.what()});
         note_event(telemetry, site, "io-error", attempt, e.what());
-        break;
+        return false;
       }
     }
+  };
+
+  const bool persist = !options_.manifest_path.empty();
+  LoadedCache loaded;
+  if (persist && options_.resume) {
+    // An unreadable cache does not stop the sweep: it just resimulates.
+    with_io_retries("manifest_read", [&] {
+      if (fault != nullptr) {
+        fault->check("manifest_read", options_.manifest_path);
+      }
+      loaded = load_cache(options_.manifest_path, telemetry);
+    });
   }
+  const std::unordered_map<std::uint64_t, CellResult>& cache = loaded.cells;
 
   // Slot per cell; cached cells fill immediately, the rest go pending.
   std::vector<CellResult> slots(cells.size());
@@ -599,10 +846,14 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
     const std::uint64_t key = cell_key(cell, conv);
     const auto hit = cache.find(key);
     if (hit != cache.end()) {
+      // The key matched, and it hashes the config digest, so identity —
+      // including the config digest, which no result digest covers —
+      // comes from the current expansion.
       CellResult r = hit->second;
       r.index = cell.index;
       r.label = cell.label;
       r.coordinates = cell.coordinates;
+      r.config_digest = cell.config_digest;
       set_estimator(r, cell_exclusion(cell, cell_options(cell, conv)));
       slots[cell.index] = std::move(r);
       done[cell.index] = true;
@@ -615,40 +866,37 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
     pending.resize(options_.max_cells);
   }
 
-  std::mutex mutex;  // guards slots/done/failed/out, manifest and progress
+  std::mutex mutex;  // guards slots/done/failed/out, journal and progress
   std::size_t completed = cached;
-  bool checkpointing = !options_.manifest_path.empty();
-  auto checkpoint = [&] {
-    // Called under the mutex after every cell lands (or is quarantined).
-    // A checkpoint that keeps failing stops checkpointing — losing the
-    // on-disk cache must not lose the in-memory sweep.
-    if (!checkpointing) return;
+
+  // Only a compaction writes the manifest: every completed cell plus the
+  // in-memory quarantine records, after which the journal is emptied. A
+  // compaction that keeps failing leaves the journal in place, so nothing
+  // durable is lost.
+  Journal journal(journal_path(options_.manifest_path), loaded.journal_bytes);
+  auto compact = [&] {
     std::vector<const CellResult*> ordered;
     ordered.reserve(completed);
     for (std::size_t i = 0; i < slots.size(); ++i) {
       if (done[i]) ordered.push_back(&slots[i]);
     }
-    for (unsigned attempt = 1;; ++attempt) {
-      try {
-        write_manifest(options_.manifest_path, sweep_name, conv, cells.size(),
-                       ordered, out.quarantined, fault);
-        return;
-      } catch (const std::exception& e) {
-        observe(e);
-        const std::string site = error_site(e, "manifest_write");
-        if (attempt < options_.manifest_attempts) {
-          retries.fetch_add(1);
-          note_event(telemetry, site, "retry", attempt, e.what());
-          retry_backoff(backoff_ms, attempt);
-          continue;
-        }
-        checkpointing = false;
-        out.io_errors.push_back({site, 0, options_.manifest_path, 0, attempt,
-                                 e.what()});
-        note_event(telemetry, site, "io-error", attempt, e.what());
-        return;
-      }
-    }
+    with_io_retries("manifest_write", [&] {
+      write_manifest(options_.manifest_path, sweep_name, conv, cells.size(),
+                     ordered, out.quarantined, fault);
+      journal.clear();
+    });
+  };
+  // Fold a replayed journal into the manifest before appending to it.
+  if (loaded.replayed > 0) compact();
+
+  // Called under the mutex once per completed cell, before the completion
+  // is reported. An append that keeps failing stops journaling — losing
+  // the on-disk cache must not lose the in-memory sweep.
+  bool journaling = persist;
+  auto journal_cell = [&](const std::string& record) {
+    if (!journaling) return;
+    journaling = with_io_retries(
+        "journal_append", [&] { journal.append(record, fault); });
   };
 
   // In-flight attempt registry for the watchdog. Workers register each
@@ -740,7 +988,7 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
     for (;;) {
       // A tripped sweep token stops the claim loop: unclaimed cells stay
       // pending (a resumed run recomputes them in full), and whatever
-      // this worker already completed is durable in the manifest.
+      // this worker already completed is durable in the journal.
       if (sweep_cancel != nullptr &&
           sweep_cancel->poll_quiet() != util::CancelReason::kNone) {
         return;
@@ -765,11 +1013,12 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
           CellResult r =
               simulate_cell(cell, conv, fault, deadline_armed, cell_cancel);
           unregister_attempt(idx);
+          const std::string record = persist ? journal_record(r) : "";
           const std::lock_guard<std::mutex> lock(mutex);
           slots[idx] = std::move(r);
           done[idx] = true;
           ++completed;
-          checkpoint();
+          journal_cell(record);
           if (options_.progress != nullptr) {
             const CellResult& cr = slots[idx];
             *options_.progress << "[" << completed << "/" << cells.size()
@@ -797,7 +1046,6 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
                cell_key(cell, conv), attempt, e.what()});
           note_event(telemetry, "cell_stalled", "quarantine", attempt,
                      cell.label + ": " + e.what());
-          checkpoint();  // a stall is persisted like any quarantine
           if (options_.progress != nullptr) {
             *options_.progress << "[" << (completed + out.quarantined.size())
                                << "/" << cells.size() << "] " << cell.label
@@ -824,7 +1072,6 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
                cell_key(cell, conv), attempt, e.what()});
           note_event(telemetry, site, "quarantine", attempt,
                      cell.label + ": " + e.what());
-          checkpoint();  // a quarantine is persisted like any completion
           if (options_.progress != nullptr) {
             *options_.progress << "[" << (completed + out.quarantined.size())
                                << "/" << cells.size() << "] " << cell.label
@@ -843,12 +1090,7 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
   }
   threads = static_cast<unsigned>(
       std::min<std::size_t>(threads, std::max<std::size_t>(pending.size(), 1)));
-  if (pending.empty()) {
-    // Fully cached: still rewrite the manifest so a copied/merged cache
-    // file converges to the canonical single-pass bytes.
-    const std::lock_guard<std::mutex> lock(mutex);
-    checkpoint();
-  } else {
+  if (!pending.empty()) {
     // With an injector armed, even a single-shard sweep routes through the
     // pool so the pool_task site is exercised the same way as at scale.
     const bool use_pool = threads > 1 || fault != nullptr;
@@ -902,6 +1144,10 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
     watchdog_cv.notify_all();
     watchdog.join();
   }
+  // Compact even when nothing ran, so a copied or merged cache file
+  // converges to the canonical single-pass bytes. An interrupted sweep
+  // compacts too: its workers have drained.
+  if (persist) compact();
 
   out.total_cells = cells.size();
   out.cached = cached;

@@ -10,22 +10,25 @@
 // The result cache is a JSON manifest (schema raidrel-sweep-manifest/2,
 // written via obs/json_writer, read back via obs/json_reader; /1 manifests
 // are still read). Every cell is keyed by a digest over its config digest
-// plus everything else that determines its result; after each cell
-// completes the manifest is atomically rewritten (temp file + rename), so
-// killing a sweep loses at most the in-flight cells. A rerun loads the
-// manifest, skips cells whose key matches, simulates the rest, and the
-// merged manifest is byte-identical to what a single uninterrupted pass
-// writes.
+// plus everything else that determines its result. Each completed cell
+// appends one checksummed, fdatasynced record to `<manifest>.journal`, so
+// even a crash loses at most the in-flight cells; a compaction at sweep
+// end folds the journal into the manifest (fsynced temp file, rename,
+// directory fsync) and empties it. A rerun loads the manifest, replays the
+// journal up to its first torn or damaged record, skips cells whose key
+// matches, simulates the rest, and the merged manifest is byte-identical
+// to what a single uninterrupted pass writes.
 //
 // The runner is fail-safe rather than fail-fast: a cell that keeps
 // throwing is retried (bounded, deterministic backoff) and then
 // *quarantined* — recorded in the manifest as an ErrorRecord while every
-// other cell completes. Manifest I/O failures degrade checkpointing
-// instead of killing the sweep. SweepResult reports what was survived
-// (quarantined / io_errors / retries) so drivers can exit non-zero on a
-// degraded pass. Every failure path is reachable deterministically via
-// fault/fault_injection.h (sites: manifest_read, manifest_write,
-// manifest_rename, cell, plus pool_task / runner_trial underneath).
+// other cell completes. Manifest and journal I/O failures degrade
+// checkpointing instead of killing the sweep. SweepResult reports what
+// was survived (quarantined / io_errors / retries) so drivers can exit
+// non-zero on a degraded pass. Every failure path is reachable
+// deterministically via fault/fault_injection.h (sites: manifest_read,
+// journal_append, journal_sync, manifest_write, manifest_rename, cell,
+// plus pool_task / runner_trial underneath).
 #pragma once
 
 #include <cstdint>
@@ -67,7 +70,8 @@ struct SweepOptions {
   std::ostream* progress = nullptr;
 
   /// Optional fault injector. Armed sites fire inside this sweep
-  /// (manifest_read / manifest_write / manifest_rename / cell) and inside
+  /// (manifest_read / journal_append / journal_sync / manifest_write /
+  /// manifest_rename / cell) and inside
   /// the execution layers underneath (pool_task, runner_trial). Null — the
   /// default — disables every check.
   fault::FaultInjector* fault = nullptr;
@@ -80,10 +84,11 @@ struct SweepOptions {
   /// How many times one cell may be attempted before it is quarantined.
   unsigned cell_attempts = 2;
 
-  /// Attempts for each manifest read and each checkpoint write. Read
-  /// exhaustion falls back to an empty cache (resimulate); write
-  /// exhaustion disables checkpointing for the rest of the sweep. Both
-  /// are recorded as io_errors, and neither stops the sweep.
+  /// Attempts for each cache read, each journal append and each
+  /// compaction. Read exhaustion falls back to an empty cache
+  /// (resimulate); append exhaustion stops journaling for the rest of the
+  /// sweep; compaction exhaustion leaves the journal in place for the next
+  /// run. All are recorded as io_errors, and none stops the sweep.
   unsigned manifest_attempts = 3;
 
   /// Attempts for the worker fan-out itself (a worker that dies before
@@ -108,8 +113,9 @@ struct SweepOptions {
   /// Workers poll it before claiming each cell and the engines poll it
   /// between trials: in-flight cells abandon their partial run (nothing
   /// partial ever reaches the manifest), unclaimed cells stay pending, and
-  /// the manifest keeps its last durable checkpoint — so an interrupted
-  /// sweep reruns the remainder and converges to byte-identical bytes.
+  /// the drained sweep still compacts every completed cell into the
+  /// manifest — so an interrupted sweep reruns the remainder and converges
+  /// to byte-identical bytes.
   /// Null — the default — disables the polls entirely.
   util::CancelToken* cancel = nullptr;
 
@@ -230,7 +236,7 @@ struct SweepResult {
 
   /// True when SweepOptions::cancel was tripped before every cell
   /// resolved: in-flight cells were abandoned, unclaimed cells stay
-  /// pending, and the manifest holds the last durable checkpoint. Drivers
+  /// pending, and the manifest holds every completed cell. Drivers
   /// map this to their documented "interrupted" exit code.
   bool interrupted = false;
   /// Why the sweep stopped early ("cancelled" / "deadline"); empty when
@@ -271,7 +277,7 @@ class SweepRunner {
   explicit SweepRunner(SweepOptions options);
 
   /// Expand the spec and run it: load the cache, shard the pending cells
-  /// across the pool, checkpoint the manifest after every completion.
+  /// across the pool, journal every completion, compact at the end.
   SweepResult run(const SweepSpec& spec);
 
   /// Same, over a pre-expanded cell list (callers that post-process cells

@@ -29,8 +29,8 @@ TEST(FaultRegistry, IsClosedSortedAndQueryable) {
   // The exact registry is part of the public contract: CI enumerates it
   // and docs/MODEL.md §11 mirrors it. Growing it is fine — silently is not.
   const std::vector<std::string> expected = {
-      "cell",          "manifest_read", "manifest_rename",
-      "manifest_write", "pool_task",    "runner_trial",
+      "cell",           "journal_append", "journal_sync", "manifest_read",
+      "manifest_rename", "manifest_write", "pool_task",   "runner_trial",
   };
   EXPECT_EQ(sites, expected);
   EXPECT_FALSE(is_registered_site("no_such_site"));

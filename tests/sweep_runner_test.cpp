@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "fault/fault_injection.h"
 #include "obs/json_reader.h"
@@ -51,7 +56,9 @@ SweepOptions fast_options(const std::string& manifest = "") {
 
 std::string temp_manifest(const std::string& name) {
   const std::string path = ::testing::TempDir() + "raidrel_" + name + ".json";
-  std::remove(path.c_str());
+  for (const char* suffix : {"", ".journal", ".tmp"}) {
+    std::remove((path + suffix).c_str());
+  }
   return path;
 }
 
@@ -384,8 +391,10 @@ TEST(SweepFaults, EmptyPlanInjectorLeavesEveryDigestBitIdentical) {
   // The sites were actually traversed — the empty plan just never fired —
   // and the bytes on disk match a run with no injector at all.
   EXPECT_EQ(injector.hits("manifest_read"), 1u);
-  EXPECT_EQ(injector.hits("manifest_write"), 4u);  // one checkpoint per cell
-  EXPECT_EQ(injector.hits("manifest_rename"), 4u);
+  EXPECT_EQ(injector.hits("journal_append"), 4u);  // one record per cell
+  EXPECT_EQ(injector.hits("journal_sync"), 4u);
+  EXPECT_EQ(injector.hits("manifest_write"), 1u);  // one compaction
+  EXPECT_EQ(injector.hits("manifest_rename"), 1u);
   EXPECT_EQ(injector.hits("cell"), 4u);
   EXPECT_EQ(injector.hits("pool_task"), 2u);  // threads=2 fan-out
   EXPECT_EQ(injector.hits("runner_trial"), 4u * 600u);
@@ -500,12 +509,15 @@ TEST(SweepFaults, ManifestWriteExhaustionDegradesToInMemoryResults) {
   EXPECT_EQ(result.io_errors[0].label, path);
   EXPECT_EQ(result.io_errors[0].attempts, 3u);  // default manifest_attempts
   EXPECT_EQ(result.retries, 2u);
-  EXPECT_FALSE(std::ifstream(path).good());  // nothing was left behind
+  EXPECT_FALSE(std::ifstream(path).good());  // no manifest was written
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 
-  // A clean rerun starts from nothing and lands on the canonical bytes.
+  // The journal survived the failed compaction: a clean rerun resumes
+  // from it and lands on the canonical bytes.
   const auto rerun = SweepRunner(fast_options(path)).run(small_spec());
   EXPECT_TRUE(rerun.complete);
   EXPECT_FALSE(rerun.degraded());
+  EXPECT_EQ(rerun.cached, 4u);
   const std::string clean = temp_manifest("mwrite_dead_clean");
   SweepRunner(fast_options(clean)).run(small_spec());
   EXPECT_EQ(read_file(path), read_file(clean));
@@ -630,6 +642,304 @@ TEST(SweepFaults, RetryBudgetsMustBePositive) {
   auto opt = fast_options();
   opt.cell_attempts = 0;
   EXPECT_THROW(SweepRunner(opt).run(small_spec()), ModelError);
+}
+
+// ---------------------------------------------------------------------------
+// The completion journal (<manifest>.journal): one fsynced record per
+// completed cell, folded into the manifest by a compaction at sweep end.
+
+void write_file(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+/// Offsets just past each record's newline.
+std::vector<std::size_t> record_ends(const std::string& journal) {
+  std::vector<std::size_t> ends;
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    if (journal[i] == '\n') ends.push_back(i + 1);
+  }
+  return ends;
+}
+
+TEST(SweepJournal, FailedCompactionLeavesNoTempFileAndKeepsTheJournal) {
+  const std::string path = temp_manifest("journal_norename");
+  fault::FaultInjector injector{
+      fault::FaultPlan::parse("manifest_rename:1*9")};
+  auto opt = fast_options(path);
+  opt.fault = &injector;
+  const auto result = SweepRunner(opt).run(small_spec());
+  EXPECT_TRUE(result.complete);
+  expect_baseline(result);
+  ASSERT_EQ(result.io_errors.size(), 1u);
+  EXPECT_EQ(result.io_errors[0].site, "manifest_rename");
+  EXPECT_EQ(result.io_errors[0].attempts, 3u);
+  EXPECT_EQ(injector.hits("manifest_write"), 3u);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_EQ(record_ends(read_file(path + ".journal")).size(), 4u);
+}
+
+TEST(SweepJournal, FailedAppendOrSyncIsCutBackBeforeTheRetry) {
+  const std::string clean = temp_manifest("journal_cut_clean");
+  SweepRunner(fast_options(clean)).run(small_spec());
+  for (const std::string site : {"journal_append", "journal_sync"}) {
+    SCOPED_TRACE(site);
+    // The second record fails once after its bytes were written; the
+    // failed compaction keeps the journal on disk for inspection.
+    const std::string path = temp_manifest("journal_cut_" + site);
+    fault::FaultInjector injector{
+        fault::FaultPlan::parse(site + ":2,manifest_rename:1*9")};
+    auto opt = fast_options(path);
+    opt.fault = &injector;
+    const auto result = SweepRunner(opt).run(small_spec());
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(injector.injected(site), 1u);
+    EXPECT_EQ(result.retries, 3u);  // the record once, the compaction twice
+    ASSERT_EQ(result.io_errors.size(), 1u);
+    EXPECT_EQ(result.io_errors[0].site, "manifest_rename");
+
+    // Every cell exactly once (four lines, four keys), every record whole
+    // (the resume replays all four).
+    const std::string journal = read_file(path + ".journal");
+    std::set<std::uint64_t> keys;
+    std::size_t start = 0;
+    for (const std::size_t end : record_ends(journal)) {
+      // A record is "<16 hex digits> <cell JSON>\n".
+      const std::string json = journal.substr(start + 17, end - 1 - start - 17);
+      keys.insert(obs::parse_json(json).get("cell_key").as_uint64());
+      start = end;
+    }
+    EXPECT_EQ(start, journal.size());
+    EXPECT_EQ(record_ends(journal).size(), 4u);
+    EXPECT_EQ(keys.size(), 4u);
+
+    const auto resumed = SweepRunner(fast_options(path)).run(small_spec());
+    EXPECT_EQ(resumed.cached, 4u);
+    EXPECT_FALSE(std::filesystem::exists(path + ".journal"));
+    EXPECT_EQ(read_file(path), read_file(clean));
+  }
+}
+
+TEST(SweepJournal, ResumeFoldsAReplayedJournalIntoTheManifestFirst) {
+  const std::string path = temp_manifest("journal_fold");
+  {
+    fault::FaultInjector failing{
+        fault::FaultPlan::parse("manifest_rename:1*9")};
+    auto opt = fast_options(path);
+    opt.max_cells = 2;
+    opt.fault = &failing;
+    SweepRunner(opt).run(small_spec());
+  }
+  ASSERT_FALSE(std::filesystem::exists(path));
+  fault::FaultInjector counter{fault::FaultPlan{}};
+  auto opt = fast_options(path);
+  opt.fault = &counter;
+  const auto resumed = SweepRunner(opt).run(small_spec());
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_FALSE(resumed.degraded());
+  EXPECT_EQ(resumed.cached, 2u);
+  EXPECT_EQ(resumed.simulated, 2u);
+  expect_baseline(resumed);
+  // One compaction folds the replayed records in, one ends the sweep.
+  EXPECT_EQ(counter.hits("manifest_write"), 2u);
+  EXPECT_EQ(counter.hits("manifest_rename"), 2u);
+  EXPECT_EQ(counter.hits("journal_append"), 2u);
+
+  const std::string clean = temp_manifest("journal_fold_clean");
+  SweepRunner(fast_options(clean)).run(small_spec());
+  EXPECT_EQ(read_file(path), read_file(clean));
+}
+
+// Two 300-trial cells over a 1000-hour mission, run in order on one
+// shard: cheap enough to resume from every byte offset of their journal.
+SweepSpec tiny_spec() {
+  core::ScenarioConfig base = small_base();
+  base.mission_hours = 1000.0;
+  SweepSpec spec("journal-test", base);
+  spec.add_restore_eta_axis({12.0, 48.0});
+  return spec;
+}
+
+SweepOptions tiny_options(const std::string& manifest) {
+  SweepOptions opt = fast_options(manifest);
+  opt.convergence.max_trials = 300;
+  opt.threads = 1;
+  return opt;
+}
+
+struct JournalFixture {
+  std::string clean;    ///< single-pass manifest
+  std::string partial;  ///< manifest of a pass stopped after cell 0
+  std::string journal;  ///< both cells' records, cell 0 first
+  std::vector<std::size_t> ends;
+  std::vector<std::uint64_t> digests;  ///< single-pass result digests
+};
+
+JournalFixture make_fixture() {
+  JournalFixture f;
+  const std::string clean = temp_manifest("fixture_clean");
+  const auto single = SweepRunner(tiny_options(clean)).run(tiny_spec());
+  f.clean = read_file(clean);
+  for (const auto& cell : single.cells) f.digests.push_back(cell.result_digest);
+
+  const std::string partial = temp_manifest("fixture_partial");
+  auto stop_early = tiny_options(partial);
+  stop_early.max_cells = 1;
+  SweepRunner(stop_early).run(tiny_spec());
+  f.partial = read_file(partial);
+
+  // A pass whose every compaction fails leaves its whole journal behind.
+  const std::string full = temp_manifest("fixture_journal");
+  fault::FaultInjector no_rename{
+      fault::FaultPlan::parse("manifest_rename:1*99")};
+  auto failing = tiny_options(full);
+  failing.fault = &no_rename;
+  SweepRunner(failing).run(tiny_spec());
+  EXPECT_FALSE(std::filesystem::exists(full));
+  f.journal = read_file(full + ".journal");
+  f.ends = record_ends(f.journal);
+  EXPECT_EQ(f.ends.size(), 2u);
+  EXPECT_EQ(f.ends.back(), f.journal.size());
+  return f;
+}
+
+/// Put a manifest (or none), a journal and a stray temp file at `path`.
+void stage(const std::string& path, const std::string* manifest,
+           std::string_view journal) {
+  if (manifest != nullptr) {
+    write_file(path, *manifest);
+  } else {
+    std::remove(path.c_str());
+  }
+  write_file(path + ".journal", journal);
+  write_file(path + ".tmp", "{\"schema\": \"a crashed compaction's temp");
+}
+
+/// Every crash leaves a prefix of the journal: a resume from any prefix,
+/// beside no manifest or a partial one, lands on the single-pass bytes.
+TEST(SweepJournal, EveryJournalPrefixResumesToTheSinglePassBytes) {
+  const JournalFixture f = make_fixture();
+  ASSERT_EQ(f.ends.size(), 2u);
+  const std::string path = temp_manifest("journal_prefix");
+  for (std::size_t cut = 0; cut <= f.journal.size(); ++cut) {
+    std::size_t whole = 0;  // records the prefix holds in full
+    while (whole < f.ends.size() && f.ends[whole] <= cut) ++whole;
+    for (const bool with_manifest : {false, true}) {
+      SCOPED_TRACE("cut " + std::to_string(cut) +
+                   (with_manifest ? " beside the partial manifest" : ""));
+      stage(path, with_manifest ? &f.partial : nullptr,
+            std::string_view(f.journal).substr(0, cut));
+      const auto result = SweepRunner(tiny_options(path)).run(tiny_spec());
+      const std::size_t cached = with_manifest ? std::max<std::size_t>(whole, 1)
+                                               : whole;
+      ASSERT_TRUE(result.complete);
+      ASSERT_FALSE(result.degraded());
+      ASSERT_EQ(result.cached, cached);
+      ASSERT_EQ(read_file(path), f.clean);
+      ASSERT_FALSE(std::filesystem::exists(path + ".tmp"));
+      ASSERT_FALSE(std::filesystem::exists(path + ".journal"));
+    }
+  }
+}
+
+/// Replay stops at the first damaged line, even with valid records after
+/// it, and the next append replaces everything past the valid prefix. A
+/// line is damaged when its checksum fails, or when its checksum holds but
+/// its result digest does not.
+TEST(SweepJournal, ReplayStopsAtADamagedLineAndAppendsReplaceTheRest) {
+  const JournalFixture f = make_fixture();
+  ASSERT_EQ(f.ends.size(), 2u);
+  const std::string_view journal(f.journal);
+  // Cell 1's record with its trial count changed and its checksum redone.
+  std::string forged(
+      journal.substr(f.ends[0] + 17, f.ends[1] - f.ends[0] - 18));
+  const std::size_t trials = forged.find("\"trials\":300");
+  ASSERT_NE(trials, std::string::npos);
+  forged.replace(trials, 12, "\"trials\":299");
+  char sum[17];
+  std::snprintf(sum, sizeof sum, "%016llx",
+                static_cast<unsigned long long>(obs::fnv1a64(forged)));
+  forged = std::string(sum) + ' ' + forged + '\n';
+
+  for (const std::string& damaged :
+       {std::string("0123456789abcdef {\"not\": \"a record\"}\n"), forged}) {
+    SCOPED_TRACE(damaged);
+    const std::string path = temp_manifest("journal_damaged");
+    std::string staged(journal.substr(0, f.ends[0]));
+    staged += damaged;
+    staged += journal.substr(f.ends[0]);
+    stage(path, nullptr, staged);
+    // Every compaction fails, so the journal is left to inspect.
+    fault::FaultInjector no_rename{
+        fault::FaultPlan::parse("manifest_rename:1*99")};
+    auto opt = tiny_options(path);
+    opt.fault = &no_rename;
+    const auto result = SweepRunner(opt).run(tiny_spec());
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.cached, 1u);
+    EXPECT_EQ(result.simulated, 1u);
+    EXPECT_EQ(read_file(path + ".journal"), f.journal);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  }
+}
+
+/// Seeded byte flips, insertions, deletions and truncations of a valid
+/// manifest and journal: the loader never crashes, never trusts a damaged
+/// record, and the resume still lands on the single-pass bytes.
+TEST(SweepJournal, HostileBytesNeverLoadADamagedRecord) {
+  const JournalFixture f = make_fixture();
+  ASSERT_EQ(f.ends.size(), 2u);
+  const std::string path = temp_manifest("journal_hostile");
+  std::mt19937_64 rng(20070625);
+  constexpr int kMutations = 2000;
+  for (int i = 0; i < kMutations; ++i) {
+    // Even mutations hit the journal (beside the partial manifest), odd
+    // ones the complete manifest (with no journal).
+    const bool journal = i % 2 == 0;
+    std::string bytes = journal ? f.journal : f.clean;
+    // `at` is the first offset whose byte differs from the original.
+    std::size_t at = rng() % bytes.size();
+    switch (rng() % 4) {
+      case 0:
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << (rng() % 8)));
+        break;
+      case 1:
+        at = rng() % (bytes.size() + 1);
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                     static_cast<char>(rng() % 256));
+        break;
+      case 2:
+        bytes.erase(at, 1);
+        break;
+      default:
+        bytes.resize(at);
+        break;
+    }
+    SCOPED_TRACE("mutation " + std::to_string(i) + " at byte " +
+                 std::to_string(at) + (journal ? " of the journal" : ""));
+    if (journal) {
+      stage(path, &f.partial, bytes);
+    } else {
+      stage(path, &bytes, "");
+    }
+    SweepResult result;
+    ASSERT_NO_THROW(result = SweepRunner(tiny_options(path)).run(tiny_spec()));
+    ASSERT_TRUE(result.complete);
+    ASSERT_FALSE(result.degraded());
+    if (journal) {
+      // Replay stops at the damaged record: only records wholly before
+      // the first changed byte load, beside the manifest's cell 0.
+      std::size_t whole = 0;
+      while (whole < f.ends.size() && f.ends[whole] <= at) ++whole;
+      ASSERT_EQ(result.cached, std::max<std::size_t>(whole, 1));
+    }
+    for (std::size_t c = 0; c < result.cells.size(); ++c) {
+      ASSERT_EQ(cell_result_digest(result.cells[c]), f.digests[c]);
+    }
+    ASSERT_EQ(read_file(path), f.clean);
+  }
 }
 
 }  // namespace
