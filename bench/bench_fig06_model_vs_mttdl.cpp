@@ -39,7 +39,9 @@ int main(int argc, char** argv) {
 
   for (const auto variant : core::presets::all_fig6_variants()) {
     const auto scenario = core::presets::fig6_variant(variant);
-    const auto result = core::evaluate_scenario(scenario, opt.run_options());
+    sim::RunOptions run = opt.run_options();
+    run.double_op_probe = true;  // the curves below read the probe
+    const auto result = core::evaluate_scenario(scenario, run);
     series.push_back(bench::cumulative_series(
         core::presets::to_string(variant), result.run,
         sim::Estimator::kDoubleOpProbe));

@@ -273,6 +273,24 @@ void BM_GroupMission_NoLatent(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupMission_NoLatent);
 
+// The opt-in double-op probe (RunOptions::double_op_probe, docs/MODEL.md
+// §4) on the Fig. 6 c-c preset, the mission bench_fig06 runs: every op
+// failure adds each partner's window probability and the Poisson-binomial
+// census. Kept measured so the opt-in path's cost stays visible; not in
+// the perf gate's watched set.
+void BM_GroupMission_Fig6Probe(benchmark::State& state) {
+  const auto cfg =
+      core::presets::fig6_variant(core::presets::Fig6Variant::kConstConst)
+          .to_group_config();
+  note_engine_config("BM_GroupMission_Fig6Probe", cfg, 1,
+                     sim::kDefaultBatchWidth, sim::kDefaultBatchWidth);
+  sim::BatchGroupSimulator simulator(
+      cfg, sim::kDefaultBatchWidth, sim::KernelPolicy::kLowered,
+      std::nullopt, sim::MathTier::kExact, nullptr, /*double_op_probe=*/true);
+  run_lanes(state, simulator, 6);
+}
+BENCHMARK(BM_GroupMission_Fig6Probe);
+
 void BM_TimingEngineMission_BaseCase(benchmark::State& state) {
   auto cfg = core::presets::base_case().to_group_config();
   cfg.clear_defects_on_ddf_restore = false;

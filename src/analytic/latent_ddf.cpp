@@ -39,17 +39,32 @@ double defective_probability(const LatentDdfInputs& in, double t) {
 double at_least_k_of_n(double q, unsigned n, unsigned k) {
   if (k == 0) return 1.0;
   if (k > n) return 0.0;
-  // Complement: sum of binomial pmf below k.
-  double below = 0.0;
-  double pmf = std::pow(1.0 - q, static_cast<double>(n));  // j = 0
-  for (unsigned j = 0; j < k; ++j) {
-    below += pmf;
-    // pmf(j+1) = pmf(j) * (n-j)/(j+1) * q/(1-q); guard q ~ 1.
-    if (q >= 1.0) return 1.0;
-    pmf *= static_cast<double>(n - j) / static_cast<double>(j + 1) * q /
-           (1.0 - q);
+  if (q <= 0.0) return 0.0;
+  if (q >= 1.0) return 1.0;
+  // Sum the upper tail's pmf terms directly (non-negative, so no
+  // cancellation), walking the recurrence away from the end whose pmf
+  // cannot underflow: j = 0, pmf (1-q)^n, for q <= 1/2; j = n, pmf q^n,
+  // above.
+  const double odds = q / (1.0 - q);
+  double tail = 0.0;
+  if (q <= 0.5) {
+    double pmf = std::pow(1.0 - q, static_cast<double>(n));  // j = 0
+    for (unsigned j = 0; j < n; ++j) {
+      if (j >= k) tail += pmf;
+      // pmf(j+1) = pmf(j) * (n-j)/(j+1) * q/(1-q).
+      pmf *= static_cast<double>(n - j) / static_cast<double>(j + 1) * odds;
+    }
+    tail += pmf;  // j = n
+  } else {
+    double pmf = std::pow(q, static_cast<double>(n));  // j = n
+    for (unsigned j = n; j > k; --j) {
+      tail += pmf;
+      // pmf(j-1) = pmf(j) * j/(n-j+1) * (1-q)/q.
+      pmf *= static_cast<double>(j) / static_cast<double>(n - j + 1) / odds;
+    }
+    tail += pmf;  // j = k
   }
-  return std::max(0.0, 1.0 - below);
+  return std::min(tail, 1.0);
 }
 
 double ddf_intensity(const LatentDdfInputs& in, double t) {

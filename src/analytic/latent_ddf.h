@@ -38,7 +38,8 @@ struct LatentDdfInputs {
 
 /// P(at least k of n independent events each with probability q) — the
 /// equal-probability (binomial) special case of the engines' m-overlap
-/// Poisson-binomial census, computed by the complement recurrence. Exposed
+/// Poisson-binomial census, summed over the upper tail's binomial terms
+/// (no complement, so tails far below 1e-16 keep their digits). Exposed
 /// so tests can hold it against util::poisson_binomial_tail with equal
 /// per-event probabilities for arbitrary k (the m >= 3 regimes the
 /// multi-overlap terms below rely on).

@@ -19,7 +19,8 @@ BatchGroupSimulator::BatchGroupSimulator(const raid::GroupConfig& config,
                                          std::optional<TiltSpec> tilt,
                                          MathTier tier,
                                          std::shared_ptr<const LatentCurves>
-                                             curves)
+                                             curves,
+                                         bool double_op_probe)
     : cfg_(config),
       ops_(&lane_ops()),
       tier_(tier),
@@ -28,7 +29,7 @@ BatchGroupSimulator::BatchGroupSimulator(const raid::GroupConfig& config,
   RAIDREL_REQUIRE(width >= 1, "batch width must be at least 1");
   cfg_.validate();
   if (latent_credit_exclusion(cfg_, tilt) == nullptr) {
-    forward_.emplace(cfg_, policy, tilt, std::move(curves));
+    forward_.emplace(cfg_, policy, tilt, std::move(curves), double_op_probe);
     results_.resize(width_);
     return;
   }
@@ -55,6 +56,7 @@ BatchGroupSimulator::BatchGroupSimulator(const raid::GroupConfig& config,
   has_zones_ = cfg_.stripe_zones != 0;
   age_clock_ = cfg_.latent_clock == raid::LatentClock::kDriveAge;
   declustered_ = cfg_.rebuild == raid::RebuildModel::kDeclustered;
+  probe_ = double_op_probe;
   uniform_latent_present_ =
       uniform_law_[static_cast<std::size_t>(Law::kLatent)] &&
       kernels_[0].latent.present();
@@ -97,12 +99,14 @@ BatchGroupSimulator::BatchGroupSimulator(const raid::GroupConfig& config,
   lw_scratch_.resize(width_);
   horizon_scratch_.resize(width_);
 
-  probe_p_.resize(nslots_);
-  probe_dist_.resize(nslots_ + 1);
-  probe_age_.resize(nslots_);
-  probe_h0_.resize(nslots_);
-  probe_h1_.resize(nslots_);
-  probe_slot_.resize(nslots_);
+  if (probe_) {
+    probe_p_.resize(nslots_);
+    probe_dist_.resize(nslots_ + 1);
+    probe_age_.resize(nslots_);
+    probe_h0_.resize(nslots_);
+    probe_h1_.resize(nslots_);
+    probe_slot_.resize(nslots_);
+  }
 }
 
 bool BatchGroupSimulator::restoring(std::size_t i) const noexcept {
@@ -634,7 +638,7 @@ void BatchGroupSimulator::process_op_failures() {
       }
       const double window =
           std::min(restore_duration, cfg_.mission_hours - e.t);
-      if (window > 0.0) {
+      if (probe_ && window > 0.0) {
         res.double_op_probe.emplace_back(
             e.t, probe_probability(e.lane, e.slot, e.t, window));
       }

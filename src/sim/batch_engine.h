@@ -70,12 +70,14 @@ class BatchGroupSimulator {
   /// construction from util::active_isa() and never changes a bit at
   /// either tier.
   /// `curves` shares a run's latent-credit tables; null builds them here
-  /// when the config is in scope.
+  /// when the config is in scope. `double_op_probe` records
+  /// TrialResult::double_op_probe exactly as GroupSimulator does.
   BatchGroupSimulator(const raid::GroupConfig& config, std::size_t width,
                       KernelPolicy policy = KernelPolicy::kLowered,
                       std::optional<TiltSpec> tilt = std::nullopt,
                       MathTier tier = MathTier::kExact,
-                      std::shared_ptr<const LatentCurves> curves = nullptr);
+                      std::shared_ptr<const LatentCurves> curves = nullptr,
+                      bool double_op_probe = false);
 
   /// Simulate `count` (1..width()) missions in lockstep. Trial w draws
   /// from streams.stream(first_stream_index + w), so the lane's results
@@ -199,6 +201,7 @@ class BatchGroupSimulator {
   bool has_zones_ = false;       ///< cfg_.stripe_zones != 0
   bool age_clock_ = false;       ///< latent clock is kDriveAge
   bool declustered_ = false;     ///< cfg_.rebuild == kDeclustered
+  bool probe_ = false;           ///< record TrialResult::double_op_probe
   bool uniform_latent_present_ = false;  ///< every slot has the same latent law
   bool any_trace_ = false;       ///< some lane of the current run records
   // Importance-sampling state, mirroring GroupSimulator: tilted_ is true

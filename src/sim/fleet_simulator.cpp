@@ -40,13 +40,15 @@ void FleetTrialResult::clear(std::size_t groups) {
 }
 
 FleetSimulator::FleetSimulator(const FleetConfig& config, KernelPolicy policy,
-                               std::shared_ptr<const LatentCurves> curves)
+                               std::shared_ptr<const LatentCurves> curves,
+                               bool double_op_probe)
     : pool_(config.shared_pool) {
   config.validate();
   curves_ = curves ? std::move(curves) : latent_curves_for(config.groups);
   cores_.reserve(config.groups.size());
   for (const auto& group : config.groups) {
-    cores_.emplace_back(group, policy, std::nullopt, curves_.get());
+    cores_.emplace_back(group, policy, std::nullopt, curves_.get(),
+                        double_op_probe);
   }
 }
 

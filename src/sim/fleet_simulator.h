@@ -11,7 +11,7 @@
 // Every group runs on GroupSimulator's own handlers (sim::detail::GroupCore:
 // fault census, freeze windows, latent-defect renewal per
 // raid::LatentClock, state-1 defect wipe, declustered rebuild, stripe zones
-// and the conditional-expectation probe) inside the same event loop; only
+// and the opt-in double-op probe) inside the same event loop; only
 // the spare pool is shared. The next event is the earliest of the groups'
 // cached minima, scanned in group order with strict `<`: on a tie the
 // lowest group, then its lowest slot, goes first, and a spare arrival at
@@ -59,10 +59,12 @@ class FleetSimulator {
   /// the reference virtual-dispatch path; both produce bit-identical event
   /// histories (see slot_kernel.h). Groups in the latent-credit scope run
   /// credited (sim/latent_credit.h); `curves` shares a run's tables, null
-  /// builds them here.
+  /// builds them here. `double_op_probe` records every group's
+  /// TrialResult::double_op_probe, as in GroupSimulator.
   explicit FleetSimulator(const FleetConfig& config,
                           KernelPolicy policy = KernelPolicy::kLowered,
-                          std::shared_ptr<const LatentCurves> curves = nullptr);
+                          std::shared_ptr<const LatentCurves> curves = nullptr,
+                          bool double_op_probe = false);
 
   /// Simulate one mission of the whole fleet. A non-null `trace` is
   /// cleared and receives every dispatched event in processing order with

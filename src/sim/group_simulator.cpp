@@ -87,8 +87,8 @@ std::optional<SparePool::Waiter> SparePool::arrive(double now) {
 
 GroupCore::GroupCore(const raid::GroupConfig& config, KernelPolicy policy,
                      const std::optional<TiltSpec>& tilt,
-                     const LatentCurves* curves)
-    : cfg_(config) {
+                     const LatentCurves* curves, bool probe)
+    : cfg_(config), probe_(probe) {
   cfg_.validate();
   kernels_.reserve(cfg_.slots.size());
   for (const auto& slot : cfg_.slots) {
@@ -108,8 +108,10 @@ GroupCore::GroupCore(const raid::GroupConfig& config, KernelPolicy policy,
     for (const auto& slot : cfg_.slots) curves_.push_back(&curves->of(slot));
   }
   slots_.resize(cfg_.slots.size());
-  probe_p_.resize(slots_.size());
-  probe_dist_.resize(slots_.size() + 1);
+  if (probe_) {
+    probe_p_.resize(slots_.size());
+    probe_dist_.resize(slots_.size() + 1);
+  }
 }
 
 void GroupCore::refresh_next_event(Slot& s) noexcept {
@@ -298,7 +300,7 @@ void GroupCore::handle_op_failure(std::size_t group, std::size_t i,
     // wait for a spare, which is unknown here — the probe then understates;
     // use the counting estimator for spare-pool studies.
     const double window = std::min(restore_duration, cfg_.mission_hours - now);
-    if (window > 0.0) {
+    if (probe_ && window > 0.0) {
       out.double_op_probe.emplace_back(now,
                                        probe_probability(i, now, window));
     }
@@ -517,9 +519,10 @@ void run_missions(std::span<GroupCore> cores, SparePool& pool,
 GroupSimulator::GroupSimulator(const raid::GroupConfig& config,
                                KernelPolicy policy,
                                std::optional<TiltSpec> tilt,
-                               std::shared_ptr<const LatentCurves> curves)
+                               std::shared_ptr<const LatentCurves> curves,
+                               bool double_op_probe)
     : curves_(curves ? std::move(curves) : latent_curves_for(config, tilt)),
-      core_(config, policy, tilt, curves_.get()),
+      core_(config, policy, tilt, curves_.get(), double_op_probe),
       pool_(config.spare_pool) {}
 
 void GroupSimulator::run_trial(rng::RandomStream& rs, TrialResult& out,

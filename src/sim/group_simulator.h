@@ -80,15 +80,17 @@ struct TrialResult {
   std::vector<std::pair<double, double>> latent_credit;
   bool latent_credited = false;
 
-  /// Conditional-expectation probe: one entry per operational failure,
-  /// (failure time, probability that this failure *initiates* a data loss,
-  /// i.e. that enough other drives fail operationally inside its sampled
-  /// restore window). Each potential DDF is credited exactly once — to the
-  /// failure that opens the exposure window; failures completing an
-  /// already-critical overlap contribute 0. For rare-DDF scenarios (the
-  /// paper's Fig. 6 regime) summing these probabilities estimates
-  /// multi-operational DDFs with orders of magnitude less variance than
-  /// counting.
+  /// Conditional-expectation probe (docs/MODEL.md §4), recorded only when
+  /// the engine was built with the probe on (RunOptions::double_op_probe;
+  /// empty otherwise): one entry per censused operational failure with
+  /// restore window left in the mission, (failure time, probability that
+  /// this failure *initiates* a data loss, i.e. that enough other drives
+  /// fail operationally inside its sampled restore window). Each potential
+  /// DDF is credited exactly once — to the failure that opens the exposure
+  /// window; failures completing an already-critical overlap contribute 0.
+  /// For rare-DDF scenarios (the paper's Fig. 6 regime) summing these
+  /// probabilities estimates multi-operational DDFs with orders of
+  /// magnitude less variance than counting.
   std::vector<std::pair<double, double>> double_op_probe;
 
   /// Log importance weight of the trial: the exact log-likelihood-ratio of
@@ -157,12 +159,13 @@ class SparePool {
 /// per group for FleetSimulator, so both engines share every handler.
 class GroupCore {
  public:
-  /// See GroupSimulator's constructor for `policy` and `tilt`. `curves`
-  /// must cover the config's slots when it is in the latent-credit scope
-  /// (and is ignored otherwise); it must outlive the core.
+  /// See GroupSimulator's constructor for `policy`, `tilt` and `probe`.
+  /// `curves` must cover the config's slots when it is in the
+  /// latent-credit scope (and is ignored otherwise); it must outlive the
+  /// core.
   GroupCore(const raid::GroupConfig& config, KernelPolicy policy,
             const std::optional<TiltSpec>& tilt,
-            const LatentCurves* curves);
+            const LatentCurves* curves, bool probe);
 
   /// Reset per-mission state and install a fresh drive in every slot.
   void start(rng::RandomStream& rs);
@@ -257,6 +260,7 @@ class GroupCore {
   HazardTilt ld_tilt_;
   bool tilted_ = false;
   bool declustered_ = false;  ///< cfg_.rebuild == kDeclustered
+  bool probe_ = false;        ///< record TrialResult::double_op_probe
   /// Latent-credit path (sim/latent_credit.h): no defect or scrub events;
   /// curves_ holds each slot's A(tau).
   bool credit_ = false;
@@ -301,10 +305,13 @@ class GroupSimulator {
   /// op/latent laws to be lowerable (no kVirtual fallback, which also rules
   /// out KernelPolicy::kVirtualOnly). `curves` shares a run's latent-credit
   /// tables; null builds them here when the config is in scope.
+  /// `double_op_probe` records TrialResult::double_op_probe (off leaves it
+  /// empty and changes nothing else).
   explicit GroupSimulator(const raid::GroupConfig& config,
                           KernelPolicy policy = KernelPolicy::kLowered,
                           std::optional<TiltSpec> tilt = std::nullopt,
-                          std::shared_ptr<const LatentCurves> curves = nullptr);
+                          std::shared_ptr<const LatentCurves> curves = nullptr,
+                          bool double_op_probe = false);
 
   /// Simulate one full mission; `out` is cleared first. Deterministic given
   /// the stream state. When `trace` is non-null it is cleared and then

@@ -13,14 +13,17 @@ double quantize_credit(double p) noexcept {
   return std::nearbyint(p * 0x1p26) * 0x1p-26;
 }
 
-RunResult::RunResult(double mission_hours, double bucket_hours)
-    : mission_hours_(mission_hours), bucket_hours_(bucket_hours) {
+RunResult::RunResult(double mission_hours, double bucket_hours,
+                     bool double_op_probe)
+    : mission_hours_(mission_hours),
+      bucket_hours_(bucket_hours),
+      probe_on_(double_op_probe) {
   RAIDREL_REQUIRE(mission_hours > 0.0, "mission must be positive");
   RAIDREL_REQUIRE(bucket_hours > 0.0 && bucket_hours <= mission_hours,
                   "bucket width must be in (0, mission]");
   const std::size_t n = util::bucket_count(mission_hours, bucket_hours);
   counting_.assign(n, 0.0);
-  probe_.assign(n, 0.0);
+  if (probe_on_) probe_.assign(n, 0.0);
   double_op_.assign(n, 0.0);
   latent_then_op_.assign(n, 0.0);
   stripe_collision_.assign(n, 0.0);
@@ -58,6 +61,9 @@ void RunResult::add_trial(const TrialResult& trial) {
         break;
     }
   }
+  RAIDREL_REQUIRE(probe_on_ || trial.double_op_probe.empty(),
+                  "trial carries double-op probe entries but the result "
+                  "was built without RunOptions::double_op_probe");
   for (const auto& [t, p] : trial.double_op_probe) {
     probe_[util::bucket_index(t, mission_hours_, bucket_hours_)] += w * p;
   }
@@ -90,10 +96,13 @@ void RunResult::merge(const RunResult& other) {
   RAIDREL_REQUIRE(other.mission_hours_ == mission_hours_ &&
                       other.bucket_hours_ == bucket_hours_,
                   "cannot merge results with different geometry");
+  RAIDREL_REQUIRE(other.probe_on_ == probe_on_,
+                  "cannot merge results with and without the double-op "
+                  "probe (RunOptions::double_op_probe)");
   trials_ += other.trials_;
+  for (std::size_t i = 0; i < probe_.size(); ++i) probe_[i] += other.probe_[i];
   for (std::size_t i = 0; i < counting_.size(); ++i) {
     counting_[i] += other.counting_[i];
-    probe_[i] += other.probe_[i];
     double_op_[i] += other.double_op_[i];
     latent_then_op_[i] += other.latent_then_op_[i];
     stripe_collision_[i] += other.stripe_collision_[i];
@@ -117,6 +126,12 @@ double RunResult::bucket_edge(std::size_t b) const {
 
 const std::vector<double>& RunResult::series(Estimator est) const {
   return est == Estimator::kCounting ? counting_ : probe_;
+}
+
+void RunResult::require_probe(Estimator est) const {
+  RAIDREL_REQUIRE(est == Estimator::kCounting || probe_on_,
+                  "the double-op probe was not recorded: run with "
+                  "RunOptions::double_op_probe = true");
 }
 
 std::vector<double> RunResult::cumulative_ddfs_per_1000(Estimator est) const {
@@ -144,6 +159,7 @@ std::vector<double> RunResult::rocof_per_1000(Estimator est) const {
 double RunResult::ddfs_per_1000_at(double t, Estimator est) const {
   RAIDREL_REQUIRE(trials_ > 0, "no trials accumulated");
   RAIDREL_REQUIRE(t >= 0.0 && t <= mission_hours_, "t outside the mission");
+  require_probe(est);
   if (t == 0.0) return 0.0;
   const auto cum = cumulative_ddfs_per_1000(est);
   const std::size_t b = util::bucket_index(
@@ -159,6 +175,7 @@ double RunResult::ddfs_per_1000_at(double t, Estimator est) const {
 
 double RunResult::total_ddfs_per_1000(Estimator est) const {
   RAIDREL_REQUIRE(trials_ > 0, "no trials accumulated");
+  require_probe(est);
   const auto& s = series(est);
   double acc = 0.0;
   for (double v : s) acc += v;

@@ -32,12 +32,18 @@ enum class Estimator {
 
 class RunResult {
  public:
-  RunResult(double mission_hours, double bucket_hours);
+  /// `double_op_probe` says whether the folded trials record the §4 probe
+  /// (RunOptions::double_op_probe); a result built without it answers no
+  /// Estimator::kDoubleOpProbe query (see the accessors below).
+  RunResult(double mission_hours, double bucket_hours,
+            bool double_op_probe = false);
 
-  /// Fold one trial into the aggregate.
+  /// Fold one trial into the aggregate. A trial carrying probe entries
+  /// needs a result that records the probe.
   void add_trial(const TrialResult& trial);
 
-  /// Merge another aggregate (same mission/bucket geometry).
+  /// Merge another aggregate (same mission/bucket geometry, same probe
+  /// flag).
   void merge(const RunResult& other);
 
   [[nodiscard]] std::size_t trials() const noexcept { return trials_; }
@@ -45,13 +51,18 @@ class RunResult {
     return mission_hours_;
   }
   [[nodiscard]] double bucket_hours() const noexcept { return bucket_hours_; }
+  /// Whether this result records the double-op probe.
+  [[nodiscard]] bool double_op_probe() const noexcept { return probe_on_; }
   [[nodiscard]] std::size_t bucket_count() const noexcept {
     return counting_.size();
   }
   /// Upper edge of bucket b (the last bucket ends at the mission).
   [[nodiscard]] double bucket_edge(std::size_t b) const;
 
-  /// Cumulative DDFs per 1000 groups at each bucket edge.
+  /// Cumulative DDFs per 1000 groups at each bucket edge. The series
+  /// accessors return an empty vector for Estimator::kDoubleOpProbe on a
+  /// result that does not record the probe; the scalar accessors
+  /// (ddfs_per_1000_at, total_ddfs_per_1000) throw ModelError.
   [[nodiscard]] std::vector<double> cumulative_ddfs_per_1000(
       Estimator est = Estimator::kCounting) const;
 
@@ -115,12 +126,15 @@ class RunResult {
 
  private:
   [[nodiscard]] const std::vector<double>& series(Estimator est) const;
+  /// Throw unless a kDoubleOpProbe query can be answered.
+  void require_probe(Estimator est) const;
 
   double mission_hours_;
   double bucket_hours_;
+  bool probe_on_;
   std::size_t trials_ = 0;
   std::vector<double> counting_;        ///< counted DDFs per bucket
-  std::vector<double> probe_;           ///< probe expectation per bucket
+  std::vector<double> probe_;           ///< probe expectation; empty if off
   std::vector<double> double_op_;       ///< counted double-op DDFs per bucket
   std::vector<double> latent_then_op_;  ///< counted LD-then-op per bucket
   std::vector<double> stripe_collision_;///< counted stripe collisions

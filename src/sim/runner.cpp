@@ -261,7 +261,7 @@ RunResult run_workers(const RunOptions& options, std::uint64_t digest,
   }
   const auto batch_start = std::chrono::steady_clock::now();
 
-  RunResult total(mission, options.bucket_hours);
+  RunResult total(mission, options.bucket_hours, options.double_op_probe);
   const rng::StreamFactory streams(options.seed);
   std::mutex merge_mutex;
   // Claim trials in chunks to keep the claim cursors out of the hot path
@@ -298,7 +298,7 @@ RunResult run_workers(const RunOptions& options, std::uint64_t digest,
     const util::CancelScope cancel_scope(options.cancel);
     const auto worker_start = std::chrono::steady_clock::now();
     obs::WorkerStats ws;
-    RunResult local(mission, options.bucket_hours);
+    RunResult local(mission, options.bucket_hours, options.double_op_probe);
     auto engine = make_engine();
     bool drained = false;
     const std::size_t home = claim_home(claims.nodes(), home_ticket);
@@ -408,7 +408,8 @@ RunResult run_monte_carlo(const raid::GroupConfig& config,
         options, digest, exclusion == nullptr, reason, config.mission_hours,
         1, 1024, 1, [&] {
           return [&, simulator = GroupSimulator(config, options.kernel_policy,
-                                                options.tilt, curves),
+                                                options.tilt, curves,
+                                                options.double_op_probe),
                   trial = TrialResult()](const rng::StreamFactory& streams,
                                          std::uint64_t index, std::size_t,
                                          RunResult& local,
@@ -432,7 +433,8 @@ RunResult run_monte_carlo(const raid::GroupConfig& config,
                                                    options.kernel_policy,
                                                    options.tilt,
                                                    options.math_tier,
-                                                   curves)](
+                                                   curves,
+                                                   options.double_op_probe)](
                    const rng::StreamFactory& streams, std::uint64_t first,
                    std::size_t n, RunResult& local,
                    obs::WorkerStats& ws) mutable {
@@ -471,7 +473,8 @@ RunResult run_fleet_monte_carlo(const FleetConfig& config,
       options, telemetry ? config_digest(config) : 0, curves != nullptr,
       reason, config.mission_hours(), 1, 8, config.groups.size(), [&] {
         return [&, simulator = FleetSimulator(config, options.kernel_policy,
-                                              curves),
+                                              curves,
+                                              options.double_op_probe),
                 trial = FleetTrialResult()](const rng::StreamFactory& streams,
                                             std::uint64_t index, std::size_t,
                                             RunResult& local,

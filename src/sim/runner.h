@@ -104,6 +104,14 @@ struct RunOptions {
   /// and feeds the sweep cache key. Ignored when batch_width == 1 (the
   /// scalar engine is always exact); fleet runs are always scalar.
   MathTier math_tier = MathTier::kExact;
+
+  /// Record the conditional-expectation probe of double-op DDFs
+  /// (TrialResult::double_op_probe, docs/MODEL.md §4) and make the result
+  /// answer Estimator::kDoubleOpProbe. Off — the default — skips the
+  /// probe's per-failure hazard evaluations and Poisson-binomial census,
+  /// which cost more than the rest of an op failure. The probe draws no
+  /// random numbers, so every other output is bit-identical either way.
+  bool double_op_probe = false;
 };
 
 /// Run `options.trials` missions of `config` and aggregate.

@@ -137,7 +137,9 @@ bool approx_equal(double a, double b, double rtol = 1e-9, double atol = 0.0);
 /// across calls). The DP arithmetic is the simulation engines' m-overlap
 /// probe census verbatim (see sim/group_simulator.cpp), so a value
 /// computed here is bit-identical to theirs; equal probabilities reduce to
-/// the binomial tail. at_least == 0 returns 1, at_least > n returns 0.
+/// the binomial tail. The tail sums the pmf terms from `at_least` up
+/// rather than taking 1 - P(fewer), so tails far below 1e-16 keep their
+/// digits. at_least == 0 returns 1, at_least > n returns 0.
 double poisson_binomial_tail(const double* p, std::size_t n,
                              unsigned at_least, double* count_dist);
 

@@ -108,7 +108,8 @@ std::vector<TrialResult> scalar_trials(const raid::GroupConfig& cfg,
                                        std::uint64_t first_index = 0,
                                        obs::EventTrace* trace = nullptr) {
   const rng::StreamFactory streams(kSeed);
-  GroupSimulator simulator(cfg, policy);
+  GroupSimulator simulator(cfg, policy, std::nullopt, nullptr,
+                           /*double_op_probe=*/true);
   std::vector<TrialResult> out(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto rs = streams.stream(first_index + i);
@@ -125,7 +126,9 @@ std::vector<TrialResult> batch_trials(const raid::GroupConfig& cfg,
                                       std::uint64_t first_index = 0,
                                       obs::EventTrace* trace = nullptr) {
   const rng::StreamFactory streams(kSeed);
-  BatchGroupSimulator simulator(cfg, width, policy);
+  BatchGroupSimulator simulator(cfg, width, policy, std::nullopt,
+                                MathTier::kExact, nullptr,
+                                /*double_op_probe=*/true);
   std::vector<TrialResult> out;
   out.reserve(n);
   for (std::size_t begin = 0; begin < n; begin += width) {
@@ -454,6 +457,7 @@ RunOptions runner_options(std::size_t trials, unsigned threads,
   RunOptions opt{.trials = trials, .seed = 11, .threads = threads,
                  .bucket_hours = 1000.0};
   opt.batch_width = batch_width;
+  opt.double_op_probe = true;
   return opt;
 }
 

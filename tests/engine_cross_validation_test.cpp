@@ -159,7 +159,8 @@ TEST(EngineCrossValidation, ProbeAgreesWithCountingWhenDdfsArePlentiful) {
   m.time_to_restore = std::make_unique<stats::Weibull>(0.0, 100.0, 1.0);
   const auto cfg = raid::make_uniform_group(8, 1, m, 20000.0);
   const auto r = run_monte_carlo(cfg, {.trials = 6000, .seed = 55,
-                                       .threads = 0, .bucket_hours = 2000.0});
+                                       .threads = 0, .bucket_hours = 2000.0,
+                                       .double_op_probe = true});
   const double counted = r.total_ddfs_per_1000();
   const double probed = r.total_ddfs_per_1000(Estimator::kDoubleOpProbe);
   ASSERT_GT(counted, 50.0);  // plenty of events

@@ -82,7 +82,8 @@ class EngineInvariants : public ::testing::TestWithParam<EngineCase> {
 
 TEST_P(EngineInvariants, EventAccountingIsConsistent) {
   for (const auto& cfg : test::with_event_twin(build(GetParam()))) {
-    GroupSimulator sim(cfg);
+    GroupSimulator sim(cfg, KernelPolicy::kLowered, std::nullopt, nullptr,
+                       /*double_op_probe=*/true);
     rng::StreamFactory streams(101);
     TrialResult out;
     for (int i = 0; i < kTrials; ++i) {
@@ -160,7 +161,8 @@ TEST_P(EngineInvariants, DdfTimelineIsSane) {
 
 TEST_P(EngineInvariants, SameSeedReproducesExactly) {
   for (const auto& cfg : test::with_event_twin(build(GetParam()))) {
-    GroupSimulator sim(cfg);
+    GroupSimulator sim(cfg, KernelPolicy::kLowered, std::nullopt, nullptr,
+                       /*double_op_probe=*/true);
     rng::StreamFactory streams(303);
     TrialResult a, b;
     auto rs1 = streams.stream(7);

@@ -72,8 +72,10 @@ TEST(FleetSimulator, SingleGroupMatchesGroupSimulatorExactly) {
     FleetConfig fleet;
     fleet.groups.push_back(c.group.clone());
     fleet.shared_pool = c.pool;
-    GroupSimulator single(private_pool);
-    FleetSimulator multi(fleet);
+    GroupSimulator single(private_pool, KernelPolicy::kLowered, std::nullopt,
+                          nullptr, /*double_op_probe=*/true);
+    FleetSimulator multi(fleet, KernelPolicy::kLowered, nullptr,
+                         /*double_op_probe=*/true);
     std::uint64_t ddfs = 0;
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {
       rng::RandomStream rs1(seed), rs2(seed);
@@ -288,11 +290,11 @@ TEST(FleetRunner, NormalizationMatchesSingleGroupRunner) {
   fleet.shared_pool = raid::SparePoolConfig{10000, 1.0};
   const auto fleet_run = run_fleet_monte_carlo(
       fleet, {.trials = 800, .seed = 21, .threads = 0,
-              .bucket_hours = 730.0});
+              .bucket_hours = 730.0, .double_op_probe = true});
   EXPECT_EQ(fleet_run.trials(), 4000u);  // 800 trials x 5 groups
   const auto single_run = run_monte_carlo(
       group, {.trials = 4000, .seed = 22, .threads = 0,
-              .bucket_hours = 730.0});
+              .bucket_hours = 730.0, .double_op_probe = true});
   const double sem = fleet_run.total_ddfs_per_1000_sem() +
                      single_run.total_ddfs_per_1000_sem();
   EXPECT_NEAR(fleet_run.total_ddfs_per_1000(),

@@ -37,7 +37,8 @@ GroupConfig scripted_group(std::vector<SlotModel> slots, double mission,
 }
 
 TrialResult simulate(const GroupConfig& cfg, std::uint64_t seed = 1) {
-  GroupSimulator sim(cfg);
+  GroupSimulator sim(cfg, sim::KernelPolicy::kLowered, std::nullopt, nullptr,
+                     /*double_op_probe=*/true);
   rng::RandomStream rs(seed);
   TrialResult out;
   sim.run_trial(rs, out);

@@ -47,6 +47,7 @@ RunOptions options_for(std::size_t width, KernelPolicy policy) {
                  .bucket_hours = 1000.0};
   opt.kernel_policy = policy;
   opt.batch_width = width;
+  opt.double_op_probe = true;
   return opt;
 }
 

@@ -82,6 +82,7 @@ RunOptions options_for(unsigned threads, KernelPolicy policy) {
   RunOptions opt{.trials = 400, .seed = 11, .threads = threads,
                  .bucket_hours = 1000.0};
   opt.kernel_policy = policy;
+  opt.double_op_probe = true;
   return opt;
 }
 

@@ -16,6 +16,13 @@ sim::RunOptions quick(std::size_t trials, std::uint64_t seed) {
           .bucket_hours = 730.0};
 }
 
+/// quick() recording the double-op probe (Fig. 6).
+sim::RunOptions probed(std::size_t trials, std::uint64_t seed) {
+  sim::RunOptions opt = quick(trials, seed);
+  opt.double_op_probe = true;
+  return opt;
+}
+
 TEST(ModelIntegration, MttdlBaselineWiredCorrectly) {
   const auto result =
       evaluate_scenario(presets::base_case(), quick(200, 1));
@@ -31,7 +38,7 @@ TEST(ModelIntegration, ConstConstVariantMatchesMttdlViaProbe) {
   // conditional-expectation probe gets there in 20k.
   const auto result = evaluate_scenario(
       presets::fig6_variant(presets::Fig6Variant::kConstConst),
-      quick(20000, 2));
+      probed(20000, 2));
   const double probe =
       result.run.total_ddfs_per_1000(sim::Estimator::kDoubleOpProbe);
   const double mttdl = result.mttdl_ddfs_per_1000_at(87600.0);
@@ -46,7 +53,7 @@ TEST(ModelIntegration, Fig6VariantOrderingViaProbe) {
   using presets::Fig6Variant;
   auto probe_total = [&](Fig6Variant v) {
     const auto r = evaluate_scenario(presets::fig6_variant(v),
-                                     quick(30000, 11));
+                                     probed(30000, 11));
     return r.run.total_ddfs_per_1000(sim::Estimator::kDoubleOpProbe);
   };
   const double crt = probe_total(Fig6Variant::kConstTimeDep);

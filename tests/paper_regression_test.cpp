@@ -75,9 +75,10 @@ TEST(PaperRegression, Fig10ShapeRatioBand) {
 
 TEST(PaperRegression, Fig6ProbeCcTracksMttdl) {
   // EXPERIMENTS.md: 0.2761 vs 0.2764 at 150k trials; allow 12% here.
+  sim::RunOptions probed = opts(30000, 108);
+  probed.double_op_probe = true;
   const auto r = evaluate_scenario(
-      presets::fig6_variant(presets::Fig6Variant::kConstConst),
-      opts(30000, 108));
+      presets::fig6_variant(presets::Fig6Variant::kConstConst), probed);
   const double probe =
       r.run.total_ddfs_per_1000(sim::Estimator::kDoubleOpProbe);
   EXPECT_NEAR(probe / r.mttdl_ddfs_per_1000_at(87600.0), 1.0, 0.12);

@@ -88,6 +88,24 @@ TEST(PoissonBinomialTail, ReducesToBinomialForEqualProbabilities) {
   }
 }
 
+TEST(PoissonBinomialTail, TinyTailsKeepTheirDigits) {
+  // Seven partners at p = 1e-6: the tail of three failures is 3.5e-17,
+  // below the spacing of doubles near 1, so a tail taken as 1 - P(fewer)
+  // would be pure rounding. Both census formulas sum the tail itself.
+  const unsigned n = 7;
+  const double q = 1e-6;
+  const std::vector<double> p(n, q);
+  std::vector<double> scratch(n + 1);
+  for (unsigned k = 1; k <= 3; ++k) {
+    const double exact = brute_force_tail(p, k);
+    EXPECT_NEAR(util::poisson_binomial_tail(p.data(), n, k, scratch.data()),
+                exact, 1e-9 * exact)
+        << "at_least " << k;
+    EXPECT_NEAR(analytic::at_least_k_of_n(q, n, k), exact, 1e-9 * exact)
+        << "at_least " << k;
+  }
+}
+
 // ---- Declustered rebuild scaling --------------------------------------
 
 // A group whose restore law is (near-)deterministic: Weibull with a tiny

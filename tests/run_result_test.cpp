@@ -47,7 +47,7 @@ TEST(RunResult, NonDividingBucketWidthClipsLastBucket) {
 }
 
 TEST(RunResult, ProbeSeriesIndependentOfCounting) {
-  RunResult r(1000.0, 100.0);
+  RunResult r(1000.0, 100.0, /*double_op_probe=*/true);
   TrialResult t;
   t.double_op_probe.emplace_back(50.0, 0.25);
   t.double_op_probe.emplace_back(850.0, 0.5);

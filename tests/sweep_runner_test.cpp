@@ -779,19 +779,24 @@ struct JournalFixture {
 
 JournalFixture make_fixture() {
   JournalFixture f;
-  const std::string clean = temp_manifest("fixture_clean");
+  // Three tests build this fixture, and ctest may run them at once in
+  // separate processes: name the files after the running test so no two
+  // processes share them.
+  const std::string test =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::string clean = temp_manifest(test + "_fixture_clean");
   const auto single = SweepRunner(tiny_options(clean)).run(tiny_spec());
   f.clean = read_file(clean);
   for (const auto& cell : single.cells) f.digests.push_back(cell.result_digest);
 
-  const std::string partial = temp_manifest("fixture_partial");
+  const std::string partial = temp_manifest(test + "_fixture_partial");
   auto stop_early = tiny_options(partial);
   stop_early.max_cells = 1;
   SweepRunner(stop_early).run(tiny_spec());
   f.partial = read_file(partial);
 
   // A pass whose every compaction fails leaves its whole journal behind.
-  const std::string full = temp_manifest("fixture_journal");
+  const std::string full = temp_manifest(test + "_fixture_journal");
   fault::FaultInjector no_rename{
       fault::FaultPlan::parse("manifest_rename:1*99")};
   auto failing = tiny_options(full);
