@@ -89,19 +89,30 @@ TEST(RunnerCancellation, ScalarAndBatchedEnginesDrainAtTheSameBoundary) {
   // lane: tripping the scalar token on poll 65 and the width-64 token on
   // poll 2 stops both engines after exactly trials 0..63 — which must be
   // bit-identical to each other AND to an uncancelled 64-trial run,
-  // because polling never touches a random stream.
+  // because polling never touches a random stream. The runs record the
+  // double-op probe, whose order-sensitive sums match only when one worker
+  // merges the trials in the same order on both engines.
+  const auto probed_run = [](std::size_t trials, std::size_t width) {
+    auto opt = serial_run(trials, width);
+    opt.double_op_probe = true;
+    return opt;
+  };
   for (const auto& cfg : test::with_event_twin(busy_group())) {
-    const auto reference = sim::run_monte_carlo(cfg, serial_run(64, 1));
+    const auto reference = sim::run_monte_carlo(cfg, probed_run(64, 1));
+    const auto reference_probe =
+        reference.rocof_per_1000(sim::Estimator::kDoubleOpProbe);
+    EXPECT_GT(reference.total_ddfs_per_1000(sim::Estimator::kDoubleOpProbe),
+              0.0);
 
     CancelToken scalar_token;
     scalar_token.cancel_after_polls(65);
-    auto scalar_opt = serial_run(1000, 1);
+    auto scalar_opt = probed_run(1000, 1);
     scalar_opt.cancel = &scalar_token;
     const auto scalar = sim::run_monte_carlo(cfg, scalar_opt);
 
     CancelToken batched_token;
     batched_token.cancel_after_polls(2);
-    auto batched_opt = serial_run(1000, 64);
+    auto batched_opt = probed_run(1000, 64);
     batched_opt.cancel = &batched_token;
     const auto batched = sim::run_monte_carlo(cfg, batched_opt);
 
@@ -113,6 +124,8 @@ TEST(RunnerCancellation, ScalarAndBatchedEnginesDrainAtTheSameBoundary) {
       EXPECT_EQ(partial->op_failures(), reference.op_failures());
       EXPECT_EQ(partial->latent_defects(), reference.latent_defects());
       EXPECT_EQ(partial->scrubs_completed(), reference.scrubs_completed());
+      EXPECT_EQ(partial->rocof_per_1000(sim::Estimator::kDoubleOpProbe),
+                reference_probe);  // bit for bit
     }
   }
 }
