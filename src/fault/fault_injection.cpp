@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 
 #include "util/cancel.h"
@@ -24,6 +25,20 @@ std::string describe(std::string_view site, std::uint64_t hit,
   out += ") at site ";
   out += site;
   return out;
+}
+
+/// A plan's decimal number: digits only, at most 2^64 - 1.
+std::uint64_t parse_number(const std::string& digits, const std::string& what,
+                           const std::string& token) {
+  RAIDREL_REQUIRE(!digits.empty() &&
+                      digits.find_first_not_of("0123456789") ==
+                          std::string::npos,
+                  what + " must be a non-negative integer: " + token);
+  try {
+    return std::stoull(digits);
+  } catch (const std::out_of_range&) {
+    throw ModelError(what + " is out of range: " + token);
+  }
 }
 
 }  // namespace
@@ -73,21 +88,15 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       if (arg == "hang") {
         spec.delay_ms = std::numeric_limits<double>::infinity();
       } else {
-        RAIDREL_REQUIRE(!arg.empty() && arg.find_first_not_of("0123456789") ==
-                                            std::string::npos,
-                        "fault delay must be milliseconds or \"hang\": " +
-                            token + '@' + arg);
-        spec.delay_ms = static_cast<double>(std::stoull(arg));
+        spec.delay_ms = static_cast<double>(
+            parse_number(arg, "fault delay (milliseconds or \"hang\")",
+                         token + '@' + arg));
       }
     }
     // Optional "*count" suffix.
     const std::size_t star = token.rfind('*');
     if (star != std::string::npos) {
-      const std::string digits = token.substr(star + 1);
-      RAIDREL_REQUIRE(!digits.empty() && digits.find_first_not_of(
-                                             "0123456789") == std::string::npos,
-                      "fault count must be a positive integer: " + token);
-      spec.count = std::stoull(digits);
+      spec.count = parse_number(token.substr(star + 1), "fault count", token);
       RAIDREL_REQUIRE(spec.count >= 1, "fault count must be >= 1: " + token);
       token.resize(star);
     }
@@ -98,7 +107,7 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       token.resize(colon);
       RAIDREL_REQUIRE(!arg.empty(), "empty fault argument: " + token);
       if (arg.find_first_not_of("0123456789") == std::string::npos) {
-        spec.first_hit = std::stoull(arg);
+        spec.first_hit = parse_number(arg, "fault hit index", token);
         RAIDREL_REQUIRE(spec.first_hit >= 1,
                         "fault hit index is 1-based: " + token);
       } else {
@@ -154,7 +163,7 @@ void FaultInjector::check(std::string_view site, std::string_view key) {
           fire = true;
         }
       } else if (hit >= armed.spec.first_hit &&
-                 hit < armed.spec.first_hit + armed.spec.count) {
+                 hit - armed.spec.first_hit < armed.spec.count) {
         fire = true;
       }
       if (!fire) continue;

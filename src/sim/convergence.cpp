@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "sim/latent_credit.h"
 #include "util/error.h"
 
 namespace raidrel::sim {
@@ -60,6 +61,10 @@ ConvergedRun run_until_converged(const raid::GroupConfig& config,
   // spawned on the first multi-threaded batch and then parked between
   // batches instead of being respawned per run_monte_carlo call.
   ThreadPool pool;
+  // Likewise one set of latent-credit tables for every batch.
+  LatentCurveCache own_curves;
+  LatentCurveCache* curves =
+      options.latent_curves ? options.latent_curves : &own_curves;
   std::uint64_t next_index = 0;
   while (out.result.trials() < options.max_trials) {
     const std::size_t remaining = options.max_trials - out.result.trials();
@@ -74,6 +79,7 @@ ConvergedRun run_until_converged(const raid::GroupConfig& config,
     run.trace = options.trace;
     run.fault = options.fault;
     run.pool = &pool;
+    run.latent_curves = curves;
     run.batch_width = options.batch_width;
     run.tilt = options.tilt;
     run.math_tier = options.math_tier;

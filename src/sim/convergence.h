@@ -59,6 +59,10 @@ struct ConvergenceOptions {
   /// counters accumulate across batches, so "runner_trial:N" means the Nth
   /// trial of the whole converged study. Null — the default — is off.
   fault::FaultInjector* fault = nullptr;
+  /// Renewal-table cache forwarded to every batch's RunOptions (see
+  /// sim/runner.h). Null — the default — gives the call a cache of its
+  /// own, so every batch shares one set of tables.
+  LatentCurveCache* latent_curves = nullptr;
   /// Importance-sampling tilt, forwarded to every batch's RunOptions (see
   /// sim/runner.h and docs/MODEL.md §13). Disjoint batch stream ranges
   /// keep the merged weighted estimate equal to one big tilted run.

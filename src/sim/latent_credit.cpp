@@ -1,6 +1,7 @@
 #include "sim/latent_credit.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "stats/weibull.h"
 #include "util/error.h"
@@ -16,9 +17,9 @@ double exponential_rate(const stats::Distribution* law) noexcept {
   return 1.0 / w->scale();
 }
 
-std::pair<double, std::string> curve_key(const raid::SlotModel& slot) {
+LatentCurveKey curve_key(const raid::SlotModel& slot, double horizon) {
   return {exponential_rate(slot.time_to_latent_defect.get()),
-          slot.time_to_scrub ? slot.time_to_scrub->describe() : "-"};
+          slot.time_to_scrub.get(), horizon};
 }
 
 }  // namespace
@@ -44,30 +45,57 @@ const char* latent_credit_exclusion(
   return nullptr;
 }
 
-LatentCurves::LatentCurves(std::span<const raid::GroupConfig* const> groups) {
-  double horizon = 0.0;
+LatentCurveKey::LatentCurveKey(double latent_rate,
+                               const stats::Distribution* scrub,
+                               double horizon)
+    : rate_bits(std::bit_cast<std::uint64_t>(latent_rate)),
+      horizon_bits(std::bit_cast<std::uint64_t>(horizon)),
+      scrub(scrub ? scrub->exact_key() : std::string()) {}
+
+std::shared_ptr<const analytic::LatentCurve> LatentCurveCache::get(
+    double latent_rate, const stats::Distribution* scrub, double horizon) {
+  Entry* entry;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    entry = &entries_.try_emplace({latent_rate, scrub, horizon})
+                 .first->second;
+  }
+  // A second caller of the same key waits here for the first one's solve;
+  // a solve that throws leaves the flag unset for the next caller.
+  std::call_once(entry->built, [&] {
+    entry->curve = std::make_shared<const analytic::LatentCurve>(
+        latent_rate, scrub, horizon);
+    builds_.fetch_add(1);
+  });
+  return entry->curve;
+}
+
+LatentCurves::LatentCurves(std::span<const raid::GroupConfig* const> groups,
+                           LatentCurveCache* cache) {
   for (const raid::GroupConfig* g : groups) {
     RAIDREL_REQUIRE(latent_credit_exclusion(*g) == nullptr,
                     "latent curves need in-scope groups");
-    horizon = std::max(horizon, g->mission_hours);
+    horizon_ = std::max(horizon_, g->mission_hours);
   }
+  LatentCurveCache local;
+  if (cache == nullptr) cache = &local;
   for (const raid::GroupConfig* g : groups) {
     for (const raid::SlotModel& slot : g->slots) {
-      auto key = curve_key(slot);
+      const double rate = exponential_rate(slot.time_to_latent_defect.get());
+      const stats::Distribution* scrub = slot.time_to_scrub.get();
+      LatentCurveKey key(rate, scrub, horizon_);
       const bool known =
           std::any_of(curves_.begin(), curves_.end(),
                       [&](const auto& c) { return c.first == key; });
       if (known) continue;
-      auto curve = std::make_unique<analytic::LatentCurve>(
-          key.first, slot.time_to_scrub.get(), horizon);
-      curves_.emplace_back(std::move(key), std::move(curve));
+      curves_.emplace_back(std::move(key), cache->get(rate, scrub, horizon_));
     }
   }
 }
 
 const analytic::LatentCurve& LatentCurves::of(
     const raid::SlotModel& slot) const {
-  const auto key = curve_key(slot);
+  const LatentCurveKey key = curve_key(slot, horizon_);
   for (const auto& [k, curve] : curves_) {
     if (k == key) return *curve;
   }
@@ -75,20 +103,21 @@ const analytic::LatentCurve& LatentCurves::of(
 }
 
 std::shared_ptr<const LatentCurves> latent_curves_for(
-    const raid::GroupConfig& config, const std::optional<TiltSpec>& tilt) {
+    const raid::GroupConfig& config, const std::optional<TiltSpec>& tilt,
+    LatentCurveCache* cache) {
   if (latent_credit_exclusion(config, tilt) != nullptr) return nullptr;
   const raid::GroupConfig* group = &config;
-  return std::make_shared<const LatentCurves>(std::span(&group, 1));
+  return std::make_shared<const LatentCurves>(std::span(&group, 1), cache);
 }
 
 std::shared_ptr<const LatentCurves> latent_curves_for(
-    std::span<const raid::GroupConfig> groups) {
+    std::span<const raid::GroupConfig> groups, LatentCurveCache* cache) {
   std::vector<const raid::GroupConfig*> in_scope;
   for (const raid::GroupConfig& g : groups) {
     if (latent_credit_exclusion(g) == nullptr) in_scope.push_back(&g);
   }
   if (in_scope.empty()) return nullptr;
-  return std::make_shared<const LatentCurves>(in_scope);
+  return std::make_shared<const LatentCurves>(in_scope, cache);
 }
 
 }  // namespace raidrel::sim

@@ -11,7 +11,12 @@
 // the DDF freeze and the state-1 clear (sim/group_simulator.h).
 #pragma once
 
+#include <atomic>
+#include <compare>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -39,14 +44,57 @@ const char* latent_credit_exclusion(const raid::GroupConfig& config,
 inline constexpr const char* kEventsEstimator = "events";
 inline constexpr const char* kLatentCreditEstimator = "latent-credit";
 
-/// One analytic::LatentCurve per distinct (latent rate, scrub law) among
-/// the slots of some in-scope groups, built once and shared read-only by
-/// every worker of a run.
+/// Exact identity of one renewal table: the bits of the latent rate and of
+/// the horizon (a solve that has not gone flat stops there), and the scrub
+/// law's stats::Distribution::exact_key() (empty: never scrubbed).
+struct LatentCurveKey {
+  LatentCurveKey(double latent_rate, const stats::Distribution* scrub,
+                 double horizon);
+
+  std::uint64_t rate_bits;
+  std::uint64_t horizon_bits;
+  std::string scrub;
+
+  auto operator<=>(const LatentCurveKey&) const = default;
+};
+
+/// Renewal tables shared across runs (docs/MODEL.md §19): one
+/// analytic::LatentCurve per LatentCurveKey, built on the first request
+/// and handed to every later one. A sweep owns one for all its cells and a
+/// convergence call one for all its batches; none is process-global.
+/// Thread-safe: concurrent requests for one key build it once, different
+/// keys build in parallel, and no lock is held while a table is solved.
+class LatentCurveCache {
+ public:
+  /// The table of an Exp(latent_rate) defect process cleared by `scrub`
+  /// (null: never scrubbed) up to `horizon` hours.
+  std::shared_ptr<const analytic::LatentCurve> get(
+      double latent_rate, const stats::Distribution* scrub, double horizon);
+
+  /// Tables built so far: one per distinct key.
+  [[nodiscard]] std::size_t builds() const noexcept { return builds_.load(); }
+
+ private:
+  struct Entry {
+    std::once_flag built;
+    std::shared_ptr<const analytic::LatentCurve> curve;
+  };
+
+  std::mutex mutex_;  ///< guards the map only, never a solve
+  std::map<LatentCurveKey, Entry> entries_;
+  std::atomic<std::size_t> builds_{0};
+};
+
+/// One run's view of the tables its slots need: each distinct
+/// (latent rate, scrub law) among the slots of some in-scope groups, taken
+/// from a LatentCurveCache and shared read-only by every worker.
 class LatentCurves {
  public:
-  /// Tabulate the curves of every slot of every group; each group must be
-  /// in scope (latent_credit_exclusion == nullptr).
-  explicit LatentCurves(std::span<const raid::GroupConfig* const> groups);
+  /// The tables of every slot of every group, each group in scope
+  /// (latent_credit_exclusion == nullptr), from `cache` (null: a cache
+  /// local to this call).
+  explicit LatentCurves(std::span<const raid::GroupConfig* const> groups,
+                        LatentCurveCache* cache = nullptr);
 
   /// The curve of one slot of a group passed to the constructor.
   [[nodiscard]] const analytic::LatentCurve& of(
@@ -54,18 +102,21 @@ class LatentCurves {
   [[nodiscard]] std::size_t size() const noexcept { return curves_.size(); }
 
  private:
-  /// (latent rate, scrub law description) -> curve.
-  std::vector<std::pair<std::pair<double, std::string>,
-                        std::unique_ptr<analytic::LatentCurve>>>
+  double horizon_ = 0.0;
+  std::vector<
+      std::pair<LatentCurveKey, std::shared_ptr<const analytic::LatentCurve>>>
       curves_;
 };
 
-/// Curves for `config` when it is in scope, else null.
+/// Curves for `config` from `cache` (null: a local one) when it is in
+/// scope, else null.
 std::shared_ptr<const LatentCurves> latent_curves_for(
     const raid::GroupConfig& config,
-    const std::optional<TiltSpec>& tilt = std::nullopt);
+    const std::optional<TiltSpec>& tilt = std::nullopt,
+    LatentCurveCache* cache = nullptr);
 /// Curves for the in-scope groups of a fleet (no tilt); null when none is.
 std::shared_ptr<const LatentCurves> latent_curves_for(
-    std::span<const raid::GroupConfig> groups);
+    std::span<const raid::GroupConfig> groups,
+    LatentCurveCache* cache = nullptr);
 
 }  // namespace raidrel::sim

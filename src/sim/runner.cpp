@@ -396,12 +396,12 @@ RunResult run_monte_carlo(const raid::GroupConfig& config,
   const bool telemetry = options.telemetry != nullptr;
   // Only telemetry reads the digest; it costs a string build per call.
   const std::uint64_t digest = telemetry ? config_digest(config) : 0;
-  // Latent-credit tables: built once per call, before the fan-out, and
-  // shared read-only by every worker's engine.
+  // Latent-credit tables: taken from the caller's cache (or built) before
+  // the fan-out, and shared read-only by every worker's engine.
   const char* exclusion = latent_credit_exclusion(config, options.tilt);
   const std::string_view reason = exclusion ? exclusion : "";
   const std::shared_ptr<const LatentCurves> curves =
-      latent_curves_for(config, options.tilt);
+      latent_curves_for(config, options.tilt, options.latent_curves);
   const std::size_t lane = std::max<std::size_t>(1, options.batch_width);
   if (lane == 1) {
     return run_workers(
@@ -455,7 +455,7 @@ RunResult run_fleet_monte_carlo(const FleetConfig& config,
   config.validate();
   const bool telemetry = options.telemetry != nullptr;
   const std::shared_ptr<const LatentCurves> curves =
-      latent_curves_for(config.groups);
+      latent_curves_for(config.groups, options.latent_curves);
   // A fleet is credited when any of its groups is. The manifest names the
   // first group left on the event path, whose simulated latent defects and
   // scrubs are the only ones the counters then hold.

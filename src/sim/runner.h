@@ -22,6 +22,8 @@
 
 namespace raidrel::sim {
 
+class LatentCurveCache;
+
 /// Default lockstep lane width for group runs (see RunOptions::batch_width).
 /// Chosen by measurement on the base-case mission (bench_perf_engine): wide
 /// enough that the bulk log/pow refills pipeline, small enough that a
@@ -52,6 +54,13 @@ struct RunOptions {
   /// loops, benches). Null runs on a pool that lives for the call. Work
   /// split, telemetry, and results are identical either way.
   ThreadPool* pool = nullptr;
+
+  /// Renewal tables of the latent-credit estimator (sim/latent_credit.h,
+  /// owned by the caller). When set, an in-scope run takes its tables from
+  /// this cache, so a sweep or a convergence loop builds each one once.
+  /// Null builds them in a cache that lives for the call. A cached table
+  /// is the same table, so results are identical either way.
+  LatentCurveCache* latent_curves = nullptr;
 
   /// Compiled-kernel lowering policy (see slot_kernel.h). kVirtualOnly is
   /// the bit-identical reference path used by the equivalence tests.

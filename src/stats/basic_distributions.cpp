@@ -101,6 +101,10 @@ std::string Gamma::describe() const {
   return os.str();
 }
 
+std::string Gamma::exact_key() const {
+  return "Gamma(" + exact_bits(shape_) + ',' + exact_bits(scale_) + ')';
+}
+
 DistributionPtr Gamma::clone() const { return std::make_unique<Gamma>(*this); }
 
 }  // namespace raidrel::stats

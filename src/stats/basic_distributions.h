@@ -20,6 +20,7 @@ class Gamma final : public Distribution {
   [[nodiscard]] double variance() const override;
   [[nodiscard]] double sample(rng::RandomStream& rs) const override;
   [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] std::string exact_key() const override;
   [[nodiscard]] DistributionPtr clone() const override;
 
   [[nodiscard]] double shape() const noexcept { return shape_; }

@@ -86,6 +86,18 @@ std::string MixtureDistribution::describe() const {
   return os.str();
 }
 
+std::string MixtureDistribution::exact_key() const {
+  std::string key = "Mixture(";
+  for (const auto& c : comps_) {
+    key += exact_bits(c.weight);
+    key += '*';
+    key += c.dist->exact_key();
+    key += ',';
+  }
+  key += ')';
+  return key;
+}
+
 DistributionPtr MixtureDistribution::clone() const {
   std::vector<Component> copy;
   copy.reserve(comps_.size());
@@ -190,6 +202,16 @@ std::string CompetingRisks::describe() const {
   }
   os << ")";
   return os.str();
+}
+
+std::string CompetingRisks::exact_key() const {
+  std::string key = "CompetingRisks(";
+  for (const auto& r : risks_) {
+    key += r->exact_key();
+    key += ',';
+  }
+  key += ')';
+  return key;
 }
 
 DistributionPtr CompetingRisks::clone() const {

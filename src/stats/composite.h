@@ -32,6 +32,7 @@ class MixtureDistribution final : public Distribution {
   [[nodiscard]] double mean() const override;
   [[nodiscard]] double sample(rng::RandomStream& rs) const override;
   [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] std::string exact_key() const override;
   [[nodiscard]] DistributionPtr clone() const override;
 
   [[nodiscard]] std::size_t component_count() const noexcept {
@@ -58,6 +59,7 @@ class CompetingRisks final : public Distribution {
   [[nodiscard]] double sample_residual(double age,
                                        rng::RandomStream& rs) const override;
   [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] std::string exact_key() const override;
   [[nodiscard]] DistributionPtr clone() const override;
 
   [[nodiscard]] std::size_t risk_count() const noexcept {

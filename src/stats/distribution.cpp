@@ -1,12 +1,23 @@
 #include "stats/distribution.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 
 #include "util/error.h"
 #include "util/math.h"
 
 namespace raidrel::stats {
+
+std::string exact_bits(double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
+}
 
 double Distribution::survival(double t) const { return 1.0 - cdf(t); }
 

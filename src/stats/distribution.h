@@ -65,6 +65,12 @@ class Distribution {
   /// Human-readable parameterization, e.g. "Weibull(gamma=6, eta=12, beta=2)".
   [[nodiscard]] virtual std::string describe() const = 0;
 
+  /// Exact identity: the law's type and the bits of every parameter,
+  /// e.g. "Weibull(0,4065000000000000,4008000000000000)" (exact_bits). Equal
+  /// keys mean the same law, so anything derived from one law serves the
+  /// other (sim::LatentCurveCache); describe() rounds to 6 digits.
+  [[nodiscard]] virtual std::string exact_key() const = 0;
+
   [[nodiscard]] virtual std::unique_ptr<Distribution> clone() const = 0;
 
  protected:
@@ -73,5 +79,9 @@ class Distribution {
 };
 
 using DistributionPtr = std::unique_ptr<Distribution>;
+
+/// The bit pattern of `v` in hex, the spelling exact_key() uses for a
+/// parameter.
+std::string exact_bits(double v);
 
 }  // namespace raidrel::stats

@@ -111,6 +111,18 @@ std::string PiecewiseConstantHazard::describe() const {
   return os.str();
 }
 
+std::string PiecewiseConstantHazard::exact_key() const {
+  std::string key = "PiecewiseConstantHazard(";
+  for (const Segment& s : segments_) {
+    key += exact_bits(s.start);
+    key += ':';
+    key += exact_bits(s.rate);
+    key += ',';
+  }
+  key += ')';
+  return key;
+}
+
 DistributionPtr PiecewiseConstantHazard::clone() const {
   return std::make_unique<PiecewiseConstantHazard>(segments_);
 }

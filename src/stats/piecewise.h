@@ -37,6 +37,7 @@ class PiecewiseConstantHazard final : public Distribution {
   [[nodiscard]] double sample_residual(double age,
                                        rng::RandomStream& rs) const override;
   [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] std::string exact_key() const override;
   [[nodiscard]] DistributionPtr clone() const override;
 
   [[nodiscard]] const std::vector<Segment>& segments() const noexcept {

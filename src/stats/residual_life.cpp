@@ -63,6 +63,11 @@ std::string ResidualLife::describe() const {
   return os.str();
 }
 
+std::string ResidualLife::exact_key() const {
+  return "ResidualLife(" + base_->exact_key() + ',' + exact_bits(burn_in_) +
+         ')';
+}
+
 DistributionPtr ResidualLife::clone() const {
   return std::make_unique<ResidualLife>(base_->clone(), burn_in_);
 }

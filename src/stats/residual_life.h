@@ -28,6 +28,7 @@ class ResidualLife final : public Distribution {
   [[nodiscard]] double sample_residual(double age,
                                        rng::RandomStream& rs) const override;
   [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] std::string exact_key() const override;
   [[nodiscard]] DistributionPtr clone() const override;
 
   [[nodiscard]] double burn_in() const noexcept { return burn_in_; }

@@ -117,6 +117,11 @@ std::string Weibull::describe() const {
   return os.str();
 }
 
+std::string Weibull::exact_key() const {
+  return "Weibull(" + exact_bits(p_.gamma) + ',' + exact_bits(p_.eta) + ',' +
+         exact_bits(p_.beta) + ')';
+}
+
 DistributionPtr Weibull::clone() const {
   return std::make_unique<Weibull>(*this);
 }

@@ -48,6 +48,7 @@ class Weibull final : public Distribution {
   [[nodiscard]] double sample_residual(double age,
                                        rng::RandomStream& rs) const override;
   [[nodiscard]] std::string describe() const override;
+  [[nodiscard]] std::string exact_key() const override;
   [[nodiscard]] DistributionPtr clone() const override;
 
   [[nodiscard]] const WeibullParams& params() const noexcept { return p_; }

@@ -769,6 +769,13 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
     conv.max_trials = std::min(conv.max_trials, options_.cell_trial_deadline);
     conv.min_trials = std::min(conv.min_trials, conv.max_trials);
   }
+  // One renewal-table cache for every cell of the pass (unless the caller
+  // passed one): cells that share a latent rate and scrub law share their
+  // table. It never feeds a cell key or the manifest, since a cached table
+  // is the same table.
+  sim::LatentCurveCache own_curves;
+  if (conv.latent_curves == nullptr) conv.latent_curves = &own_curves;
+  const std::size_t tables_before = conv.latent_curves->builds();
   fault::FaultInjector* fault = options_.fault;
   obs::RunTelemetry* telemetry = options_.telemetry;
   const double backoff_ms = options_.retry_backoff_ms;
@@ -1156,6 +1163,7 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
   out.retries = retries.load();
   out.faults_injected = injected.load();
   out.stalled = stalled.load();
+  out.latent_tables_built = conv.latent_curves->builds() - tables_before;
   if (sweep_cancel != nullptr && sweep_cancel->cancelled()) {
     out.interrupted = true;
     out.stop_reason = util::to_string(sweep_cancel->reason());

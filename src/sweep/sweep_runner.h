@@ -226,6 +226,11 @@ struct SweepResult {
   /// incomplete.
   std::uint64_t sweep_digest = 0;
 
+  /// Latent-credit renewal tables this pass built (sim/latent_credit.h):
+  /// one per distinct (latent rate, scrub law) among the simulated cells,
+  /// however many cells share it.
+  std::size_t latent_tables_built = 0;
+
   /// Cells that exhausted their attempts, sorted by index. A quarantined
   /// cell has no entry in `cells` and keeps `complete` false.
   std::vector<ErrorRecord> quarantined;

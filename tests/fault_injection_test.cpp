@@ -8,7 +8,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
+#include <typeinfo>
+#include <vector>
 
+#include "support/hostile_bytes.h"
 #include "util/cancel.h"
 #include "util/error.h"
 
@@ -72,6 +79,58 @@ TEST(FaultPlanParse, RejectsMalformedPlans) {
   EXPECT_THROW(FaultPlan::parse("cell*0"), ModelError);
   EXPECT_THROW(FaultPlan::parse("cell*x"), ModelError);
   EXPECT_THROW(FaultPlan::parse("cell,bogus:1"), ModelError);
+}
+
+TEST(FaultPlanParse, RejectsOutOfRangeNumbers) {
+  // Past 2^64 - 1 in every numeric field: ModelError, not the
+  // std::out_of_range that std::stoull throws.
+  for (const char* text :
+       {"cell*99999999999999999999", "cell:18446744073709551616",
+        "cell@18446744073709551616"}) {
+    EXPECT_THROW(FaultPlan::parse(text), ModelError) << text;
+  }
+  EXPECT_EQ(FaultPlan::parse("cell*18446744073709551615").specs()[0].count,
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+/// Seeded mutations of valid plans: each input either parses to specs that
+/// FaultPlan::arm accepts or throws ModelError — nothing else escapes.
+TEST(FaultPlanParse, HostileBytesParseOrThrowModelError) {
+  const std::vector<std::string> corpus = {
+      "cell",
+      "runner_trial:3",
+      "cell:scrub=168",
+      "manifest_write*4",
+      "runner_trial:1*9",
+      "cell:3@250",
+      "cell:scrub=48@hang",
+      "pool_task:2*3@15",
+      "journal_append,journal_sync:2,manifest_read*2",
+      "cell:3@250,manifest_write@hang,cell:scrub=48@hang,runner_trial:1*9@15",
+  };
+  std::mt19937_64 rng(20070625);
+  std::size_t parsed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string text = corpus[static_cast<std::size_t>(i) % corpus.size()];
+    for (std::uint64_t edits = 1 + rng() % 3; edits > 0; --edits) {
+      raidrel::test::mutate_bytes(text, rng);
+    }
+    SCOPED_TRACE("mutation " + std::to_string(i) + ": \"" + text + '"');
+    try {
+      const FaultPlan plan = FaultPlan::parse(text);
+      ++parsed;
+      ASSERT_FALSE(plan.empty());
+      for (const FaultSpec& spec : plan.specs()) {
+        FaultPlan again;
+        ASSERT_NO_THROW(again.arm(spec));
+        ASSERT_FALSE(std::isnan(spec.delay_ms));
+      }
+    } catch (const ModelError&) {
+    } catch (const std::exception& e) {
+      FAIL() << "threw " << typeid(e).name() << ": " << e.what();
+    }
+  }
+  EXPECT_GT(parsed, 0u);  // some mutations leave a valid plan
 }
 
 TEST(FaultPlanArm, ValidatesProgrammaticSpecs) {
@@ -175,6 +234,15 @@ TEST(FaultPlanParse, GrammarCoversDelayAndHangKinds) {
   // Specs without the suffix keep the throwing kind.
   EXPECT_LT(FaultPlan::parse("cell").specs()[0].delay_ms, 0.0);
   EXPECT_FALSE(FaultPlan::parse("cell").specs()[0].is_delay());
+}
+
+TEST(FaultInjector, HitWindowEndingPastTheLastIndexStillFires) {
+  // first_hit + count would wrap to 0: the window is still [2, 2^64).
+  FaultInjector injector{
+      FaultPlan::parse("runner_trial:2*18446744073709551615")};
+  EXPECT_NO_THROW(injector.check("runner_trial"));               // hit 1
+  EXPECT_THROW(injector.check("runner_trial"), InjectedFault);  // hit 2
+  EXPECT_THROW(injector.check("runner_trial"), InjectedFault);  // hit 3
 }
 
 TEST(FaultPlanParse, RejectsMalformedDelays) {

@@ -1,6 +1,7 @@
 // The latent-credit estimator (sim/latent_credit.h, docs/MODEL.md §19):
 // its renewal curve against closed forms and a half-step solve, its scope
-// predicate, the exactness of its quantized sums, and z-tests of credited
+// predicate and exact table keys, the table cache a sweep or convergence
+// call shares, the exactness of its quantized sums, and z-tests of credited
 // runs against the event path on the same law. The event-path reference
 // writes the exponential TTLd as a one-segment PiecewiseConstantHazard —
 // the same law, which the predicate does not take — so no switch is
@@ -9,9 +10,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "analytic/latent_curve.h"
@@ -24,6 +30,7 @@
 #include "sim/timing_engine.h"
 #include "stats/piecewise.h"
 #include "stats/weibull.h"
+#include "sweep/sweep_runner.h"
 #include "workload/read_errors.h"
 
 namespace raidrel::sim {
@@ -128,6 +135,7 @@ TEST(LatentCurve, InstantScrubNeverLeavesADefect) {
     double quantile(double) const override { return 0.0; }
     double mean() const override { return 0.0; }
     std::string describe() const override { return "instant"; }
+    std::string exact_key() const override { return "instant"; }
     stats::DistributionPtr clone() const override {
       return std::make_unique<Instant>();
     }
@@ -187,6 +195,144 @@ TEST(LatentCreditScope, CurvesAreSharedPerDistinctLaw) {
   EXPECT_EQ(curves.size(), 3u);  // base, no-scrub, faster-latent slots
   EXPECT_EQ(&curves.of(cfg.slots[2]), &curves.of(cfg.slots[7]));
   EXPECT_NE(&curves.of(cfg.slots[0]), &curves.of(cfg.slots[2]));
+}
+
+// A table equals a fresh solve of the same law bit for bit: same grid, and
+// the same value at and between every node.
+void expect_same_table(const LatentCurve& got, const LatentCurve& want) {
+  ASSERT_EQ(got.step(), want.step());
+  ASSERT_EQ(got.nodes(), want.nodes());
+  for (std::size_t k = 0; k <= got.nodes(); ++k) {
+    for (const double at : {0.0, 0.37}) {
+      const double tau = (static_cast<double>(k) + at) * got.step();
+      ASSERT_EQ(got(tau), want(tau)) << "node " << k;
+    }
+  }
+}
+
+TEST(LatentCreditScope, CurveKeysAreExactPastTheSixthDigit) {
+  // describe() prints both scrub laws as "Weibull(gamma=6, eta=168,
+  // beta=3)"; they still need two tables.
+  auto cfg = base();
+  const auto& scrub = dynamic_cast<const stats::Weibull&>(
+      *cfg.slots[0].time_to_scrub);
+  cfg.slots[1].time_to_scrub = std::make_unique<stats::Weibull>(
+      scrub.location(), std::nextafter(168.0, 200.0), scrub.shape());
+  ASSERT_EQ(scrub.scale(), 168.0);
+  ASSERT_EQ(cfg.slots[0].time_to_scrub->describe(),
+            cfg.slots[1].time_to_scrub->describe());
+  const raid::GroupConfig* groups[] = {&cfg};
+  const LatentCurves curves(groups);
+  EXPECT_EQ(curves.size(), 2u);
+  const double rate = 1.0 / dynamic_cast<const stats::Weibull&>(
+                                *cfg.slots[0].time_to_latent_defect)
+                                .scale();
+  for (const std::size_t j : {0u, 1u}) {
+    SCOPED_TRACE("slot " + std::to_string(j));
+    expect_same_table(curves.of(cfg.slots[j]),
+                      LatentCurve(rate, cfg.slots[j].time_to_scrub.get(),
+                                  cfg.mission_hours));
+  }
+}
+
+// ---------------------------------------------------------------- cache
+
+TEST(LatentCurveCache, SameKeySameTableNewKeyNewTable) {
+  LatentCurveCache cache;
+  const stats::Weibull scrub(6.0, 168.0, 3.0);
+  const stats::Weibull same(6.0, 168.0, 3.0);
+  const stats::Weibull ulp(6.0, std::nextafter(168.0, 0.0), 3.0);
+  const double rate = 1.08e-4;
+  const auto a = cache.get(rate, &scrub, kMission);
+  EXPECT_EQ(cache.get(rate, &same, kMission), a);  // another equal law
+  EXPECT_EQ(cache.builds(), 1u);
+  EXPECT_NE(cache.get(rate, &scrub, kMission / 2.0), a);
+  EXPECT_NE(cache.get(rate, &ulp, kMission), a);
+  EXPECT_NE(cache.get(std::nextafter(rate, 1.0), &scrub, kMission), a);
+  EXPECT_NE(cache.get(rate, nullptr, kMission), a);
+  EXPECT_EQ(cache.builds(), 5u);
+  expect_same_table(*a, LatentCurve(rate, &scrub, kMission));
+}
+
+TEST(LatentCurveCache, ConcurrentRequestsBuildEachKeyOnce) {
+  LatentCurveCache cache;
+  std::vector<std::unique_ptr<stats::Weibull>> laws;
+  for (const double eta : {24.0, 48.0, 96.0, 168.0}) {
+    laws.push_back(std::make_unique<stats::Weibull>(6.0, eta, 3.0));
+  }
+  constexpr int kThreads = 4;
+  constexpr std::size_t kKeys = 8;  // 4 scrub laws x 2 latent rates
+  std::vector<std::vector<const LatentCurve*>> seen(
+      kThreads, std::vector<const LatentCurve*>(kKeys));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kKeys; ++i) {
+        const std::size_t k = (i + 3 * static_cast<std::size_t>(t)) % kKeys;
+        seen[t][k] =
+            cache.get(k % 2 ? 1e-4 : 1e-3, laws[k / 2].get(), kMission).get();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(cache.builds(), kKeys);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+}
+
+TEST(LatentCurveCache, SharedCacheLeavesRunsBitIdentical) {
+  const auto cfg = base();
+  RunOptions opt{.trials = 2000, .seed = 11, .threads = 1};
+  const RunResult own = run_monte_carlo(cfg, opt);
+  LatentCurveCache cache;
+  opt.latent_curves = &cache;
+  for (int pass = 0; pass < 2; ++pass) {  // a cold, then a warm cache
+    const RunResult shared = run_monte_carlo(cfg, opt);
+    EXPECT_EQ(shared.trials(), own.trials());
+    EXPECT_EQ(shared.op_failures(), own.op_failures());
+    EXPECT_EQ(shared.restores_completed(), own.restores_completed());
+    EXPECT_EQ(shared.latent_defects(), own.latent_defects());
+    EXPECT_EQ(shared.scrubs_completed(), own.scrubs_completed());
+    EXPECT_EQ(shared.rocof_per_1000(), own.rocof_per_1000());
+    EXPECT_EQ(shared.total_ddfs_per_1000(), own.total_ddfs_per_1000());
+    EXPECT_EQ(shared.total_ddfs_per_1000_sem(), own.total_ddfs_per_1000_sem());
+    for (const auto kind : {raid::DdfKind::kDoubleOperational,
+                            raid::DdfKind::kLatentThenOp}) {
+      EXPECT_EQ(shared.total_per_1000(kind), own.total_per_1000(kind));
+    }
+    EXPECT_EQ(shared.ddfs_per_1000_at(8760.0), own.ddfs_per_1000_at(8760.0));
+  }
+  EXPECT_EQ(cache.builds(), 1u);
+}
+
+TEST(LatentCurveCache, SweepBuildsOneTablePerLawAndKeepsItsBytes) {
+  sweep::SweepSpec spec("cache-grid", core::presets::base_case());
+  spec.add_scrub_period_axis({48.0, 168.0, 720.0})
+      .add_restore_eta_axis({12.0, 48.0})
+      .add_latent_rate_axis({{"lo", 1e-4}, {"hi", 1e-3}});
+  std::vector<std::string> manifests;
+  std::vector<std::uint64_t> digests;
+  for (const unsigned threads : {1u, 4u}) {
+    sweep::SweepOptions opt;
+    opt.convergence.batch_trials = 400;
+    opt.convergence.min_trials = 400;
+    opt.convergence.max_trials = 800;
+    opt.convergence.seed = 3;
+    opt.threads = threads;
+    opt.manifest_path = ::testing::TempDir() + "raidrel_curve_cache_t" +
+                        std::to_string(threads) + ".json";
+    std::remove(opt.manifest_path.c_str());
+    const sweep::SweepResult r = sweep::SweepRunner(opt).run(spec);
+    ASSERT_TRUE(r.complete);
+    EXPECT_EQ(r.simulated, 12u);
+    EXPECT_EQ(r.latent_tables_built, 6u);  // 3 scrub laws x 2 latent rates
+    std::ifstream in(opt.manifest_path, std::ios::binary);
+    manifests.emplace_back(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+    digests.push_back(r.sweep_digest);
+    std::remove(opt.manifest_path.c_str());
+  }
+  EXPECT_EQ(manifests[0], manifests[1]);
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 // ---------------------------------------------------------------- sums

@@ -44,6 +44,9 @@ class Degenerate final : public Distribution {
     os << "Degenerate(c=" << c_ << ")";
     return os.str();
   }
+  [[nodiscard]] std::string exact_key() const override {
+    return "Degenerate(" + exact_bits(c_) + ')';
+  }
   [[nodiscard]] DistributionPtr clone() const override {
     return std::make_unique<Degenerate>(*this);
   }

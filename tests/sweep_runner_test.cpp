@@ -14,6 +14,7 @@
 
 #include "fault/fault_injection.h"
 #include "obs/json_reader.h"
+#include "support/hostile_bytes.h"
 #include "util/error.h"
 
 namespace raidrel::sweep {
@@ -905,23 +906,7 @@ TEST(SweepJournal, HostileBytesNeverLoadADamagedRecord) {
     const bool journal = i % 2 == 0;
     std::string bytes = journal ? f.journal : f.clean;
     // `at` is the first offset whose byte differs from the original.
-    std::size_t at = rng() % bytes.size();
-    switch (rng() % 4) {
-      case 0:
-        bytes[at] = static_cast<char>(bytes[at] ^ (1 << (rng() % 8)));
-        break;
-      case 1:
-        at = rng() % (bytes.size() + 1);
-        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
-                     static_cast<char>(rng() % 256));
-        break;
-      case 2:
-        bytes.erase(at, 1);
-        break;
-      default:
-        bytes.resize(at);
-        break;
-    }
+    const std::size_t at = raidrel::test::mutate_bytes(bytes, rng);
     SCOPED_TRACE("mutation " + std::to_string(i) + " at byte " +
                  std::to_string(at) + (journal ? " of the journal" : ""));
     if (journal) {
