@@ -29,6 +29,7 @@
 #include "sim/lane_ops.h"
 #include "sim/latent_credit.h"
 #include "sim/runner.h"
+#include "sim/slot_kernel.h"
 #include "sim/thread_pool.h"
 #include "sim/timing_engine.h"
 #include "stats/weibull.h"
@@ -114,6 +115,25 @@ void BM_WeibullResidualSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WeibullResidualSample);
+
+// One draw of the base-case TTOp law as the scalar core makes it: /0 the
+// full sample(), /1 sample_censored() at the 10-year mission, where 86% of
+// draws outlive the mission and skip the log and pow (docs/MODEL.md §9).
+// A kernel-level number only; the perf gate does not watch it.
+void BM_BaseCaseOpDraw(benchmark::State& state) {
+  const raid::GroupConfig cfg = core::presets::base_case().to_group_config();
+  const sim::CompiledLaw op =
+      sim::CompiledLaw::compile(cfg.slots.front().time_to_op_failure.get());
+  const std::uint64_t censor =
+      state.range(0) == 0 ? 0 : op.censor_index(cfg.mission_hours);
+  rng::RandomStream rs(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(state.range(0) == 0
+                                 ? op.sample(rs)
+                                 : op.sample_censored(censor, rs));
+  }
+}
+BENCHMARK(BM_BaseCaseOpDraw)->Arg(0)->Arg(1);
 
 // The latent-credit tables (analytic/latent_curve.h), one per run_monte_carlo
 // call and distinct (latent rate, scrub law): the build at the four

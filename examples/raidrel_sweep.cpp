@@ -31,13 +31,16 @@
 // bounds the whole invocation the same way; --cell-time-budget /
 // --cell-hard-budget bound individual cells (docs/MODEL.md §16).
 //
-// Exit codes: 0 = complete, 2 = configuration / model error, 3 = completed
+// --help prints every flag. Exit codes: 0 = complete, 2 = an unknown
+// flag, or a configuration / model error, 3 = completed
 // degraded (quarantined cells or survived I/O errors; results printed,
 // rerun to retry the failures), 4 = interrupted with a durable checkpoint
 // (signal or --wall-deadline; rerun to resume), 128+N = forced by a second
 // signal N.
 #include <iostream>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/cancel.h"
@@ -168,11 +171,62 @@ void print_failures(const sweep::SweepResult& result) {
             << result.retries << " retries)\n";
 }
 
+/// Every flag main() reads; any other flag is rejected (exit 2).
+constexpr std::string_view kFlags[] = {
+    "help", "list-inject-sites", "study", "trials", "seed", "batch",
+    "target-sem", "threads", "no-resume", "max-cells", "quiet",
+    "cell-attempts", "trial-deadline", "deadline", "retry-backoff-ms",
+    "cell-time-budget", "cell-hard-budget", "wall-deadline", "inject",
+    "manifest", "manifest-prefix", "no-cache"};
+
+void print_usage(std::ostream& os) {
+  os << "usage: raidrel_sweep [--study NAME] [flags]\n"
+        "\n"
+        "  --study NAME            table3, scrub, restore, latent, vintage,\n"
+        "                          group, check-drives or all (default)\n"
+        "  --trials N              per-cell trial budget (default 60000)\n"
+        "  --seed S                master seed (default 20070625)\n"
+        "  --batch N               trials per convergence batch (20000)\n"
+        "  --target-sem X          relative SEM to stop at (0.05)\n"
+        "  --threads N             workers; 0 = every core (default)\n"
+        "  --manifest PATH         manifest of a single --study\n"
+        "  --manifest-prefix P     manifests P<study>.manifest.json\n"
+        "                          (default \"sweep.\")\n"
+        "  --no-cache              read and write no manifest\n"
+        "  --no-resume             resimulate cached cells too\n"
+        "  --max-cells N           simulate at most N uncached cells\n"
+        "  --quiet                 no per-cell progress\n"
+        "  --cell-attempts N       attempts before a cell is quarantined (2)\n"
+        "  --retry-backoff-ms X    base of the exponential retry backoff\n"
+        "  --trial-deadline N      clamp every cell at N trials\n"
+        "                          (--deadline is an alias)\n"
+        "  --cell-time-budget S    soft per-cell wall budget (quarantine)\n"
+        "  --cell-hard-budget S    flag (never kill) cells past S seconds\n"
+        "  --wall-deadline S       interrupt the whole sweep after S seconds\n"
+        "  --inject PLAN           arm fault injection sites\n"
+        "  --list-inject-sites     print the injection site registry\n"
+        "  --help                  print this help\n"
+        "\n"
+        "exit codes: 0 complete, 2 bad flags or model error, 3 degraded,\n"
+        "4 interrupted with a durable checkpoint, 128+N forced by signal N\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const util::CliArgs args(argc, argv);
+
+    if (args.has("help")) {
+      print_usage(std::cout);
+      return 0;
+    }
+    const std::vector<std::string> unknown = args.unknown_flags(kFlags);
+    if (!unknown.empty()) {
+      std::cerr << "error: unknown flag --" << unknown.front()
+                << " (see --help)\n";
+      return 2;
+    }
 
     if (args.get_bool("list-inject-sites", false)) {
       for (const auto& site : fault::registered_sites()) {

@@ -89,9 +89,15 @@ class RandomStream {
 
   /// Uniform double in the open interval (0, 1). Never returns 0 or 1, so
   /// it is safe to pass through quantile functions (log of 0 avoided).
-  double uniform_open() noexcept {
+  double uniform_open() noexcept { return open_unit(eng_() >> 12); }
+
+  /// The value uniform_open() returns for the 52-bit index `index` (the
+  /// top 52 bits of one engine word): callers that must inspect the index
+  /// before transforming it (CompiledLaw::sample_censored) draw the word
+  /// with next_u64() and map it here, bit for bit.
+  static double open_unit(std::uint64_t index) noexcept {
     // (0,1): 52 bits + 0.5 ulp offset; infinitesimally biased but never 0/1.
-    return (static_cast<double>(eng_() >> 12) + 0.5) * 0x1.0p-52;
+    return (static_cast<double>(index) + 0.5) * 0x1.0p-52;
   }
 
   /// Uniform double in [0, 1).

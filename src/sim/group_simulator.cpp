@@ -94,6 +94,14 @@ GroupCore::GroupCore(const raid::GroupConfig& config, KernelPolicy policy,
   for (const auto& slot : cfg_.slots) {
     kernels_.push_back(SlotKernel::compile(slot, policy));
   }
+  // Slots usually share one law; bisect once per distinct neighbour.
+  op_censor_.reserve(kernels_.size());
+  for (std::size_t i = 0; i < kernels_.size(); ++i) {
+    const CompiledLaw& op = kernels_[i].op;
+    op_censor_.push_back(i > 0 && op == kernels_[i - 1].op
+                             ? op_censor_.back()
+                             : op.censor_index(cfg_.mission_hours));
+  }
   if (tilt) {
     for (const SlotKernel& k : kernels_) validate_tilt(*tilt, k);
     op_tilt_ = HazardTilt(tilt->op_theta);
@@ -173,10 +181,12 @@ void GroupCore::install_fresh_drive(std::size_t i, double now,
   s.install_time = now;
   s.restore_done = kInf;
   s.awaiting_spare = false;
+  // A lifetime censored at the mission end is past it from any install
+  // time, and run_missions stops before reading it: +inf stands in.
   s.next_op =
       now + (tilted_ ? kernels_[i].op.sample_tilted(
                            op_tilt_, cfg_.mission_hours - now, rs, log_w_)
-                     : kernels_[i].op.sample(rs));
+                     : kernels_[i].op.sample_censored(op_censor_[i], rs));
   start_defect_countdown(i, now, rs);  // refreshes the cached next event
 }
 

@@ -190,7 +190,9 @@ class GroupCore {
  private:
   struct Slot {
     double install_time = 0.0;
-    double next_op = 0.0;        ///< absolute op-failure time; +inf rebuilding
+    /// Absolute op-failure time; +inf when rebuilding or when the drive
+    /// outlives the mission.
+    double next_op = 0.0;
     double restore_done = 0.0;   ///< absolute; +inf when operational
     double next_ld = 0.0;        ///< next defect arrival; +inf if n/a
     double defect_occurred = 0.0;///< outstanding defect birth; +inf if none
@@ -250,6 +252,9 @@ class GroupCore {
 
   const raid::GroupConfig& cfg_;
   std::vector<SlotKernel> kernels_;  ///< lowered laws, one per slot
+  /// Per slot, the op law's censor index at the mission end: untilted
+  /// installs skip the transform of lifetimes no event can reach.
+  std::vector<std::uint64_t> op_censor_;
   std::vector<Slot> slots_;
   double next_time_ = 0.0;
   std::size_t next_slot_ = 0;

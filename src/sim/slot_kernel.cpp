@@ -1,6 +1,7 @@
 #include "sim/slot_kernel.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "stats/weibull.h"
 #include "util/error.h"
@@ -26,6 +27,31 @@ CompiledLaw CompiledLaw::compile(const stats::Distribution* dist,
     return law;
   }
   return law;  // kVirtual fallback (composite/empirical/piecewise/...)
+}
+
+std::uint64_t CompiledLaw::censor_index(double horizon) const {
+  if (kind_ != Kind::kExponentialWeibull && kind_ != Kind::kWeibull) return 0;
+  // pow(E, 1/beta) scales E's rounding by 1/beta; below this shape the
+  // accumulated error could approach the margin.
+  if (inv_beta_ > 1e4 || !(horizon > 0.0) || !std::isfinite(horizon)) {
+    return 0;
+  }
+  const double bar = horizon * (1.0 + 1e-9);
+  const auto clears = [&](std::uint64_t index) {
+    return from_exponent(-std::log(rng::RandomStream::open_unit(index))) >=
+           bar;
+  };
+  constexpr std::uint64_t kIndices = std::uint64_t{1} << 52;
+  if (!clears(0)) return 0;
+  if (clears(kIndices - 1)) return kIndices;
+  // Invariant: clears(lo), !clears(hi).
+  std::uint64_t lo = 0;
+  std::uint64_t hi = kIndices - 1;
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (clears(mid) ? lo : hi) = mid;
+  }
+  return hi;
 }
 
 namespace {

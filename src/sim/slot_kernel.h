@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "raid/group_config.h"
 #include "rng/rng.h"
@@ -160,6 +161,33 @@ class CompiledLaw {
     }
   }
 
+  /// The censor index of this law at `horizon`, for sample_censored: a
+  /// count K of 52-bit uniform indices (rng::RandomStream::open_unit) such
+  /// that every index below K yields a sample() lifetime >= horizon. A
+  /// lower index is a smaller uniform, a larger Exp(1) draw and so a longer
+  /// lifetime; K is found by bisection over [0, 2^52] as the first index
+  /// past the last one whose lifetime, computed exactly as sample()
+  /// computes it, still clears horizon * (1 + 1e-9). That margin dwarfs
+  /// the few ulps log, pow, * and + can err by, so every index below K is
+  /// past the horizon even where the rounded lifetimes are not monotone
+  /// (docs/MODEL.md §9). 0 — censor nothing — for kNull and kVirtual
+  /// laws, shapes below 1e-4 (whose pow amplifies rounding past the
+  /// margin), and laws whose longest draw falls short of the horizon.
+  [[nodiscard]] std::uint64_t censor_index(double horizon) const;
+
+  /// sample() for a caller that never reads a lifetime at or past the
+  /// horizon `censor` was computed at: the same one engine word is
+  /// consumed, and an index below `censor` returns +inf without the log
+  /// and pow; any other index returns sample()'s value bit for bit.
+  /// kVirtual laws forward to sample().
+  [[nodiscard]] double sample_censored(std::uint64_t censor,
+                                       rng::RandomStream& rs) const {
+    if (kind_ == Kind::kVirtual) return dist_->sample(rs);
+    const std::uint64_t index = rs.next_u64() >> 12;
+    if (index < censor) return std::numeric_limits<double>::infinity();
+    return from_exponent(-std::log(rng::RandomStream::open_unit(index)));
+  }
+
   /// Draw the remaining life given survival to `age`; mirrors
   /// Distribution::sample_residual bit for bit — including its log-space
   /// increment form for h0 > 0 (expm1/log1p keep precision when age is far
@@ -212,9 +240,7 @@ class CompiledLaw {
     double term;
     const double e = tilt.sample_e(rs, cum_hazard(horizon), term);
     log_w += term;
-    return kind_ == Kind::kExponentialWeibull
-               ? a_ + b_ * e
-               : a_ + b_ * std::pow(e, inv_beta_);
+    return from_exponent(e);
   }
 
   /// Tilted residual draw. The conditional law H(T) - H(age) ~ Exp(1)
@@ -345,6 +371,14 @@ class CompiledLaw {
   }
 
  private:
+  /// The lowered kinds' lifetime for the Exp(1) exponent `e`: sample()'s
+  /// transform, verbatim.
+  [[nodiscard]] double from_exponent(double e) const {
+    return kind_ == Kind::kExponentialWeibull
+               ? a_ + b_ * e
+               : a_ + b_ * std::pow(e, inv_beta_);
+  }
+
   Kind kind_ = Kind::kNull;
   // Weibull constants: a_ = gamma, b_ = eta.
   double a_ = 0.0;

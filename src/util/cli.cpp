@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -47,6 +48,17 @@ std::string CliArgs::get_string(const std::string& name,
                                 const std::string& fallback) const {
   auto v = value(name);
   return v ? *v : fallback;
+}
+
+std::vector<std::string> CliArgs::unknown_flags(
+    std::span<const std::string_view> known) const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      out.push_back(name);
+    }
+  }
+  return out;  // flags_ is ordered, so out is sorted
 }
 
 namespace {

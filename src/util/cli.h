@@ -4,13 +4,15 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace raidrel::util {
 
-/// Parsed command line. Unknown flags are kept (queryable); positional
-/// arguments are collected in order.
+/// Parsed command line. Unknown flags are kept (queryable, and listed by
+/// unknown_flags); positional arguments are collected in order.
 class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
@@ -39,6 +41,12 @@ class CliArgs {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
+
+  /// The flags given that `known` does not name, in sorted order. A
+  /// program that rejects these turns a misspelled flag into an error
+  /// instead of a silently ignored one.
+  [[nodiscard]] std::vector<std::string> unknown_flags(
+      std::span<const std::string_view> known) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

@@ -1,6 +1,7 @@
 #include "util/cpu_features.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -90,6 +91,13 @@ SimdIsa active_isa() {
 }
 
 std::vector<int> parse_cpu_list(std::string_view text) {
+  // One complete decimal id below kCpuIdLimit: no sign, no blank, no
+  // trailing byte; an overflow fails like any other malformed id.
+  const auto parse_id = [](std::string_view s, int& out) {
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && ptr == end && out >= 0 && out < kCpuIdLimit;
+  };
   std::vector<int> cpus;
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -106,19 +114,17 @@ std::vector<int> parse_cpu_list(std::string_view text) {
                             seg.back() == '\t')) {
       seg.remove_suffix(1);
     }
-    if (seg.empty()) continue;
     int lo = 0;
     int hi = 0;
-    int consumed = 0;
-    const std::string buf(seg);  // need NUL termination for sscanf
-    if (std::sscanf(buf.c_str(), "%d-%d%n", &lo, &hi, &consumed) == 2 &&
-        consumed == static_cast<int>(buf.size())) {
-      if (lo < 0 || hi < lo) continue;
-      for (int c = lo; c <= hi; ++c) cpus.push_back(c);
-    } else if (std::sscanf(buf.c_str(), "%d%n", &lo, &consumed) == 1 &&
-               consumed == static_cast<int>(buf.size())) {
-      if (lo >= 0) cpus.push_back(lo);
+    const std::size_t dash = seg.find('-');
+    if (dash == std::string_view::npos) {
+      if (!parse_id(seg, lo)) continue;
+      hi = lo;
+    } else if (!parse_id(seg.substr(0, dash), lo) ||
+               !parse_id(seg.substr(dash + 1), hi) || hi < lo) {
+      continue;
     }
+    for (int c = lo; c <= hi; ++c) cpus.push_back(c);
   }
   std::sort(cpus.begin(), cpus.end());
   cpus.erase(std::unique(cpus.begin(), cpus.end()), cpus.end());

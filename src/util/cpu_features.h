@@ -81,10 +81,17 @@ struct CpuTopology {
   }
 };
 
-/// Parse the kernel's cpulist format ("0-3,8,10-11") into an ascending
-/// CPU id list. Pure (no filesystem); malformed or descending segments
-/// are skipped rather than fatal — a defensive probe must survive an
-/// exotic sysfs, and a partially parsed node still schedules correctly.
+/// Exclusive upper bound on a CPU id parse_cpu_list accepts: 2^20, far
+/// past any machine's logical CPU count, and it bounds one call's output
+/// at 2^20 ids however hostile the input.
+inline constexpr int kCpuIdLimit = 1 << 20;
+
+/// Parse the kernel's cpulist format ("0-3,8,10-11") into an ascending,
+/// duplicate-free CPU id list. Pure (no filesystem); a segment that is not
+/// exactly `id` or `lo-hi` with unsigned decimal ids (blanks around it
+/// aside), that descends, or that names an id at or above kCpuIdLimit is
+/// skipped rather than fatal — a defensive probe must survive an exotic
+/// sysfs, and a partially parsed node still schedules correctly.
 std::vector<int> parse_cpu_list(std::string_view text);
 
 /// The machine's NUMA layout from /sys/devices/system/node (Linux).

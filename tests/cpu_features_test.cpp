@@ -7,14 +7,17 @@
 // engine construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "sim/lane_ops.h"
 #include "sim/thread_pool.h"
+#include "support/hostile_bytes.h"
 #include "util/cpu_features.h"
 #include "util/error.h"
 
@@ -154,6 +157,43 @@ TEST(CpuTopologyTest, ParseCpuListSkipsMalformedSegments) {
   EXPECT_TRUE(parse_cpu_list("-3").empty());    // negative id
   // A bad segment never poisons its neighbors.
   EXPECT_EQ(parse_cpu_list("0,junk,2-2x,3"), (std::vector<int>{0, 3}));
+}
+
+TEST(CpuTopologyTest, ParseCpuListSkipsIdsPastTheCap) {
+  EXPECT_EQ(parse_cpu_list("1048575"), (std::vector<int>{kCpuIdLimit - 1}));
+  // One id past the cap drops the whole range, not just its tail (the
+  // sscanf parser returned all 1,048,577 ids here).
+  EXPECT_TRUE(parse_cpu_list("0-1048576").empty());
+  EXPECT_EQ(parse_cpu_list("0-1,1048576,2"), (std::vector<int>{0, 1, 2}));
+  // A range ending at INT_MAX walked the loop counter past INT_MAX, and
+  // %d overflow was undefined; both are plain skips now.
+  EXPECT_TRUE(parse_cpu_list("0-2147483647").empty());
+  EXPECT_TRUE(parse_cpu_list("2147483648").empty());
+  EXPECT_TRUE(parse_cpu_list("99999999999999999999999").empty());
+  // Only unsigned decimal ids: no sign, no blank inside a segment.
+  EXPECT_EQ(parse_cpu_list("+3,0- 2,4"), (std::vector<int>{4}));
+}
+
+TEST(CpuTopologyTest, ParseCpuListSurvivesHostileBytes) {
+  const std::vector<std::string> corpus = {
+      "0-3",          "0-3,8,10-11\n",           " 2 , 4 ",
+      "0-2147483647", "1048575,7",               "18446744073709551615",
+      "0-63,128-191", "3,1,1-2,\t5-5 ,,-1,9-8"};
+  std::mt19937_64 rng(20070625);
+  for (const std::string& seed_text : corpus) {
+    for (int m = 0; m < 400; ++m) {
+      std::string bytes = seed_text;
+      for (int k = 0; k <= m % 3; ++k) test::mutate_bytes(bytes, rng);
+      SCOPED_TRACE("input \"" + bytes + "\"");
+      const std::vector<int> cpus = parse_cpu_list(bytes);
+      EXPECT_TRUE(std::is_sorted(cpus.begin(), cpus.end()));
+      EXPECT_EQ(std::adjacent_find(cpus.begin(), cpus.end()), cpus.end());
+      if (!cpus.empty()) {
+        EXPECT_GE(cpus.front(), 0);
+        EXPECT_LT(cpus.back(), kCpuIdLimit);
+      }
+    }
+  }
 }
 
 TEST(CpuTopologyTest, DetectedTopologyHasAtLeastOneNodeWithCpus) {

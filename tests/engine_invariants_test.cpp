@@ -39,6 +39,13 @@ struct EngineCase {
   }
 };
 
+// gtest's default printer dumps the parameter's raw bytes, padding
+// included, so the printed test IDs changed from build to build. Print
+// the label in place of the bytes, keeping gtest's prefix.
+void PrintTo(const EngineCase& c, std::ostream* os) {
+  *os << sizeof(EngineCase) << "-byte object <" << c.label() << ">";
+}
+
 raid::GroupConfig build(const EngineCase& c) {
   raid::SlotModel m;
   m.time_to_op_failure =

@@ -19,10 +19,14 @@
 // redundancy 2, which keeps its beta = 1 latent law on the event path.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "core/presets.h"
+#include "obs/trace.h"
 #include "sim/fleet_simulator.h"
 #include "sim/group_simulator.h"
 #include "sim/runner.h"
@@ -275,6 +279,166 @@ TEST(CompiledLaw, LowersToExpectedKinds) {
   EXPECT_EQ(
       CompiledLaw::compile(&general, KernelPolicy::kVirtualOnly).kind(),
       CompiledLaw::Kind::kVirtual);
+}
+
+// ---- Censored op draws (docs/MODEL.md §9) ------------------------------
+
+constexpr std::uint64_t kIndices = std::uint64_t{1} << 52;
+
+/// A stream whose next engine word is `word`: xoshiro256++ outputs
+/// rotl(s0 + s3, 23) + s0, so s0 = 0 and s3 = rotr(word, 23) yield it.
+rng::RandomStream stream_yielding(std::uint64_t word) {
+  const std::uint64_t s3 = (word >> 23) | (word << 41);
+  return rng::RandomStream(rng::Xoshiro256({0, 1, 1, s3}));
+}
+
+/// The censored draw at 52-bit index `index` against the full draw: +inf
+/// only where the full draw is past the horizon, otherwise the same bits,
+/// and one engine word consumed either way. `low` fills the 12 bits the
+/// index drops.
+void expect_censored_draw_agrees(const CompiledLaw& law, double horizon,
+                                 std::uint64_t censor, std::uint64_t index,
+                                 std::uint64_t low = 0) {
+  const std::uint64_t word = (index << 12) | (low & 0xfff);
+  rng::RandomStream full_rs = stream_yielding(word);
+  rng::RandomStream censored_rs = stream_yielding(word);
+  const double full = law.sample(full_rs);
+  const double censored = law.sample_censored(censor, censored_rs);
+  if (index < censor) {
+    EXPECT_EQ(censored, std::numeric_limits<double>::infinity()) << index;
+    EXPECT_GE(full, horizon) << index;
+  } else {
+    EXPECT_EQ(censored, full) << index;
+  }
+  EXPECT_EQ(censored_rs.next_u64(), full_rs.next_u64()) << index;
+}
+
+TEST(CompiledLaw, CensorIndexIsTheSurvivalAtTheHorizon) {
+  // Base-case TTOp at the 10-year mission, and an exponential law: K/2^52
+  // is P(index < K) = S(horizon) up to the 1e-9 margin, so the engine
+  // really censors (a K stuck at 0 would pass every bit-identity suite).
+  const stats::Weibull base(0.0, 461386.0, 1.12);
+  const stats::Weibull expo(0.0, 9259.0, 1.0);
+  for (const auto& [dist, horizon] :
+       {std::pair{&base, 87600.0}, std::pair{&expo, 8760.0}}) {
+    const CompiledLaw law = CompiledLaw::compile(dist);
+    const double k = static_cast<double>(law.censor_index(horizon));
+    EXPECT_NEAR(k / static_cast<double>(kIndices), dist->survival(horizon),
+                1e-6 * dist->survival(horizon))
+        << dist->describe();
+  }
+}
+
+TEST(CompiledLaw, CensoredDrawsAreTheFullDrawOrPastTheHorizon) {
+  const std::vector<std::pair<stats::Weibull, double>> cases = {
+      {stats::Weibull(0.0, 461386.0, 1.12), 87600.0},
+      {stats::Weibull(0.0, 9259.0, 1.0), 8760.0},
+      {stats::Weibull(500.0, 3000.0, 0.7), 2000.0},
+      {stats::Weibull(6.0, 168.0, 3.0), 200.0}};
+  std::mt19937_64 gen(2007);
+  for (const auto& [dist, horizon] : cases) {
+    SCOPED_TRACE(dist.describe());
+    const CompiledLaw law = CompiledLaw::compile(&dist);
+    const std::uint64_t k = law.censor_index(horizon);
+    ASSERT_GT(k, 0u);
+    ASSERT_LT(k, kIndices);
+    for (const std::uint64_t index : {k - 1, k, k + 1}) {
+      expect_censored_draw_agrees(law, horizon, k, index, gen());
+    }
+    for (int n = 0; n < 100000; ++n) {
+      expect_censored_draw_agrees(law, horizon, k, gen() >> 12, gen());
+    }
+  }
+}
+
+TEST(CompiledLaw, CensorIndexEdgeCases) {
+  // Every draw of a law located past the horizon outlives it.
+  const stats::Weibull late(2.0 * 87600.0, 1000.0, 1.5);
+  EXPECT_EQ(CompiledLaw::compile(&late).censor_index(87600.0), kIndices);
+  // Even the longest draw of a tiny-scale law falls short.
+  const stats::Weibull tiny(0.0, 1e-3, 1.12);
+  EXPECT_EQ(CompiledLaw::compile(&tiny).censor_index(87600.0), 0u);
+  // The virtual fallback and an absent law never censor.
+  const stats::Weibull base(0.0, 461386.0, 1.12);
+  const CompiledLaw virt =
+      CompiledLaw::compile(&base, KernelPolicy::kVirtualOnly);
+  EXPECT_EQ(virt.censor_index(87600.0), 0u);
+  EXPECT_EQ(CompiledLaw::compile(nullptr).censor_index(87600.0), 0u);
+  // A fallback law's censored draw is its plain draw.
+  rng::RandomStream a(3);
+  rng::RandomStream b(3);
+  EXPECT_EQ(virt.sample_censored(0, a), base.sample(b));
+}
+
+/// Lowered (censoring) against virtual-only (never censoring), trial by
+/// trial on the same streams: results and traces must be equal.
+void expect_equal_trials(const TrialResult& x, const TrialResult& y) {
+  ASSERT_EQ(x.ddfs.size(), y.ddfs.size());
+  for (std::size_t k = 0; k < x.ddfs.size(); ++k) {
+    EXPECT_EQ(x.ddfs[k].time, y.ddfs[k].time);
+    EXPECT_EQ(x.ddfs[k].kind, y.ddfs[k].kind);
+  }
+  EXPECT_EQ(x.latent_credit, y.latent_credit);
+  EXPECT_EQ(x.op_failures, y.op_failures);
+  EXPECT_EQ(x.latent_defects, y.latent_defects);
+  EXPECT_EQ(x.scrubs_completed, y.scrubs_completed);
+  EXPECT_EQ(x.restores_completed, y.restores_completed);
+  EXPECT_EQ(x.spare_arrivals, y.spare_arrivals);
+}
+
+TEST(KernelEquivalence, HeavilyCensoredShortMissionTraces) {
+  // A 2,000 h mission against a 4,000 h TTOp scale: about 65% of first
+  // lifetimes outlive it and are censored on the lowered path.
+  for (const auto& cfg : test::with_event_twin(busy_group(2000.0))) {
+    SCOPED_TRACE(latent_credit_exclusion(cfg) ? "events" : "latent credit");
+    GroupSimulator lowered(cfg, KernelPolicy::kLowered);
+    GroupSimulator reference(cfg, KernelPolicy::kVirtualOnly);
+    const rng::StreamFactory streams(21);
+    TrialResult x;
+    TrialResult y;
+    obs::TrialTrace tx;
+    obs::TrialTrace ty;
+    for (std::uint64_t t = 0; t < 400; ++t) {
+      auto rx = streams.stream(t);
+      auto ry = streams.stream(t);
+      lowered.run_trial(rx, x, &tx);
+      reference.run_trial(ry, y, &ty);
+      expect_equal_trials(x, y);
+      EXPECT_EQ(tx.events(), ty.events()) << "trial " << t;
+      EXPECT_EQ(rx.next_u64(), ry.next_u64()) << "trial " << t;
+    }
+  }
+}
+
+TEST(KernelEquivalence, HeavilyCensoredSharedPoolFleetTraces) {
+  for (const bool twin : {false, true}) {
+    SCOPED_TRACE(twin ? "event twins" : "latent credit");
+    FleetConfig fleet;
+    for (int g = 0; g < 3; ++g) {
+      fleet.groups.push_back(twin ? test::event_twin(busy_group(2000.0))
+                                  : busy_group(2000.0));
+    }
+    for (auto& group : fleet.groups) group.spare_pool.reset();
+    fleet.shared_pool = raid::SparePoolConfig{1, 300.0};
+    FleetSimulator lowered(fleet, KernelPolicy::kLowered);
+    FleetSimulator reference(fleet, KernelPolicy::kVirtualOnly);
+    const rng::StreamFactory streams(22);
+    FleetTrialResult x;
+    FleetTrialResult y;
+    obs::TrialTrace tx;
+    obs::TrialTrace ty;
+    for (std::uint64_t t = 0; t < 200; ++t) {
+      auto rx = streams.stream(t);
+      auto ry = streams.stream(t);
+      lowered.run_trial(rx, x, &tx);
+      reference.run_trial(ry, y, &ty);
+      ASSERT_EQ(x.per_group.size(), y.per_group.size());
+      for (std::size_t g = 0; g < x.per_group.size(); ++g) {
+        expect_equal_trials(x.per_group[g], y.per_group[g]);
+      }
+      EXPECT_EQ(tx.events(), ty.events()) << "trial " << t;
+    }
+  }
 }
 
 TEST(ThreadPool, PooledRunMatchesSpawnJoin) {

@@ -112,5 +112,16 @@ TEST(CliArgs, GetIntAtLeastEnforcesMinimum) {
                ModelError);
 }
 
+TEST(CliArgs, UnknownFlagsListsWhatTheKnownSetLacks) {
+  constexpr std::string_view kKnown[] = {"study", "trials", "quiet"};
+  const auto args =
+      make({"--study", "table3", "--trails", "5", "--quiet", "--mainfest=x"});
+  EXPECT_EQ(args.unknown_flags(kKnown),
+            (std::vector<std::string>{"mainfest", "trails"}));
+  EXPECT_TRUE(make({"--trials", "5", "pos"}).unknown_flags(kKnown).empty());
+  EXPECT_EQ(make({"--help"}).unknown_flags(kKnown),
+            (std::vector<std::string>{"help"}));
+}
+
 }  // namespace
 }  // namespace raidrel::util
