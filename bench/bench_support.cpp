@@ -71,13 +71,11 @@ BenchOptions parse_options(int argc, char** argv,
                            std::size_t default_trials) {
   const util::CliArgs args(argc, argv);
   BenchOptions opt;
-  // Lower bounds before the unsigned casts: "--trials -1" must not wrap
-  // into an 18-quintillion-trial run, "--threads -2" not into 4 billion.
-  opt.trials = static_cast<std::size_t>(args.get_int_at_least(
-      "trials", static_cast<long long>(default_trials), 1));
+  // Bounded to the destination: "--trials -1" must not wrap into an
+  // 18-quintillion-trial run, "--threads 4294967297" not into 1 worker.
+  opt.trials = args.get_int_in<std::size_t>("trials", default_trials, 1);
   opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 20070625));
-  opt.threads =
-      static_cast<unsigned>(args.get_int_at_least("threads", 0, 0));
+  opt.threads = args.get_int_in<unsigned>("threads", 0, 0);
   opt.bucket_hours = args.get_double("bucket-hours", 730.0);
   opt.chart = !args.get_bool("no-chart", false);
   opt.csv = args.get_bool("csv", false);

@@ -6,8 +6,11 @@
 // loop between field monitoring and design-time simulation.
 //
 //   $ ./fleet_mcf_monitor [--fleet 2000] [--observed-years 4] [--seed S]
+//
+// Any other flag exits 2 without running.
 #include <cmath>
 #include <iostream>
+#include <string_view>
 
 #include "core/presets.h"
 #include "field/mcf.h"
@@ -21,8 +24,9 @@
 int main(int argc, char** argv) try {
   using namespace raidrel;
   const util::CliArgs args(argc, argv);
-  const auto fleet =
-      static_cast<std::size_t>(args.get_int_at_least("fleet", 2000, 1));
+  constexpr std::string_view kFlags[] = {"fleet", "observed-years", "seed"};
+  args.reject_unknown_flags(kFlags);
+  const auto fleet = args.get_int_in<std::size_t>("fleet", 2000, 1);
   const double observed_years = args.get_double("observed-years", 4.0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2));
   const double observed_hours = observed_years * 8760.0;

@@ -1,7 +1,9 @@
 // Quickstart: evaluate the paper's base case and compare the NHPP
 // latent-defect model against the classical MTTDL estimate.
 //
-//   $ ./quickstart [--trials N] [--seed S]
+//   $ ./quickstart [--trials N] [--seed S] [--manifest PATH]
+//
+// Any other flag exits 2 without running.
 //
 // This is the five-minute tour of the public API:
 //   1. pick a scenario (presets:: or build your own ScenarioConfig),
@@ -10,6 +12,7 @@
 //   4. (optionally) save the JSON run manifest with --manifest <path>.
 #include <fstream>
 #include <iostream>
+#include <string_view>
 
 #include "core/model.h"
 #include "core/presets.h"
@@ -20,6 +23,8 @@
 int main(int argc, char** argv) try {
   using namespace raidrel;
   const util::CliArgs args(argc, argv);
+  constexpr std::string_view kFlags[] = {"trials", "seed", "manifest"};
+  args.reject_unknown_flags(kFlags);
 
   // 1. The paper's Table 2 base case: 7+1 RAID group, Weibull TTOp
   //    (eta 461,386 h, beta 1.12), 6-12 h restores, latent defects every
@@ -33,8 +38,7 @@ int main(int argc, char** argv) try {
   //    digest). It never changes the simulated results.
   obs::RunTelemetry telemetry;
   sim::RunOptions run;
-  run.trials =
-      static_cast<std::size_t>(args.get_int_at_least("trials", 50000, 1));
+  run.trials = args.get_int_in<std::size_t>("trials", 50000, 1);
   run.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   run.telemetry = &telemetry;
   const core::ScenarioResult result = core::evaluate_scenario(scenario, run);

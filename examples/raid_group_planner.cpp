@@ -18,9 +18,10 @@
 //
 // SIGINT/SIGTERM drain cooperatively (exit 4, manifest checkpoint durable,
 // rerun to resume); a second signal forces 128+N. --wall-deadline bounds
-// the invocation the same way. Exit codes: 0 complete, 2 config error,
-// 3 degraded, 4 interrupted.
+// the invocation the same way. Exit codes: 0 complete, 2 config error or
+// unknown flag, 3 degraded, 4 interrupted.
 #include <iostream>
+#include <string_view>
 #include <vector>
 
 #include "core/presets.h"
@@ -35,10 +36,12 @@ int main(int argc, char** argv) {
   using namespace raidrel;
   try {
     const util::CliArgs args(argc, argv);
+    constexpr std::string_view kFlags[] = {"data-drives", "rebuild", "trials",
+                                           "seed",        "threads", "manifest",
+                                           "wall-deadline"};
+    args.reject_unknown_flags(kFlags);
     // Total data drives the deployment must provide (spread across groups).
-    // At least one; a negative count would wrap through the unsigned cast.
-    const auto data_drives =
-        static_cast<unsigned>(args.get_int_at_least("data-drives", 28, 1));
+    const auto data_drives = args.get_int_in<unsigned>("data-drives", 28, 1);
 
     std::cout << "Planning for " << data_drives
               << " data drives' worth of capacity, paper base-case drives "
@@ -77,16 +80,14 @@ int main(int argc, char** argv) {
     }
     spec.add_axis(std::move(axis));
 
-    const auto trials =
-        static_cast<std::size_t>(args.get_int_at_least("trials", 40000, 1));
+    const auto trials = args.get_int_in<std::size_t>("trials", 40000, 1);
     sweep::SweepOptions opt;
     opt.convergence.seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
     opt.convergence.max_trials = trials;
     opt.convergence.batch_trials = std::min<std::size_t>(20000, trials);
     opt.convergence.min_trials = opt.convergence.batch_trials;
     opt.convergence.target_relative_sem = 0.05;
-    opt.threads =
-        static_cast<unsigned>(args.get_int_at_least("threads", 0, 0));
+    opt.threads = args.get_int_in<unsigned>("threads", 0, 0);
     opt.manifest_path = args.get_string("manifest", "");
 
     // Graceful shutdown: first SIGINT/SIGTERM (or an expired

@@ -221,12 +221,7 @@ int main(int argc, char** argv) {
       print_usage(std::cout);
       return 0;
     }
-    const std::vector<std::string> unknown = args.unknown_flags(kFlags);
-    if (!unknown.empty()) {
-      std::cerr << "error: unknown flag --" << unknown.front()
-                << " (see --help)\n";
-      return 2;
-    }
+    args.reject_unknown_flags(kFlags);
 
     if (args.get_bool("list-inject-sites", false)) {
       for (const auto& site : fault::registered_sites()) {
@@ -244,33 +239,25 @@ int main(int argc, char** argv) {
       studies = {study};
     }
 
-    const auto trials =
-        static_cast<std::size_t>(args.get_int_at_least("trials", 60000, 1));
+    const auto trials = args.get_int_in<std::size_t>("trials", 60000, 1);
     sweep::SweepOptions opt;
     opt.convergence.seed =
         static_cast<std::uint64_t>(args.get_int("seed", 20070625));
     opt.convergence.max_trials = trials;
-    opt.convergence.batch_trials = std::min<std::size_t>(
-        static_cast<std::size_t>(
-            args.get_int_at_least("batch", 20000, 1)),
-        trials);
+    opt.convergence.batch_trials =
+        std::min(args.get_int_in<std::size_t>("batch", 20000, 1), trials);
     opt.convergence.min_trials = opt.convergence.batch_trials;
     opt.convergence.target_relative_sem =
         args.get_double("target-sem", 0.05);
-    opt.threads =
-        static_cast<unsigned>(args.get_int_at_least("threads", 0, 0));
+    opt.threads = args.get_int_in<unsigned>("threads", 0, 0);
     opt.resume = !args.get_bool("no-resume", false);
-    opt.max_cells =
-        static_cast<std::size_t>(args.get_int_at_least("max-cells", 0, 0));
+    opt.max_cells = args.get_int_in<std::size_t>("max-cells", 0, 0);
     opt.progress = args.get_bool("quiet", false) ? nullptr : &std::cout;
-    opt.cell_attempts =
-        static_cast<unsigned>(args.get_int_at_least("cell-attempts", 2, 1));
+    opt.cell_attempts = args.get_int_in<unsigned>("cell-attempts", 2, 1);
     // --trial-deadline is the canonical name for the per-cell trial clamp;
     // --deadline remains an alias from the release that introduced it.
-    opt.cell_trial_deadline = static_cast<std::size_t>(
-        args.has("trial-deadline")
-            ? args.get_int_at_least("trial-deadline", 0, 0)
-            : args.get_int_at_least("deadline", 0, 0));
+    opt.cell_trial_deadline = args.get_int_in<std::size_t>(
+        args.has("trial-deadline") ? "trial-deadline" : "deadline", 0, 0);
     opt.retry_backoff_ms = args.get_double("retry-backoff-ms", 0.0);
     opt.cell_soft_budget_seconds = args.get_double("cell-time-budget", 0.0);
     opt.cell_hard_budget_seconds = args.get_double("cell-hard-budget", 0.0);

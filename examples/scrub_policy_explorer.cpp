@@ -13,10 +13,11 @@
 //
 // SIGINT/SIGTERM drain cooperatively (exit 4, manifest checkpoint durable,
 // rerun to resume); a second signal forces 128+N. --wall-deadline bounds
-// the invocation the same way. Exit codes: 0 complete, 2 config error,
-// 3 degraded, 4 interrupted.
+// the invocation the same way. Exit codes: 0 complete, 2 config error or
+// unknown flag, 3 degraded, 4 interrupted.
 #include <algorithm>
 #include <iostream>
+#include <string_view>
 
 #include "core/presets.h"
 #include "report/table.h"
@@ -44,16 +45,20 @@ int main(int argc, char** argv) {
   using namespace raidrel;
   try {
     const util::CliArgs args(argc, argv);
+    constexpr std::string_view kFlags[] = {
+        "capacity-gb", "drive-mb-s", "bus-gbit",    "group",
+        "foreground",  "rer",        "read-rate",   "budget-ddfs",
+        "trials",      "seed",       "threads",     "manifest",
+        "wall-deadline"};
+    args.reject_unknown_flags(kFlags);
 
     // Hardware description drives the physical minimum rebuild/scrub times.
     workload::RebuildEnvironment env;
     env.drive_capacity_gb = args.get_double("capacity-gb", 500.0);
     env.drive_rate_mb_s = args.get_double("drive-mb-s", 50.0);
     env.bus_rate_gbit_s = args.get_double("bus-gbit", 1.5);
-    // A group below 2 drives is meaningless and a negative value would wrap
-    // through the unsigned cast into a multi-billion drive count.
-    env.group_size =
-        static_cast<unsigned>(args.get_int_at_least("group", 8, 2));
+    // A group below 2 drives is meaningless.
+    env.group_size = args.get_int_in<unsigned>("group", 8, 2);
     env.foreground_io_fraction = args.get_double("foreground", 0.3);
 
     // Read-error regime: a cell of the paper's Table 1, validated against
@@ -125,8 +130,7 @@ int main(int argc, char** argv) {
     }
     spec.add_axis(std::move(axis));
 
-    const auto trials =
-        static_cast<std::size_t>(args.get_int_at_least("trials", 40000, 1));
+    const auto trials = args.get_int_in<std::size_t>("trials", 40000, 1);
     sweep::SweepOptions opt;
     opt.convergence.seed =
         static_cast<std::uint64_t>(args.get_int("seed", 99));
@@ -134,8 +138,7 @@ int main(int argc, char** argv) {
     opt.convergence.batch_trials = std::min<std::size_t>(20000, trials);
     opt.convergence.min_trials = opt.convergence.batch_trials;
     opt.convergence.target_relative_sem = 0.05;
-    opt.threads =
-        static_cast<unsigned>(args.get_int_at_least("threads", 0, 0));
+    opt.threads = args.get_int_in<unsigned>("threads", 0, 0);
     opt.manifest_path = args.get_string("manifest", "");
 
     // Graceful shutdown: first SIGINT/SIGTERM (or an expired

@@ -1,21 +1,8 @@
 #include "obs/trace.h"
 
-#include "obs/json_writer.h"
 #include "util/error.h"
 
 namespace raidrel::obs {
-
-const char* to_string(TraceEventKind kind) noexcept {
-  switch (kind) {
-    case TraceEventKind::kOpFailure: return "op-failure";
-    case TraceEventKind::kRestoreDone: return "restore-done";
-    case TraceEventKind::kLatentDefect: return "latent-defect";
-    case TraceEventKind::kScrubComplete: return "scrub-complete";
-    case TraceEventKind::kSpareArrival: return "spare-arrival";
-    case TraceEventKind::kDdf: return "ddf";
-  }
-  return "unknown";
-}
 
 TrialTrace::TrialTrace(std::size_t max_events) : cap_(max_events) {
   RAIDREL_REQUIRE(max_events > 0, "trace capacity must be positive");
@@ -34,51 +21,6 @@ void TrialTrace::record(double time, TraceEventKind kind, std::uint32_t slot,
     return;
   }
   events_.push_back({time, kind, group, slot});
-}
-
-EventTrace::EventTrace(std::size_t trial_capacity,
-                       std::size_t max_events_per_trial) {
-  RAIDREL_REQUIRE(trial_capacity > 0, "trace at least one trial");
-  trials_.assign(trial_capacity, TrialTrace(max_events_per_trial));
-}
-
-TrialTrace* EventTrace::trial_slot(std::uint64_t global_index) noexcept {
-  if (global_index >= trials_.size()) return nullptr;
-  return &trials_[static_cast<std::size_t>(global_index)];
-}
-
-const TrialTrace& EventTrace::trial(std::size_t index) const {
-  RAIDREL_REQUIRE(index < trials_.size(), "trace trial index out of range");
-  return trials_[index];
-}
-
-void EventTrace::write_json(std::ostream& os) const {
-  JsonWriter w(os);
-  w.begin_object();
-  w.kv("schema", "raidrel-event-trace/1");
-  w.kv("trials", static_cast<std::uint64_t>(trials_.size()));
-  w.key("histories");
-  w.begin_array();
-  for (const auto& trial : trials_) {
-    w.begin_object();
-    w.kv("events", static_cast<std::uint64_t>(trial.events().size()));
-    w.kv("dropped", static_cast<std::uint64_t>(trial.dropped()));
-    w.key("history");
-    w.begin_array();
-    for (const auto& e : trial.events()) {
-      w.begin_object();
-      w.kv("t", e.time);
-      w.kv("kind", to_string(e.kind));
-      w.kv("group", e.group);
-      if (e.slot != TraceEvent::kNoSlot) w.kv("slot", e.slot);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  os << '\n';
 }
 
 }  // namespace raidrel::obs

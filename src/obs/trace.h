@@ -4,19 +4,13 @@
 // dispatch order — the exact sequence the engine's event loop processed,
 // including intra-instant ordering (spare arrivals before slot events on
 // ties, scrub-clears before restores before failures within a slot). That
-// makes traces the ground truth for debugging DDF censuses and for
-// cross-validating engines: two engines (or the same engine at different
-// thread counts) agree iff their traces agree event for event.
-//
-// An EventTrace captures the first K trials of a run (by global trial
-// index, so convergence batches and multi-threaded scheduling do not change
-// which trials are traced). Each trial index is simulated by exactly one
-// worker, and the per-trial buffers are pre-allocated, so recording is
-// contention-free: no locks, no allocation races.
+// makes traces the ground truth for cross-validating engines in the tests:
+// two engines (or the same engine at different lane widths) agree iff
+// their traces agree event for event. The engines take a TrialTrace* per
+// trial; no run option sets one, and a null trace records nothing.
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <vector>
 
 namespace raidrel::obs {
@@ -32,8 +26,6 @@ enum class TraceEventKind : std::uint8_t {
   kSpareArrival,
   kDdf,
 };
-
-const char* to_string(TraceEventKind kind) noexcept;
 
 struct TraceEvent {
   double time = 0.0;
@@ -63,38 +55,11 @@ class TrialTrace {
     return events_;
   }
   [[nodiscard]] std::size_t dropped() const noexcept { return dropped_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
 
  private:
   std::vector<TraceEvent> events_;
   std::size_t cap_;
   std::size_t dropped_ = 0;
-};
-
-/// Trace store for the first `trial_capacity` trials of a run (by global
-/// trial index). Attach via sim::RunOptions::trace.
-class EventTrace {
- public:
-  explicit EventTrace(std::size_t trial_capacity,
-                      std::size_t max_events_per_trial = 4096);
-
-  [[nodiscard]] std::size_t trial_capacity() const noexcept {
-    return trials_.size();
-  }
-
-  /// Buffer for a global trial index, or nullptr when the index is beyond
-  /// the capture window. The driver clears the returned buffer before the
-  /// trial runs; each index is owned by one worker, so this is
-  /// contention-free.
-  [[nodiscard]] TrialTrace* trial_slot(std::uint64_t global_index) noexcept;
-
-  [[nodiscard]] const TrialTrace& trial(std::size_t index) const;
-
-  /// Dump all captured trials as JSON (schema: raidrel-event-trace/1).
-  void write_json(std::ostream& os) const;
-
- private:
-  std::vector<TrialTrace> trials_;
 };
 
 }  // namespace raidrel::obs

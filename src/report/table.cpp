@@ -18,19 +18,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_row_numeric(const std::vector<double>& cells, int digits) {
-  std::vector<std::string> row;
-  row.reserve(cells.size());
-  for (double v : cells) row.push_back(util::format_general(v, digits));
-  add_row(std::move(row));
-}
-
-const std::string& Table::cell(std::size_t row, std::size_t col) const {
-  RAIDREL_REQUIRE(row < rows_.size(), "row out of range");
-  RAIDREL_REQUIRE(col < headers_.size(), "column out of range");
-  return rows_[row][col];
-}
-
 void Table::print_text(std::ostream& os) const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
@@ -52,19 +39,6 @@ void Table::print_text(std::ostream& os) const {
     rule += std::string(widths[c], '-');
   }
   os << rule << '\n';
-  for (const auto& row : rows_) print_row(row);
-}
-
-void Table::print_markdown(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    os << "|";
-    for (const auto& cell : row) os << ' ' << cell << " |";
-    os << '\n';
-  };
-  print_row(headers_);
-  os << "|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << '\n';
   for (const auto& row : rows_) print_row(row);
 }
 

@@ -1,4 +1,4 @@
-// Aligned text / markdown / CSV tables for the experiment harnesses: every
+// Aligned text / CSV tables for the experiment harnesses: every
 // bench binary prints the paper's tables through this writer so output is
 // uniform and machine-diffable.
 #pragma once
@@ -16,21 +16,13 @@ class Table {
   /// Append a row; must match the header count.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with `digits` significant digits.
-  void add_row_numeric(const std::vector<double>& cells, int digits = 4);
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t columns() const noexcept {
     return headers_.size();
   }
-  [[nodiscard]] const std::string& cell(std::size_t row,
-                                        std::size_t col) const;
 
   /// Space-aligned monospace rendering.
   void print_text(std::ostream& os) const;
-
-  /// GitHub-flavored markdown rendering.
-  void print_markdown(std::ostream& os) const;
 
   /// RFC-4180-ish CSV rendering (quotes cells containing separators).
   void print_csv(std::ostream& os) const;

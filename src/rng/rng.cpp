@@ -33,29 +33,6 @@ Xoshiro256::Xoshiro256(const std::array<std::uint64_t, 4>& state) noexcept
   }
 }
 
-void Xoshiro256::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
-      0x39ABDC4529B1661CULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      (*this)();
-    }
-  }
-  s_ = {s0, s1, s2, s3};
-}
-
-double RandomStream::uniform(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t RandomStream::uniform_index(std::uint64_t n) noexcept {
   if (n == 0) return 0;
   // Lemire's multiply-shift rejection method, debiased.

@@ -9,8 +9,7 @@
 // We use xoshiro256++ (Blackman & Vigna) seeded via splitmix64, the seeding
 // procedure its authors recommend. Independent streams are derived by hashing
 // (master seed, stream id) through splitmix64, which in practice gives
-// decorrelated streams; `jump()` is also provided for the classical
-// sequence-splitting approach.
+// decorrelated streams.
 #pragma once
 
 #include <array>
@@ -53,9 +52,6 @@ class Xoshiro256 {
     s_[3] = rotl(s_[3], 45);
     return result;
   }
-
-  /// Advance the state by 2^128 steps (for sequence splitting).
-  void jump() noexcept;
 
   [[nodiscard]] const std::array<std::uint64_t, 4>& state() const noexcept {
     return s_;
@@ -105,9 +101,6 @@ class RandomStream {
     // 53 top bits -> double in [0,1).
     return static_cast<double>(eng_() >> 11) * 0x1.0p-53;
   }
-
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) noexcept;
 
   /// Uniform integer in [0, n).
   std::uint64_t uniform_index(std::uint64_t n) noexcept;

@@ -738,17 +738,18 @@ void BatchGroupSimulator::process_latent_defects() {
 void BatchGroupSimulator::run_lane(const rng::StreamFactory& streams,
                                    std::uint64_t first_stream_index,
                                    std::size_t count,
-                                   obs::EventTrace* trace) {
+                                   std::span<obs::TrialTrace* const> traces) {
   RAIDREL_REQUIRE(count >= 1 && count <= width_,
                   "lane count must be in [1, width]");
+  RAIDREL_REQUIRE(traces.empty() || traces.size() >= count,
+                  "need one trace pointer per lane element");
   count_ = count;
   if (forward_) {
     occ_ = LaneOccupancy{};
     for (std::size_t w = 0; w < count; ++w) {
-      const std::uint64_t index = first_stream_index + w;
-      auto rs = streams.stream(index);
+      auto rs = streams.stream(first_stream_index + w);
       forward_->run_trial(rs, results_[w],
-                          trace ? trace->trial_slot(index) : nullptr);
+                          traces.empty() ? nullptr : traces[w]);
     }
     return;
   }
@@ -759,8 +760,7 @@ void BatchGroupSimulator::run_lane(const rng::StreamFactory& streams,
   any_trace_ = false;
   for (std::uint32_t w = 0; w < count; ++w) {
     results_[w].clear();
-    obs::TrialTrace* tt =
-        trace ? trace->trial_slot(first_stream_index + w) : nullptr;
+    obs::TrialTrace* tt = traces.empty() ? nullptr : traces[w];
     if (tt) {
       tt->clear();
       any_trace_ = true;

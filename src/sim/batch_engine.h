@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "obs/trace.h"
@@ -82,12 +83,13 @@ class BatchGroupSimulator {
   /// Simulate `count` (1..width()) missions in lockstep. Trial w draws
   /// from streams.stream(first_stream_index + w), so the lane's results
   /// are a pure function of (master seed, trial indices) regardless of how
-  /// lanes are scheduled onto workers. When `trace` is non-null, each
-  /// trial whose global index falls inside the trace window records its
-  /// event history exactly as the scalar engine would.
+  /// lanes are scheduled onto workers. `traces` is empty (no tracing) or
+  /// holds at least `count` pointers: a non-null traces[w] is cleared and
+  /// then records lane element w's event history exactly as the scalar
+  /// engine would (the engines' test hook, see obs/trace.h).
   void run_lane(const rng::StreamFactory& streams,
                 std::uint64_t first_stream_index, std::size_t count,
-                obs::EventTrace* trace = nullptr);
+                std::span<obs::TrialTrace* const> traces = {});
 
   /// Outcome of lane element w from the last run_lane call; bit-identical
   /// to GroupSimulator::run_trial on the same stream.

@@ -43,19 +43,10 @@ ConvergedRun run_until_converged(const raid::GroupConfig& config,
 
   ConvergedRun out{RunResult(config.mission_hours, options.bucket_hours)};
 
-  // Effective cancellation token of the study. A wall-clock deadline is
-  // expressed as a derived token carrying it: a child of the caller's
-  // token when one was passed (so both an external cancel AND the deadline
-  // can end the study), a fresh root otherwise. Workers poll it at trial
-  // granularity, so expiry stops the run mid-batch, not at the next batch
-  // boundary.
-  util::CancelToken deadline_token;
-  util::CancelToken* cancel = options.cancel;
-  if (options.deadline.armed()) {
-    deadline_token = cancel != nullptr ? cancel->child(options.deadline)
-                                       : util::CancelToken(options.deadline);
-    cancel = &deadline_token;
-  }
+  // Workers poll the token at trial granularity, so a cancel (or the
+  // expiry of a deadline the token carries) stops the run mid-batch, not
+  // at the next batch boundary.
+  util::CancelToken* const cancel = options.cancel;
 
   // One persistent worker pool for every batch of the study: workers are
   // spawned on the first multi-threaded batch and then parked between
@@ -76,7 +67,6 @@ ConvergedRun run_until_converged(const raid::GroupConfig& config,
     run.bucket_hours = options.bucket_hours;
     run.first_trial_index = next_index;
     run.telemetry = options.telemetry;
-    run.trace = options.trace;
     run.fault = options.fault;
     run.pool = &pool;
     run.latent_curves = curves;

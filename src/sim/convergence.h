@@ -12,7 +12,6 @@
 #pragma once
 
 #include "obs/run_telemetry.h"
-#include "obs/trace.h"
 #include "raid/group_config.h"
 #include "sim/run_result.h"
 #include "sim/runner.h"
@@ -48,12 +47,11 @@ struct ConvergenceOptions {
   /// bit-identical results, so it is deliberately NOT part of the sweep
   /// engine's cell cache key.
   std::size_t batch_width = kDefaultBatchWidth;
-  /// Optional observability sinks, forwarded to every batch's RunOptions.
-  /// The telemetry batch list becomes the convergence trajectory: each
-  /// entry is annotated with the relative/absolute SEM achieved after
-  /// that batch was merged.
+  /// Optional telemetry sink, forwarded to every batch's RunOptions. Its
+  /// batch list becomes the convergence trajectory: each entry is
+  /// annotated with the relative/absolute SEM achieved after that batch
+  /// was merged.
   obs::RunTelemetry* telemetry = nullptr;
-  obs::EventTrace* trace = nullptr;
   /// Optional fault injector, forwarded to every batch's RunOptions (and
   /// to the loop's persistent pool, arming the "pool_task" site). Site hit
   /// counters accumulate across batches, so "runner_trial:N" means the Nth
@@ -77,13 +75,11 @@ struct ConvergenceOptions {
   /// what it has under StopRule kCancelled/kDeadline with honest SEM/ESS
   /// diagnostics for however many trials actually completed (possibly
   /// zero — see ConvergedRun::result). Null — the default — is off.
+  /// A wall-clock bound on the study is a token carrying a deadline
+  /// (util::CancelToken(deadline), or token.child(deadline) to keep an
+  /// outer token's cancel too): expiry stops the study at trial
+  /// granularity and reports StopRule kDeadline.
   util::CancelToken* cancel = nullptr;
-  /// Wall-clock bound on the whole study. When armed, the loop derives a
-  /// child of `cancel` (or a fresh root token) carrying this deadline, so
-  /// running out of wall time stops the study mid-convergence exactly like
-  /// an external cancel — at trial granularity, not batch granularity.
-  /// Deadline::never() — the default — is off.
-  util::Deadline deadline = util::Deadline::never();
 };
 
 struct ConvergedRun {

@@ -415,9 +415,7 @@ RunResult run_monte_carlo(const raid::GroupConfig& config,
                                          RunResult& local,
                                          obs::WorkerStats& ws) mutable {
             auto rs = streams.stream(index);
-            simulator.run_trial(
-                rs, trial,
-                options.trace ? options.trace->trial_slot(index) : nullptr);
+            simulator.run_trial(rs, trial);
             fold_trial(local, ws, trial, telemetry);
           };
         });
@@ -438,7 +436,7 @@ RunResult run_monte_carlo(const raid::GroupConfig& config,
                    const rng::StreamFactory& streams, std::uint64_t first,
                    std::size_t n, RunResult& local,
                    obs::WorkerStats& ws) mutable {
-          simulator.run_lane(streams, first, n, options.trace);
+          simulator.run_lane(streams, first, n);
           if (telemetry) accumulate_occupancy(ws, simulator.occupancy());
           for (std::size_t k = 0; k < n; ++k) {
             fold_trial(local, ws, simulator.result(k), telemetry);
@@ -480,9 +478,7 @@ RunResult run_fleet_monte_carlo(const FleetConfig& config,
                                             RunResult& local,
                                             obs::WorkerStats& ws) mutable {
           auto rs = streams.stream(index);
-          simulator.run_trial(
-              rs, trial,
-              options.trace ? options.trace->trial_slot(index) : nullptr);
+          simulator.run_trial(rs, trial);
           for (const TrialResult& group : trial.per_group) {
             fold_trial(local, ws, group, telemetry);
           }

@@ -12,7 +12,6 @@
 
 #include "fault/fault_injection.h"
 #include "obs/run_telemetry.h"
-#include "obs/trace.h"
 #include "raid/group_config.h"
 #include "sim/lane_ops.h"
 #include "sim/run_result.h"
@@ -39,14 +38,11 @@ struct RunOptions {
   /// disjoint index ranges so their union equals one big run.
   std::uint64_t first_trial_index = 0;
 
-  /// Optional observability sinks (src/obs/, owned by the caller; may be
-  /// shared across batches). `telemetry` collects per-worker counters and
-  /// per-batch throughput and can serialize a JSON run manifest; `trace`
-  /// records the full event history of every trial whose global stream
-  /// index falls inside its window. Neither affects results or random
-  /// draws — a run with sinks attached is bit-identical to one without.
+  /// Optional observability sink (src/obs/, owned by the caller; may be
+  /// shared across batches): per-worker counters and per-batch throughput,
+  /// serializable as a JSON run manifest. It affects no result or random
+  /// draw — a run with the sink attached is bit-identical to one without.
   obs::RunTelemetry* telemetry = nullptr;
-  obs::EventTrace* trace = nullptr;
 
   /// Persistent worker pool (owned by the caller, see thread_pool.h). When
   /// set, multi-threaded runs execute on the pool's parked workers instead

@@ -107,16 +107,6 @@ DistributionPtr MixtureDistribution::clone() const {
   return std::make_unique<MixtureDistribution>(std::move(copy));
 }
 
-double MixtureDistribution::weight(std::size_t i) const {
-  RAIDREL_REQUIRE(i < comps_.size(), "component index out of range");
-  return comps_[i].weight;
-}
-
-const Distribution& MixtureDistribution::component(std::size_t i) const {
-  RAIDREL_REQUIRE(i < comps_.size(), "component index out of range");
-  return *comps_[i].dist;
-}
-
 // ------------------------------------------------------------ CompetingRisks
 
 CompetingRisks::CompetingRisks(std::vector<DistributionPtr> risks)
@@ -219,11 +209,6 @@ DistributionPtr CompetingRisks::clone() const {
   copy.reserve(risks_.size());
   for (const auto& r : risks_) copy.push_back(r->clone());
   return std::make_unique<CompetingRisks>(std::move(copy));
-}
-
-const Distribution& CompetingRisks::risk(std::size_t i) const {
-  RAIDREL_REQUIRE(i < risks_.size(), "risk index out of range");
-  return *risks_[i];
 }
 
 }  // namespace raidrel::stats

@@ -38,8 +38,6 @@ class MixtureDistribution final : public Distribution {
   [[nodiscard]] std::size_t component_count() const noexcept {
     return comps_.size();
   }
-  [[nodiscard]] double weight(std::size_t i) const;
-  [[nodiscard]] const Distribution& component(std::size_t i) const;
 
  private:
   std::vector<Component> comps_;
@@ -65,7 +63,6 @@ class CompetingRisks final : public Distribution {
   [[nodiscard]] std::size_t risk_count() const noexcept {
     return risks_.size();
   }
-  [[nodiscard]] const Distribution& risk(std::size_t i) const;
 
  private:
   std::vector<DistributionPtr> risks_;

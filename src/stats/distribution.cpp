@@ -56,8 +56,6 @@ double Distribution::variance() const {
   return std::max(0.0, m2 - m * m);
 }
 
-double Distribution::stddev() const { return std::sqrt(variance()); }
-
 double Distribution::sample(rng::RandomStream& rs) const {
   return quantile(rs.uniform());
 }

@@ -52,8 +52,6 @@ class Distribution {
   /// Var[T]; default integrates numerically.
   [[nodiscard]] virtual double variance() const;
 
-  [[nodiscard]] double stddev() const;
-
   /// Draw one variate. Default: inverse-CDF transform of U(0,1).
   [[nodiscard]] virtual double sample(rng::RandomStream& rs) const;
 

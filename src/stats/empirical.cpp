@@ -7,11 +7,6 @@
 
 namespace raidrel::stats {
 
-double median_rank(std::size_t i, std::size_t n) {
-  RAIDREL_REQUIRE(i >= 1 && i <= n, "median_rank requires 1 <= i <= n");
-  return (static_cast<double>(i) - 0.3) / (static_cast<double>(n) + 0.4);
-}
-
 namespace {
 
 WeibullPlotPoint make_point(double t, double f) {
@@ -19,19 +14,6 @@ WeibullPlotPoint make_point(double t, double f) {
 }
 
 }  // namespace
-
-std::vector<WeibullPlotPoint> weibull_plot_points(std::vector<double> times) {
-  RAIDREL_REQUIRE(!times.empty(), "need at least one failure time");
-  std::sort(times.begin(), times.end());
-  RAIDREL_REQUIRE(times.front() > 0.0, "failure times must be positive");
-  std::vector<WeibullPlotPoint> pts;
-  pts.reserve(times.size());
-  const std::size_t n = times.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    pts.push_back(make_point(times[i], median_rank(i + 1, n)));
-  }
-  return pts;
-}
 
 std::vector<WeibullPlotPoint> weibull_plot_points_censored(LifeData data) {
   RAIDREL_REQUIRE(!data.empty(), "need at least one observation");

@@ -3,7 +3,6 @@
 // the "S=10433" suspensions in the paper's Fig. 2).
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace raidrel::stats {
@@ -18,10 +17,6 @@ struct LifeObservation {
 
 using LifeData = std::vector<LifeObservation>;
 
-/// Median-rank plotting position (Bernard's approximation):
-/// F_i ~ (i - 0.3) / (n + 0.4) for the i-th order statistic (1-based).
-double median_rank(std::size_t i, std::size_t n);
-
 /// A point on a Weibull probability plot: x = ln(t), y = ln(-ln(1 - F)).
 /// A dataset that follows a 2-parameter Weibull lies on a straight line with
 /// slope beta and intercept -beta*ln(eta).
@@ -32,11 +27,11 @@ struct WeibullPlotPoint {
   double y;          ///< ln(-ln(1 - F))
 };
 
-/// Build Weibull plot points from complete (uncensored) failure times.
-std::vector<WeibullPlotPoint> weibull_plot_points(std::vector<double> times);
-
 /// Build Weibull plot points from censored data using the rank-adjustment
 /// (Johnson) method: suspensions shift the adjusted ranks of later failures.
+/// Each failure plots at Bernard's median rank F ~ (r - 0.3) / (n + 0.4) of
+/// its adjusted rank r; complete data (no suspensions) keeps the plain
+/// ranks 1..n.
 std::vector<WeibullPlotPoint> weibull_plot_points_censored(LifeData data);
 
 }  // namespace raidrel::stats

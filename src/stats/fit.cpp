@@ -56,11 +56,6 @@ WeibullFit fit_from_plot(const std::vector<WeibullPlotPoint>& pts,
 
 }  // namespace
 
-WeibullFit fit_weibull_rank_regression(const std::vector<double>& times) {
-  const auto pts = weibull_plot_points(times);
-  return fit_from_plot(pts, times.size(), times.size());
-}
-
 WeibullFit fit_weibull_rank_regression_censored(const LifeData& data) {
   const auto pts = weibull_plot_points_censored(data);
   std::size_t failures = 0;

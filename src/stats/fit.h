@@ -25,10 +25,8 @@ struct WeibullFit {
   bool converged = false;
 };
 
-/// Median-rank regression on complete failure times (gamma fixed at 0).
-WeibullFit fit_weibull_rank_regression(const std::vector<double>& times);
-
-/// Median-rank regression on right-censored data (Johnson rank adjustment).
+/// Median-rank regression (gamma fixed at 0) on right-censored data with
+/// Johnson rank adjustment; complete data is the all-event case.
 WeibullFit fit_weibull_rank_regression_censored(const LifeData& data);
 
 /// Censored maximum-likelihood fit of the 2-parameter Weibull.

@@ -36,6 +36,16 @@ constexpr const char* kSchema = "raidrel-sweep-manifest/2";
 // (ignored on load) quarantined array.
 constexpr const char* kSchemaV1 = "raidrel-sweep-manifest/1";
 
+// Attempts for each cache read, journal append and compaction. Read
+// exhaustion falls back to an empty cache (resimulate); append exhaustion
+// stops journaling for the rest of the sweep; compaction exhaustion leaves
+// the journal in place for the next run. All are recorded as io_errors,
+// and none stops the sweep.
+constexpr unsigned kManifestAttempts = 3;
+// Attempts for the worker fan-out itself (a worker that dies before
+// draining the cell queue, e.g. an armed pool_task site).
+constexpr unsigned kSweepAttempts = 3;
+
 void append_double(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
@@ -683,7 +693,6 @@ CellResult simulate_cell(const SweepCell& cell,
   sim::ConvergenceOptions opt = effective;
   opt.threads = 1;  // determinism: a cell is one worker's serial job
   opt.telemetry = nullptr;
-  opt.trace = nullptr;
   opt.fault = fault;
   opt.cancel = cancel;
   const raid::GroupConfig config = cell.scenario.to_group_config();
@@ -755,9 +764,7 @@ SweepResult SweepRunner::run(const SweepSpec& spec) {
 SweepResult SweepRunner::run(const std::string& sweep_name,
                              const std::vector<SweepCell>& cells) {
   RAIDREL_REQUIRE(!cells.empty(), "sweep has no cells");
-  RAIDREL_REQUIRE(options_.cell_attempts > 0 &&
-                      options_.manifest_attempts > 0 &&
-                      options_.sweep_attempts > 0,
+  RAIDREL_REQUIRE(options_.cell_attempts > 0,
                   "retry budgets must be at least 1 attempt");
 
   // The effective convergence options are fixed once: the trial deadline
@@ -805,7 +812,7 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
     }
   };
 
-  // Runs one manifest or journal operation under the manifest_attempts
+  // Runs one manifest or journal operation under the kManifestAttempts
   // budget; on exhaustion records an io_error and returns false. Callers
   // hold the mutex or run while no worker does.
   auto with_io_retries = [&](const char* fallback_site, auto&& op) {
@@ -816,7 +823,7 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
       } catch (const std::exception& e) {
         observe(e);
         const std::string site = error_site(e, fallback_site);
-        if (attempt < options_.manifest_attempts) {
+        if (attempt < kManifestAttempts) {
           retries.fetch_add(1);
           note_event(telemetry, site, "retry", attempt, e.what());
           retry_backoff(backoff_ms, attempt);
@@ -1128,7 +1135,7 @@ SweepResult SweepRunner::run(const std::string& sweep_name,
           }
         }
         if (all_resolved) break;  // surviving shards drained the queue
-        if (attempt < options_.sweep_attempts) {
+        if (attempt < kSweepAttempts) {
           retries.fetch_add(1);
           note_event(telemetry, site, "retry", attempt, e.what());
           retry_backoff(backoff_ms, attempt);

@@ -82,18 +82,9 @@ struct SweepOptions {
   obs::RunTelemetry* telemetry = nullptr;
 
   /// How many times one cell may be attempted before it is quarantined.
+  /// (Manifest and journal I/O and the worker fan-out get a fixed 3
+  /// attempts each; see docs/MODEL.md §11.)
   unsigned cell_attempts = 2;
-
-  /// Attempts for each cache read, each journal append and each
-  /// compaction. Read exhaustion falls back to an empty cache
-  /// (resimulate); append exhaustion stops journaling for the rest of the
-  /// sweep; compaction exhaustion leaves the journal in place for the next
-  /// run. All are recorded as io_errors, and none stops the sweep.
-  unsigned manifest_attempts = 3;
-
-  /// Attempts for the worker fan-out itself (a worker that dies before
-  /// draining the cell queue, e.g. an armed pool_task site).
-  unsigned sweep_attempts = 3;
 
   /// Base for the deterministic exponential retry backoff: attempt k
   /// sleeps retry_backoff_ms * 2^(k-1) milliseconds. 0 (the default)

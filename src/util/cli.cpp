@@ -50,15 +50,19 @@ std::string CliArgs::get_string(const std::string& name,
   return v ? *v : fallback;
 }
 
-std::vector<std::string> CliArgs::unknown_flags(
+void CliArgs::reject_unknown_flags(
     std::span<const std::string_view> known) const {
-  std::vector<std::string> out;
+  std::string unknown;
+  std::size_t count = 0;
   for (const auto& [name, value] : flags_) {
     if (std::find(known.begin(), known.end(), name) == known.end()) {
-      out.push_back(name);
+      unknown += (count++ == 0 ? "--" : ", --") + name;
     }
   }
-  return out;  // flags_ is ordered, so out is sorted
+  if (count > 0) {
+    throw ModelError((count == 1 ? "unknown flag " : "unknown flags ") +
+                     unknown);
+  }
 }
 
 namespace {
@@ -84,12 +88,14 @@ long long CliArgs::get_int(const std::string& name, long long fallback) const {
   return out;
 }
 
-long long CliArgs::get_int_at_least(const std::string& name, long long fallback,
-                                    long long min_value) const {
+long long CliArgs::get_int_bounded(const std::string& name,
+                                   long long fallback, long long min_value,
+                                   long long max_value) const {
   const long long out = get_int(name, fallback);
-  if (out < min_value) {
+  if (out < min_value || out > max_value) {
     throw ModelError("--" + name + ": value " + std::to_string(out) +
-                     " is below the minimum of " + std::to_string(min_value));
+                     " is outside [" + std::to_string(min_value) + ", " +
+                     std::to_string(max_value) + "]");
   }
   return out;
 }

@@ -2,17 +2,20 @@
 // harnesses: `--name value` and `--name=value` pairs plus `--flag` booleans.
 #pragma once
 
+#include <concepts>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace raidrel::util {
 
-/// Parsed command line. Unknown flags are kept (queryable, and listed by
-/// unknown_flags); positional arguments are collected in order.
+/// Parsed command line. Unknown flags are kept (queryable, and rejected
+/// by reject_unknown_flags); positional arguments are collected in order.
 class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
@@ -31,22 +34,30 @@ class CliArgs {
   /// become 0) or overflows a long long.
   [[nodiscard]] long long get_int(const std::string& name,
                                   long long fallback) const;
-  /// get_int plus a lower bound — the guard for counts and sizes that
-  /// would otherwise wrap through an unsigned cast ("--group -3" becoming
-  /// a multi-billion drive group).
-  [[nodiscard]] long long get_int_at_least(const std::string& name,
-                                           long long fallback,
-                                           long long min_value) const;
+  /// get_int bounded to [min_value, max_value], returned as T. The upper
+  /// bound defaults to T's largest value, so a count or size can never
+  /// wrap on its way into an unsigned destination ("--group -3" becoming
+  /// a multi-billion drive group, "--threads 4294967297" becoming 1). Out
+  /// of bounds throws ModelError naming the flag.
+  template <std::integral T>
+  [[nodiscard]] T get_int_in(const std::string& name, T fallback, T min_value,
+                             T max_value = std::numeric_limits<T>::max()) const {
+    constexpr long long kMax = std::numeric_limits<long long>::max();
+    return static_cast<T>(get_int_bounded(
+        name, static_cast<long long>(fallback),
+        static_cast<long long>(min_value),
+        std::cmp_less(kMax, max_value) ? kMax
+                                       : static_cast<long long>(max_value)));
+  }
   /// Floating-point flag value; same strict-parse contract as get_int.
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
-  /// The flags given that `known` does not name, in sorted order. A
-  /// program that rejects these turns a misspelled flag into an error
-  /// instead of a silently ignored one.
-  [[nodiscard]] std::vector<std::string> unknown_flags(
-      std::span<const std::string_view> known) const;
+  /// Throws ModelError naming every flag given that `known` does not
+  /// name, so a misspelled flag is an error instead of a silently
+  /// ignored one.
+  void reject_unknown_flags(std::span<const std::string_view> known) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
@@ -54,6 +65,11 @@ class CliArgs {
   [[nodiscard]] const std::string& program() const { return program_; }
 
  private:
+  [[nodiscard]] long long get_int_bounded(const std::string& name,
+                                          long long fallback,
+                                          long long min_value,
+                                          long long max_value) const;
+
   std::string program_;
   std::map<std::string, std::optional<std::string>> flags_;
   std::vector<std::string> positional_;

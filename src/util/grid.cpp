@@ -31,16 +31,6 @@ std::size_t bucket_count(double horizon, double width) {
   return static_cast<std::size_t>(std::ceil(horizon / width));
 }
 
-std::vector<double> bucket_edges(double horizon, double width) {
-  const std::size_t n = bucket_count(horizon, width);
-  std::vector<double> edges(n);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    edges[i] = width * static_cast<double>(i + 1);
-  }
-  edges[n - 1] = horizon;
-  return edges;
-}
-
 std::size_t bucket_index(double t, double horizon, double width) {
   RAIDREL_REQUIRE(t >= 0.0 && t <= horizon, "bucket_index: t out of range");
   const std::size_t n = bucket_count(horizon, width);

@@ -13,10 +13,6 @@ std::vector<double> linspace(double lo, double hi, std::size_t n);
 /// n logarithmically spaced points from lo to hi inclusive (lo, hi > 0).
 std::vector<double> logspace(double lo, double hi, std::size_t n);
 
-/// Fixed-width time buckets over [0, horizon]: a grid of bucket upper edges.
-/// The final bucket is clipped to end exactly at `horizon`.
-std::vector<double> bucket_edges(double horizon, double width);
-
 /// Index of the bucket containing time t for buckets of `width` over
 /// [0, horizon]; times at bucket boundaries go to the right bucket,
 /// t == horizon goes to the last bucket.

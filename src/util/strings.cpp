@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 namespace raidrel::util {
 
@@ -54,31 +53,6 @@ std::string pad_left(const std::string& s, std::size_t width) {
 std::string pad_right(const std::string& s, std::size_t width) {
   if (s.size() >= width) return s;
   return s + std::string(width - s.size(), ' ');
-}
-
-std::vector<std::string> split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == delim) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-std::string join(const std::vector<std::string>& parts,
-                 const std::string& delim) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) os << delim;
-    os << parts[i];
-  }
-  return os.str();
 }
 
 }  // namespace raidrel::util

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 namespace raidrel::util {
 
@@ -23,12 +22,5 @@ std::string format_grouped(long long v);
 /// Left/right padding to a field width (spaces).
 std::string pad_left(const std::string& s, std::size_t width);
 std::string pad_right(const std::string& s, std::size_t width);
-
-/// Split on a delimiter, keeping empty fields.
-std::vector<std::string> split(const std::string& s, char delim);
-
-/// Join with a delimiter.
-std::string join(const std::vector<std::string>& parts,
-                 const std::string& delim);
 
 }  // namespace raidrel::util

@@ -40,14 +40,4 @@ std::vector<Table1Cell> table1_grid() {
   return grid;
 }
 
-stats::Weibull ttld_from_rate(double errors_per_hour) {
-  RAIDREL_REQUIRE(errors_per_hour > 0.0, "defect rate must be > 0");
-  return stats::Weibull(0.0, 1.0 / errors_per_hour, 1.0);
-}
-
-double base_case_latent_rate() {
-  // Med RER x low read rate: 8e-14 * 1.35e9 = 1.08e-4 err/h (eta = 9259 h).
-  return latent_defect_rate_per_hour(8.0e-14, 1.35e9);
-}
-
 }  // namespace raidrel::workload

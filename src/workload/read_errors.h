@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "stats/weibull.h"
-
 namespace raidrel::workload {
 
 /// A field read-error-rate study (the paper cites three NetApp studies).
@@ -50,15 +48,8 @@ struct Table1Cell {
   double bytes_per_hour;
   double errors_per_hour;
 };
+/// The base case's 1.08e-4 err/h (eta = 9259 h) is the medium-RER /
+/// low-read-rate cell.
 std::vector<Table1Cell> table1_grid();
-
-/// Time-to-latent-defect law for a given hourly defect rate: the paper
-/// assumes a constant defect rate over time (beta = 1), i.e. exponential
-/// with eta = 1/rate.
-stats::Weibull ttld_from_rate(double errors_per_hour);
-
-/// The base-case latent defect rate (1.08e-4 err/h, eta = 9259 h),
-/// corresponding to the medium-RER / low-read-rate cell.
-double base_case_latent_rate();
 
 }  // namespace raidrel::workload

@@ -103,37 +103,40 @@ raid::GroupConfig mixed_law_group() {
   return cfg;
 }
 
-std::vector<TrialResult> scalar_trials(const raid::GroupConfig& cfg,
-                                       std::size_t n, KernelPolicy policy,
-                                       std::uint64_t first_index = 0,
-                                       obs::EventTrace* trace = nullptr) {
+// `traces`, when given, holds one TrialTrace per trial (n of them).
+std::vector<TrialResult> scalar_trials(
+    const raid::GroupConfig& cfg, std::size_t n, KernelPolicy policy,
+    std::uint64_t first_index = 0,
+    std::vector<obs::TrialTrace>* traces = nullptr) {
   const rng::StreamFactory streams(kSeed);
   GroupSimulator simulator(cfg, policy, std::nullopt, nullptr,
                            /*double_op_probe=*/true);
   std::vector<TrialResult> out(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto rs = streams.stream(first_index + i);
-    obs::TrialTrace* tt =
-        trace ? trace->trial_slot(first_index + i) : nullptr;
-    simulator.run_trial(rs, out[i], tt);
+    simulator.run_trial(rs, out[i], traces ? &(*traces)[i] : nullptr);
   }
   return out;
 }
 
-std::vector<TrialResult> batch_trials(const raid::GroupConfig& cfg,
-                                      std::size_t n, std::size_t width,
-                                      KernelPolicy policy,
-                                      std::uint64_t first_index = 0,
-                                      obs::EventTrace* trace = nullptr) {
+std::vector<TrialResult> batch_trials(
+    const raid::GroupConfig& cfg, std::size_t n, std::size_t width,
+    KernelPolicy policy, std::uint64_t first_index = 0,
+    std::vector<obs::TrialTrace>* traces = nullptr) {
   const rng::StreamFactory streams(kSeed);
   BatchGroupSimulator simulator(cfg, width, policy, std::nullopt,
                                 MathTier::kExact, nullptr,
                                 /*double_op_probe=*/true);
   std::vector<TrialResult> out;
   out.reserve(n);
+  std::vector<obs::TrialTrace*> lane_traces;
   for (std::size_t begin = 0; begin < n; begin += width) {
     const std::size_t count = std::min(width, n - begin);
-    simulator.run_lane(streams, first_index + begin, count, trace);
+    lane_traces.clear();
+    for (std::size_t w = 0; traces && w < count; ++w) {
+      lane_traces.push_back(&(*traces)[begin + w]);
+    }
+    simulator.run_lane(streams, first_index + begin, count, lane_traces);
     for (std::size_t w = 0; w < count; ++w) {
       out.push_back(simulator.result(w));
     }
@@ -281,16 +284,21 @@ TEST(BatchEquivalence, PartialLanesAndOffsets) {
 TEST(BatchEquivalence, TracedHistoriesMatch) {
   for (const auto& cfg : test::with_event_twin(spare_pool_group())) {
     const std::size_t n = 40;
-    obs::EventTrace scalar_trace(n);
-    obs::EventTrace batch_trace(n);
+    std::vector<obs::TrialTrace> scalar_trace(n);
+    std::vector<obs::TrialTrace> batch_trace(n);
     const auto scalar =
         scalar_trials(cfg, n, KernelPolicy::kLowered, 0, &scalar_trace);
     const auto batch = batch_trials(cfg, n, 16, KernelPolicy::kLowered, 0,
                                     &batch_trace);
     expect_trials_identical(scalar, batch);
+    // Tracing draws nothing: traced trials match untraced ones bit for bit.
+    expect_trials_identical(scalar,
+                            scalar_trials(cfg, n, KernelPolicy::kLowered));
+    expect_trials_identical(batch,
+                            batch_trials(cfg, n, 16, KernelPolicy::kLowered));
     for (std::size_t i = 0; i < n; ++i) {
-      const auto& ea = scalar_trace.trial(i).events();
-      const auto& eb = batch_trace.trial(i).events();
+      const auto& ea = scalar_trace[i].events();
+      const auto& eb = batch_trace[i].events();
       ASSERT_EQ(ea.size(), eb.size()) << "trial " << i;
       for (std::size_t k = 0; k < ea.size(); ++k) {
         EXPECT_EQ(ea[k], eb[k]) << "trial " << i << " event " << k;
@@ -306,6 +314,8 @@ TEST(BatchEquivalence, InvalidWidthAndCountThrow) {
   BatchGroupSimulator simulator(cfg, 8);
   EXPECT_THROW(simulator.run_lane(streams, 0, 0), ModelError);
   EXPECT_THROW(simulator.run_lane(streams, 0, 9), ModelError);
+  std::vector<obs::TrialTrace*> two_traces(2, nullptr);
+  EXPECT_THROW(simulator.run_lane(streams, 0, 3, two_traces), ModelError);
 }
 
 TEST(BatchEquivalence, BitIdenticalUnderEveryForcedIsa) {

@@ -204,8 +204,10 @@ TEST(ConvergenceCancellation, MidStudyCancelKeepsThePartialBatch) {
 }
 
 TEST(ConvergenceCancellation, ExpiredDeadlineStopsTheStudyAsDeadline) {
+  // A wall-clock bound is a token carrying the deadline.
+  CancelToken token(Deadline::after_seconds(0.0));
   auto opt = serial_convergence();
-  opt.deadline = Deadline::after_seconds(0.0);
+  opt.cancel = &token;
   const auto run = sim::run_until_converged(busy_group(), opt);
   EXPECT_FALSE(run.converged);
   EXPECT_EQ(run.stop, sim::ConvergedRun::StopRule::kDeadline);
@@ -213,15 +215,24 @@ TEST(ConvergenceCancellation, ExpiredDeadlineStopsTheStudyAsDeadline) {
 }
 
 TEST(ConvergenceCancellation, DeadlineComposesWithACallerToken) {
-  // Both bounds armed: the derived child observes whichever trips first —
-  // here the caller's explicit cancel, reported as kCancelled.
+  // Both bounds armed: a child carrying the deadline observes whichever
+  // trips first — here the caller's explicit cancel, reported as
+  // kCancelled.
   CancelToken token;
   token.request_cancel();
+  CancelToken bounded = token.child(Deadline::after_seconds(3600.0));
   auto opt = serial_convergence();
-  opt.cancel = &token;
-  opt.deadline = Deadline::after_seconds(3600.0);
+  opt.cancel = &bounded;
   const auto run = sim::run_until_converged(busy_group(), opt);
   EXPECT_EQ(run.stop, sim::ConvergedRun::StopRule::kCancelled);
+
+  // The other way round: a live caller token, an expired child deadline.
+  CancelToken live;
+  CancelToken expired = live.child(Deadline::after_seconds(0.0));
+  opt.cancel = &expired;
+  EXPECT_EQ(sim::run_until_converged(busy_group(), opt).stop,
+            sim::ConvergedRun::StopRule::kDeadline);
+  EXPECT_FALSE(live.cancelled());
 }
 
 TEST(ConvergenceCancellation, StopRuleNamesCoverTheCancelStops) {

@@ -11,15 +11,26 @@
 namespace raidrel::stats {
 namespace {
 
+// Complete data: every time is a failure.
+LifeData complete(const std::vector<double>& times) {
+  LifeData data;
+  data.reserve(times.size());
+  for (double t : times) data.push_back({t, true});
+  return data;
+}
+
 TEST(MedianRank, BernardApproximation) {
-  EXPECT_NEAR(median_rank(1, 10), 0.7 / 10.4, 1e-12);
-  EXPECT_NEAR(median_rank(10, 10), 9.7 / 10.4, 1e-12);
-  EXPECT_THROW(median_rank(0, 10), ModelError);
-  EXPECT_THROW(median_rank(11, 10), ModelError);
+  // Complete data plots at F_i ~ (i - 0.3) / (n + 0.4).
+  std::vector<double> times;
+  for (int i = 1; i <= 10; ++i) times.push_back(10.0 * i);
+  const auto pts = weibull_plot_points_censored(complete(times));
+  ASSERT_EQ(pts.size(), 10u);
+  EXPECT_NEAR(pts.front().f_estimate, 0.7 / 10.4, 1e-12);
+  EXPECT_NEAR(pts.back().f_estimate, 9.7 / 10.4, 1e-12);
 }
 
 TEST(WeibullPlot, PointsAreSortedAndTransformed) {
-  const auto pts = weibull_plot_points({30.0, 10.0, 20.0});
+  const auto pts = weibull_plot_points_censored(complete({30.0, 10.0, 20.0}));
   ASSERT_EQ(pts.size(), 3u);
   EXPECT_DOUBLE_EQ(pts[0].time, 10.0);
   EXPECT_DOUBLE_EQ(pts[2].time, 30.0);
@@ -37,7 +48,7 @@ TEST(WeibullPlot, TrueWeibullSamplesFallOnAStraightLine) {
   rng::RandomStream rs(1);
   std::vector<double> times;
   for (int i = 0; i < 5000; ++i) times.push_back(w.sample(rs));
-  const auto pts = weibull_plot_points(times);
+  const auto pts = weibull_plot_points_censored(complete(times));
   // Regress y on x and verify slope ~ beta with high linearity.
   double sx = 0, sy = 0, sxx = 0, sxy = 0, syy = 0;
   for (const auto& p : pts) {
@@ -71,12 +82,13 @@ TEST(WeibullPlot, CensoredRanksShiftLaterFailures) {
 }
 
 TEST(WeibullPlot, CensoredWithNoSuspensionsMatchesComplete) {
+  // Without suspensions Johnson's adjusted ranks are the plain ranks.
   LifeData data{{10.0, true}, {20.0, true}, {30.0, true}};
   const auto censored = weibull_plot_points_censored(data);
-  const auto complete = weibull_plot_points({10.0, 20.0, 30.0});
-  ASSERT_EQ(censored.size(), complete.size());
+  ASSERT_EQ(censored.size(), 3u);
   for (std::size_t i = 0; i < censored.size(); ++i) {
-    EXPECT_NEAR(censored[i].f_estimate, complete[i].f_estimate, 1e-9);
+    const double rank = static_cast<double>(i + 1);
+    EXPECT_NEAR(censored[i].f_estimate, (rank - 0.3) / 3.4, 1e-9);
   }
 }
 

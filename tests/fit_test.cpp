@@ -17,6 +17,14 @@ std::vector<double> draw(const Weibull& w, int n, std::uint64_t seed) {
   return times;
 }
 
+// Complete data: every time is a failure.
+LifeData complete(const std::vector<double>& times) {
+  LifeData data;
+  data.reserve(times.size());
+  for (double t : times) data.push_back({t, true});
+  return data;
+}
+
 LifeData draw_censored(const Weibull& w, int n, double window,
                        std::uint64_t seed) {
   rng::RandomStream rs(seed);
@@ -32,7 +40,8 @@ LifeData draw_censored(const Weibull& w, int n, double window,
 
 TEST(RankRegression, RecoversCompleteSampleParameters) {
   const Weibull w(0.0, 1000.0, 1.5);
-  const auto fit = fit_weibull_rank_regression(draw(w, 4000, 1));
+  const auto fit =
+      fit_weibull_rank_regression_censored(complete(draw(w, 4000, 1)));
   EXPECT_TRUE(fit.converged);
   EXPECT_NEAR(fit.params.beta, 1.5, 0.08);
   EXPECT_NEAR(fit.params.eta, 1000.0, 40.0);
@@ -60,9 +69,9 @@ TEST(RankRegression, LowLinearityOnMixture) {
   for (int i = 0; i < 2000; ++i) {
     times.push_back(rs.bernoulli(0.5) ? early.sample(rs) : late.sample(rs));
   }
-  const auto fit = fit_weibull_rank_regression(times);
-  const auto clean =
-      fit_weibull_rank_regression(draw(Weibull(0.0, 500.0, 1.5), 2000, 4));
+  const auto fit = fit_weibull_rank_regression_censored(complete(times));
+  const auto clean = fit_weibull_rank_regression_censored(
+      complete(draw(Weibull(0.0, 500.0, 1.5), 2000, 4)));
   EXPECT_LT(fit.r_squared, clean.r_squared - 0.01);
 }
 

@@ -36,15 +36,6 @@ TEST(Xoshiro, AllZeroStateIsRepaired) {
   EXPECT_TRUE(any_nonzero);
 }
 
-TEST(Xoshiro, JumpDecorrelates) {
-  Xoshiro256 a(7);
-  Xoshiro256 b = a;
-  b.jump();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += (a() == b()) ? 1 : 0;
-  EXPECT_EQ(same, 0);
-}
-
 TEST(RandomStream, UniformInHalfOpenUnit) {
   RandomStream rs(99);
   for (int i = 0; i < 10000; ++i) {
@@ -76,15 +67,6 @@ TEST(RandomStream, UniformMeanAndVariance) {
   const double var = sum2 / n - mean * mean;
   EXPECT_NEAR(mean, 0.5, 0.003);
   EXPECT_NEAR(var, 1.0 / 12.0, 0.002);
-}
-
-TEST(RandomStream, UniformRange) {
-  RandomStream rs(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double u = rs.uniform(5.0, 9.0);
-    EXPECT_GE(u, 5.0);
-    EXPECT_LT(u, 9.0);
-  }
 }
 
 TEST(RandomStream, UniformIndexCoversAllValuesUnbiased) {

@@ -508,7 +508,7 @@ TEST(SweepFaults, ManifestWriteExhaustionDegradesToInMemoryResults) {
   ASSERT_EQ(result.io_errors.size(), 1u);
   EXPECT_EQ(result.io_errors[0].site, "manifest_write");
   EXPECT_EQ(result.io_errors[0].label, path);
-  EXPECT_EQ(result.io_errors[0].attempts, 3u);  // default manifest_attempts
+  EXPECT_EQ(result.io_errors[0].attempts, 3u);  // fixed manifest I/O attempts
   EXPECT_EQ(result.retries, 2u);
   EXPECT_FALSE(std::ifstream(path).good());  // no manifest was written
   EXPECT_FALSE(std::ifstream(path + ".tmp").good());

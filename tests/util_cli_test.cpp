@@ -1,7 +1,12 @@
 #include "util/cli.h"
 
+#include <cmath>
+#include <cstdio>
+#include <random>
+
 #include <gtest/gtest.h>
 
+#include "support/hostile_bytes.h"
 #include "util/error.h"
 
 namespace raidrel::util {
@@ -104,23 +109,99 @@ TEST(CliArgs, GetIntStillParsesNegativesAndSigns) {
 }
 
 TEST(CliArgs, GetIntAtLeastEnforcesMinimum) {
-  EXPECT_EQ(make({"--group", "4"}).get_int_at_least("group", 8, 2), 4);
-  EXPECT_EQ(make({}).get_int_at_least("group", 8, 2), 8);  // fallback passes
-  EXPECT_THROW((void)make({"--group", "-3"}).get_int_at_least("group", 8, 2),
+  EXPECT_EQ(make({"--group", "4"}).get_int_in<unsigned>("group", 8, 2), 4u);
+  EXPECT_EQ(make({}).get_int_in<unsigned>("group", 8, 2), 8u);  // fallback
+  EXPECT_THROW((void)make({"--group", "-3"}).get_int_in<unsigned>("group", 8, 2),
                ModelError);
-  EXPECT_THROW((void)make({"--group", "1"}).get_int_at_least("group", 8, 2),
+  EXPECT_THROW((void)make({"--group", "1"}).get_int_in<unsigned>("group", 8, 2),
                ModelError);
+}
+
+// Parsing only: no run and no thread starts here.
+TEST(CliArgs, GetIntInRejectsValuesTheDestinationCannotHold) {
+  // 2^32 + 1 used to wrap through static_cast<unsigned> into 1 worker, and
+  // 2^32 into 0 ("every core").
+  for (const char* raw : {"4294967297", "4294967296", "-1"}) {
+    EXPECT_THROW((void)make({"--threads", raw}).get_int_in<unsigned>(
+                     "threads", 0, 0),
+                 ModelError)
+        << raw;
+  }
+  EXPECT_EQ(make({"--threads", "4294967295"})
+                .get_int_in<unsigned>("threads", 0, 0),
+            4294967295u);
+  // An explicit upper bound.
+  EXPECT_EQ(make({"--vintage", "3"}).get_int_in<std::size_t>("vintage", 1, 1, 3),
+            3u);
+  EXPECT_THROW(
+      (void)make({"--vintage", "4"}).get_int_in<std::size_t>("vintage", 1, 1, 3),
+      ModelError);
+  // 64-bit destinations are bounded by the parser's own range.
+  EXPECT_EQ(make({"--trials", "9223372036854775807"})
+                .get_int_in<std::size_t>("trials", 1, 1),
+            9223372036854775807u);
+  try {
+    (void)make({"--data-drives", "4294967297"})
+        .get_int_in<unsigned>("data-drives", 28, 1);
+    FAIL() << "expected ModelError";
+  } catch (const ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("--data-drives"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CliArgs, UnknownFlagsListsWhatTheKnownSetLacks) {
   constexpr std::string_view kKnown[] = {"study", "trials", "quiet"};
-  const auto args =
-      make({"--study", "table3", "--trails", "5", "--quiet", "--mainfest=x"});
-  EXPECT_EQ(args.unknown_flags(kKnown),
-            (std::vector<std::string>{"mainfest", "trails"}));
-  EXPECT_TRUE(make({"--trials", "5", "pos"}).unknown_flags(kKnown).empty());
-  EXPECT_EQ(make({"--help"}).unknown_flags(kKnown),
-            (std::vector<std::string>{"help"}));
+  try {
+    make({"--study", "table3", "--trails", "5", "--quiet", "--mainfest=x"})
+        .reject_unknown_flags(kKnown);
+    FAIL() << "expected ModelError";
+  } catch (const ModelError& e) {
+    EXPECT_STREQ(e.what(), "unknown flags --mainfest, --trails");
+  }
+  EXPECT_NO_THROW(make({"--trials", "5", "pos"}).reject_unknown_flags(kKnown));
+  EXPECT_THROW(make({"--help"}).reject_unknown_flags(kKnown), ModelError);
+}
+
+// Hostile bytes (docs/MODEL.md §11): every mutated flag value either
+// parses to a number that re-parses equal, or throws ModelError.
+TEST(CliArgs, HostileBytesParseOrThrowModelError) {
+  const std::vector<std::string> corpus = {
+      "0",     "42",          "-7",   "+3",    "4294967295", "4294967296",
+      "9223372036854775807",  "1.5",  "-2.5e3", "1e308",     "0x1p3",
+      " 12",   "168.000001",  "1e-300"};
+  std::mt19937_64 rng(20070625);
+  for (const std::string& seed_text : corpus) {
+    for (int m = 0; m < 300; ++m) {
+      std::string bytes = seed_text;
+      for (int k = 0; k <= m % 3; ++k) test::mutate_bytes(bytes, rng);
+      // argv strings end at the first NUL byte, as a real command line's do.
+      const std::string flag = "--x=" + std::string(bytes.c_str());
+      SCOPED_TRACE("input \"" + flag + "\"");
+      const auto args = make({flag.c_str()});
+      try {
+        const long long v = args.get_int("x", 0);
+        const std::string again = "--x=" + std::to_string(v);
+        EXPECT_EQ(make({again.c_str()}).get_int("x", 0), v);
+      } catch (const ModelError&) {
+      }
+      try {
+        const unsigned v = args.get_int_in<unsigned>("x", 0, 1);
+        EXPECT_GE(v, 1u);
+        const std::string again = "--x=" + std::to_string(v);
+        EXPECT_EQ(make({again.c_str()}).get_int_in<unsigned>("x", 0, 1), v);
+      } catch (const ModelError&) {
+      }
+      try {
+        const double v = args.get_double("x", 0.0);
+        EXPECT_TRUE(std::isfinite(v));
+        char text[40];
+        std::snprintf(text, sizeof text, "--x=%.17g", v);
+        EXPECT_EQ(make({text}).get_double("x", 0.0), v);
+      } catch (const ModelError&) {
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -41,12 +41,7 @@ TEST(Logspace, RejectsNonPositive) {
 
 TEST(Buckets, CountAndEdges) {
   EXPECT_EQ(bucket_count(100.0, 10.0), 10u);
-  EXPECT_EQ(bucket_count(105.0, 10.0), 11u);
-  const auto edges = bucket_edges(105.0, 10.0);
-  ASSERT_EQ(edges.size(), 11u);
-  EXPECT_DOUBLE_EQ(edges[0], 10.0);
-  EXPECT_DOUBLE_EQ(edges[9], 100.0);
-  EXPECT_DOUBLE_EQ(edges.back(), 105.0);  // clipped final bucket
+  EXPECT_EQ(bucket_count(105.0, 10.0), 11u);  // clipped final bucket
 }
 
 TEST(Buckets, IndexBoundaries) {
@@ -80,9 +75,6 @@ TEST(Buckets, ExactEdgeTiesGoRight) {
 TEST(Buckets, WidthWiderThanHorizon) {
   // A single clipped bucket covers everything.
   EXPECT_EQ(bucket_count(5.0, 10.0), 1u);
-  const auto edges = bucket_edges(5.0, 10.0);
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_DOUBLE_EQ(edges[0], 5.0);
   EXPECT_EQ(bucket_index(0.0, 5.0, 10.0), 0u);
   EXPECT_EQ(bucket_index(5.0, 5.0, 10.0), 0u);
 }

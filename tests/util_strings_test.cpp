@@ -36,18 +36,5 @@ TEST(Padding, LeftAndRight) {
   EXPECT_EQ(pad_left("abcdef", 4), "abcdef");  // never truncates
 }
 
-TEST(SplitJoin, RoundTrips) {
-  const auto parts = split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(join(parts, ","), "a,b,,c");
-}
-
-TEST(Split, NoDelimiter) {
-  const auto parts = split("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
-}
-
 }  // namespace
 }  // namespace raidrel::util

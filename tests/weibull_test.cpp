@@ -169,7 +169,9 @@ TEST(Weibull, TwoParamFactoryAndStddev) {
   const Weibull w = Weibull::two_param(100.0, 2.0);
   EXPECT_DOUBLE_EQ(w.location(), 0.0);
   EXPECT_DOUBLE_EQ(w.scale(), 100.0);
-  EXPECT_NEAR(w.stddev(), std::sqrt(w.variance()), 1e-12);
+  // Rayleigh case: stddev = eta * sqrt(1 - pi/4).
+  EXPECT_NEAR(std::sqrt(w.variance()), 100.0 * std::sqrt(1.0 - M_PI / 4.0),
+              1e-9);
 }
 
 TEST(Weibull, CloneIsIndependentAndEqual) {

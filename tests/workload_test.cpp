@@ -23,11 +23,12 @@ TEST(ReadErrors, Table1GridMatchesPaper) {
 }
 
 TEST(ReadErrors, BaseCaseRateIsMediumLowCell) {
-  // 1.08e-4 err/h -> eta = 9259 h, the paper's Table 2 TTLd.
-  EXPECT_NEAR(base_case_latent_rate(), 1.08e-4, 1e-10);
-  const auto ttld = ttld_from_rate(base_case_latent_rate());
-  EXPECT_NEAR(ttld.scale(), 9259.26, 0.01);
-  EXPECT_DOUBLE_EQ(ttld.shape(), 1.0);
+  // 1.08e-4 err/h -> eta = 1/rate = 9259 h, the paper's Table 2 TTLd.
+  const Table1Cell cell = table1_grid()[2];
+  EXPECT_EQ(cell.rer_label, "Med");
+  EXPECT_EQ(cell.rate_label, "Low Rate");
+  EXPECT_NEAR(cell.errors_per_hour, 1.08e-4, 1e-10);
+  EXPECT_NEAR(1.0 / cell.errors_per_hour, 9259.26, 0.01);
 }
 
 TEST(ReadErrors, PublishedStudiesPresent) {
@@ -39,7 +40,6 @@ TEST(ReadErrors, PublishedStudiesPresent) {
 }
 
 TEST(ReadErrors, RateValidation) {
-  EXPECT_THROW(ttld_from_rate(0.0), ModelError);
   EXPECT_THROW(latent_defect_rate_per_hour(-1.0, 1.0), ModelError);
 }
 

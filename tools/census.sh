@@ -11,14 +11,22 @@
 # defines is *reached* when it survives section garbage collection in at
 # least one of those product binaries. The script prints the number of
 # src/ strong symbols, the number no product binary keeps, and the
-# unreached ones (demangled, sorted, one line per demangled name). Tests are not product binaries: code
-# only tests reach is reported as unreached.
+# unreached ones (demangled, sorted, one line per demangled name). Tests
+# are not product binaries: code only tests reach is reported as unreached.
+#
+# tools/census_keep.txt lists the unreached symbols kept on purpose, one
+# "<demangled name> # <reason>" per line. The script exits 1 when an
+# unreached symbol is not on that list, and names it; keep-list entries
+# that are no longer unreached are reported but do not fail the census.
 #
 # Needs cmake, a C++20 compiler, google-benchmark (for bench/) and nm.
 # Everything is built in a temp directory that is removed on exit.
 set -euo pipefail
+export LC_ALL=C  # one collation for sort and comm
 
 root=$(cd "$(dirname "$0")/.." && pwd)
+keep_list="$root/tools/census_keep.txt"
+[[ -f "$keep_list" ]] || { echo "census: missing $keep_list" >&2; exit 1; }
 work=$(mktemp -d "${TMPDIR:-/tmp}/raidrel-census.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 jobs=$(nproc 2>/dev/null || echo 1)
@@ -60,7 +68,23 @@ for b in "${binaries[@]}"; do
 done | c++filt | sort -u > "$work/kept"
 comm -23 "$work/defined" "$work/kept" > "$work/unreached"
 
+# Keep-list names: drop comment and blank lines, then each " # reason".
+sed -e '/^[[:space:]]*#/d' -e '/^[[:space:]]*$/d' -e 's/ # .*$//' \
+  "$keep_list" | sort -u > "$work/keep"
+comm -23 "$work/unreached" "$work/keep" > "$work/unlisted"
+comm -13 "$work/unreached" "$work/keep" > "$work/stale"
+
 echo "src strong symbols: $(wc -l < "$work/defined")"
 echo "product binaries: ${#binaries[@]}"
 echo "unreached: $(wc -l < "$work/unreached")"
 cat "$work/unreached"
+if [[ -s "$work/stale" ]]; then
+  echo "keep-list entries no longer unreached (drop them):"
+  cat "$work/stale"
+fi
+if [[ -s "$work/unlisted" ]]; then
+  echo "unreached and not on tools/census_keep.txt: $(wc -l < "$work/unlisted")"
+  cat "$work/unlisted"
+  exit 1
+fi
+echo "every unreached symbol is on the keep list"
