@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
     table.add_row(
         {vintage.name, util::format_fixed(vintage.true_params.beta, 4),
          util::format_fixed(fit.params.beta, 4),
-         "[" + util::format_fixed(ci.lower, 3) + ", " +
-             util::format_fixed(ci.upper, 3) + "]",
+         bench::format_interval(ci.lower, ci.upper, 3),
          util::format_general(vintage.true_params.eta, 5),
          util::format_general(fit.params.eta, 5), std::to_string(failures),
          std::to_string(data.size() - failures)});

@@ -25,6 +25,7 @@
 #include "obs/run_telemetry.h"
 #include "raid/group_config.h"
 #include "sim/batch_engine.h"
+#include "sim/fleet_simulator.h"
 #include "sim/group_simulator.h"
 #include "sim/lane_ops.h"
 #include "sim/latent_credit.h"
@@ -329,6 +330,46 @@ void BM_TimingEngineMission_BaseCase(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TimingEngineMission_BaseCase);
+
+// Fleet missions of G copies of perfbench's fleet_spares group (aging
+// 8-drive RAID-5, 2.5-year window) with spares always on hand, so every G
+// runs the same events per group-mission and the time per group-mission
+// isolates what finding the next event across G groups costs. Reported per
+// group-mission; not in the perf gate's watched set.
+void BM_FleetMission(benchmark::State& state) {
+  const auto groups = static_cast<std::size_t>(state.range(0));
+  core::ScenarioConfig s;
+  s.mission_hours = 21900.0;
+  s.ttop = {0.0, 23000.0, 1.12};
+  s.ttr = {6.0, 12.0, 2.0};
+  s.ttld = stats::WeibullParams{0.0, 9259.0, 1.0};
+  s.ttscrub = stats::WeibullParams{6.0, 168.0, 3.0};
+  sim::FleetConfig fleet;
+  for (std::size_t g = 0; g < groups; ++g) {
+    fleet.groups.push_back(s.to_group_config());
+  }
+  note_engine_config("BM_FleetMission/" + std::to_string(groups),
+                     fleet.groups.front(), 1, 0, groups);
+  sim::FleetSimulator simulator(fleet);
+  rng::StreamFactory streams(7);
+  sim::FleetTrialResult out;
+  std::uint64_t trial = 0, events = 0;
+  for (auto _ : state) {
+    auto rs = streams.stream(trial++);
+    simulator.run_trial(rs, out);
+    benchmark::DoNotOptimize(out.per_group.front().op_failures);
+    for (const auto& g : out.per_group) {
+      events += g.op_failures + g.restores_completed + g.latent_defects +
+                g.scrubs_completed;
+    }
+  }
+  const auto missions = static_cast<double>(state.iterations()) *
+                        static_cast<double>(groups);
+  state.counters["events_per_group_mission"] =
+      static_cast<double>(events) / missions;
+  state.SetItemsProcessed(static_cast<std::int64_t>(missions));
+}
+BENCHMARK(BM_FleetMission)->Arg(1)->Arg(8)->Arg(50)->Arg(400);
 
 void BM_FullRun_MultiThreaded(benchmark::State& state) {
   const auto cfg = core::presets::base_case().to_group_config();

@@ -10,6 +10,7 @@
 #include "obs/run_telemetry.h"
 #include "report/ascii_chart.h"
 #include "report/table.h"
+#include "util/error.h"
 #include "util/strings.h"
 
 namespace raidrel::bench {
@@ -71,12 +72,19 @@ BenchOptions parse_options(int argc, char** argv,
                            std::size_t default_trials) {
   const util::CliArgs args(argc, argv);
   BenchOptions opt;
-  // Bounded to the destination: "--trials -1" must not wrap into an
-  // 18-quintillion-trial run, "--threads 4294967297" not into 1 worker.
-  opt.trials = args.get_int_in<std::size_t>("trials", default_trials, 1);
-  opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 20070625));
-  opt.threads = args.get_int_in<unsigned>("threads", 0, 0);
-  opt.bucket_hours = args.get_double("bucket-hours", 730.0);
+  try {
+    // Bounded to the destination: "--trials -1" must not wrap into an
+    // 18-quintillion-trial run, "--threads 4294967297" not into 1 worker.
+    opt.trials = args.get_int_in<std::size_t>("trials", default_trials, 1);
+    opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 20070625));
+    opt.threads = args.get_int_in<unsigned>("threads", 0, 0);
+    opt.bucket_hours = args.get_double("bucket-hours", 730.0);
+  } catch (const ModelError& e) {
+    // A bad flag value is a usage error, exit 2 as in the examples; no run
+    // has started and no manifest writer is registered yet.
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(2);
+  }
   opt.chart = !args.get_bool("no-chart", false);
   opt.csv = args.get_bool("csv", false);
   if (!args.get_bool("no-manifest", false)) {
@@ -90,6 +98,17 @@ BenchOptions parse_options(int argc, char** argv,
   }();
   (void)registered;
   return opt;
+}
+
+std::string format_interval(double lower, double upper, int digits) {
+  // Appended piece by piece: GCC 12 flags `"[" + std::string&&` with a
+  // false -Wrestrict in Release builds.
+  std::string out = "[";
+  out += util::format_fixed(lower, digits);
+  out += ", ";
+  out += util::format_fixed(upper, digits);
+  out += ']';
+  return out;
 }
 
 void print_header(const std::string& experiment_id,

@@ -35,9 +35,13 @@ struct BenchOptions {
 };
 
 /// Parse the uniform flags; `default_trials` lets heavy benches pick a
-/// lighter default.
+/// lighter default. A malformed or out-of-range numeric value prints the
+/// error and exits 2 without running.
 BenchOptions parse_options(int argc, char** argv,
                            std::size_t default_trials = 60000);
+
+/// "[lower, upper]" with `digits` decimals, for confidence-interval cells.
+std::string format_interval(double lower, double upper, int digits);
 
 /// Print the standard experiment banner.
 void print_header(const std::string& experiment_id,

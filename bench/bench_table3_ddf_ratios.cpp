@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
     const auto ci = stats::poisson_mean_ci(events, 0.95);
     const double scale = 1000.0 / static_cast<double>(opt.trials);
     table.add_row({c.label, util::format_fixed(year1, 2),
-                   "[" + util::format_fixed(ci.lower * scale, 2) + ", " +
-                       util::format_fixed(ci.upper * scale, 2) + "]",
+                   bench::format_interval(ci.lower * scale,
+                                          ci.upper * scale, 2),
                    util::format_fixed(year1 / mttdl_first_year, 0)});
   }
   table.print_text(std::cout);

@@ -42,7 +42,7 @@ void FleetTrialResult::clear(std::size_t groups) {
 FleetSimulator::FleetSimulator(const FleetConfig& config, KernelPolicy policy,
                                std::shared_ptr<const LatentCurves> curves,
                                bool double_op_probe)
-    : pool_(config.shared_pool) {
+    : pool_(config.shared_pool), tree_(config.groups.size()) {
   config.validate();
   curves_ = curves ? std::move(curves) : latent_curves_for(config.groups);
   cores_.reserve(config.groups.size());
@@ -59,7 +59,7 @@ std::size_t FleetSimulator::waiting_drives_at_end() const noexcept {
 void FleetSimulator::run_trial(rng::RandomStream& rs, FleetTrialResult& out,
                                obs::TrialTrace* trace) {
   out.clear(cores_.size());
-  detail::run_missions(cores_, pool_, rs, out.per_group, trace);
+  detail::run_missions(cores_, pool_, tree_, rs, out.per_group, trace);
 }
 
 }  // namespace raidrel::sim

@@ -13,11 +13,12 @@
 // raid::LatentClock, state-1 defect wipe, declustered rebuild, stripe zones
 // and the opt-in double-op probe) inside the same event loop; only
 // the spare pool is shared. The next event is the earliest of the groups'
-// cached minima, scanned in group order with strict `<`: on a tie the
-// lowest group, then its lowest slot, goes first, and a spare arrival at
-// the same instant goes before both. Waiting drives are served FIFO across
-// groups. A fleet of one group with no shared pool therefore reproduces
-// GroupSimulator draw for draw. The probe does not see the wait for a
+// cached minima, found through a tournament tree over the group indices
+// (detail::GroupTournament): on a tie the lowest group, then its lowest
+// slot, goes first, and a spare arrival at the same instant goes before
+// both. Waiting drives are served FIFO across groups. A fleet of one
+// group with no shared pool therefore reproduces GroupSimulator draw for
+// draw. The probe does not see the wait for a
 // spare, so under a starved pool it understates (docs/MODEL.md §18).
 #pragma once
 
@@ -81,6 +82,7 @@ class FleetSimulator {
   std::shared_ptr<const LatentCurves> curves_;
   std::vector<detail::GroupCore> cores_;
   detail::SparePool pool_;
+  detail::GroupTournament tree_;
 };
 
 }  // namespace raidrel::sim

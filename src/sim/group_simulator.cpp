@@ -482,22 +482,52 @@ inline void GroupCore::step(std::size_t group, rng::RandomStream& rs,
   refresh_next_time();
 }
 
+GroupTournament::GroupTournament(std::size_t groups) : leaves_(1) {
+  while (leaves_ < groups) leaves_ *= 2;
+  nodes_.resize(2 * leaves_);
+  const std::size_t last = groups > 0 ? groups - 1 : 0;
+  for (std::size_t g = 0; g < leaves_; ++g) {
+    nodes_[leaves_ + g] = std::min(g, last);
+  }
+}
+
+void GroupTournament::build(std::span<const GroupCore> cores) noexcept {
+  for (std::size_t node = leaves_ - 1; node > 0; --node) {
+    const std::size_t left = nodes_[2 * node];
+    const std::size_t right = nodes_[2 * node + 1];
+    nodes_[node] =
+        cores[right].next_time() < cores[left].next_time() ? right : left;
+  }
+}
+
+inline void GroupTournament::update(std::span<const GroupCore> cores,
+                                    std::size_t group) noexcept {
+  // Carry the match winner up the path, so each level reads one rival.
+  std::size_t win = group;
+  double t = cores[group].next_time();
+  for (std::size_t node = leaves_ + group; node > 1; node /= 2) {
+    const std::size_t rival = nodes_[node ^ 1];
+    const double rival_t = cores[rival].next_time();
+    // A left-side rival (this node is a right child) wins ties.
+    if ((node & 1) != 0 ? rival_t <= t : rival_t < t) {
+      win = rival;
+      t = rival_t;
+    }
+    nodes_[node / 2] = win;
+  }
+}
+
 void run_missions(std::span<GroupCore> cores, SparePool& pool,
-                  rng::RandomStream& rs, std::span<TrialResult> out,
-                  obs::TrialTrace* trace) {
+                  GroupTournament& tree, rng::RandomStream& rs,
+                  std::span<TrialResult> out, obs::TrialTrace* trace) {
   if (trace) trace->clear();
   pool.reset();
   for (GroupCore& core : cores) core.start(rs);
+  tree.build(cores);
   const double mission = cores.front().mission_hours();
   for (;;) {
-    double t = kInf;
-    std::size_t group = 0;
-    for (std::size_t g = 0; g < cores.size(); ++g) {
-      if (cores[g].next_time() < t) {
-        t = cores[g].next_time();
-        group = g;
-      }
-    }
+    const std::size_t group = tree.winner();
+    const double t = cores[group].next_time();
     const double spare_t = pool.next_arrival();
     // Ties go to the spare (<=, not <): a spare arriving at the same
     // instant as a slot event is in hand before the event is processed —
@@ -512,11 +542,13 @@ void run_missions(std::span<GroupCore> cores, SparePool& pool,
       if (const auto waiter = pool.arrive(spare_t)) {
         ++out[waiter->group].spare_arrivals;
         cores[waiter->group].resume_restore(waiter->slot, spare_t);
+        tree.update(cores, waiter->group);
       }
       continue;
     }
     if (t >= mission) break;
     cores[group].step(group, rs, out[group], pool, trace);
+    tree.update(cores, group);
   }
   for (std::size_t g = 0; g < cores.size(); ++g) {
     out[g].log_weight = cores[g].log_weight();
@@ -538,7 +570,7 @@ GroupSimulator::GroupSimulator(const raid::GroupConfig& config,
 void GroupSimulator::run_trial(rng::RandomStream& rs, TrialResult& out,
                                obs::TrialTrace* trace) {
   out.clear();
-  detail::run_missions({&core_, 1}, pool_, rs, {&out, 1}, trace);
+  detail::run_missions({&core_, 1}, pool_, tree_, rs, {&out, 1}, trace);
 }
 
 }  // namespace raidrel::sim

@@ -281,15 +281,43 @@ class GroupCore {
   mutable std::vector<double> probe_dist_;
 };
 
+/// Tournament tree over the group indices of one event loop: each node
+/// holds the index of the core with the earliest next_time() below it, the
+/// left (lower-index) side winning ties, so the root is the lowest group
+/// holding the earliest event. Leaves are padded to a power of two; a
+/// padded leaf names the last group, which always sits to its left, so it
+/// never wins a match and needs no sentinel time. Sized once by its owner;
+/// a one-group loop is a one-leaf tree whose root is group 0.
+class GroupTournament {
+ public:
+  explicit GroupTournament(std::size_t groups);
+
+  /// Replay every match from the cores' current next_time().
+  void build(std::span<const GroupCore> cores) noexcept;
+  /// Replay the matches above `group` after its next_time() changed; the
+  /// other cores' times must be unchanged since the last build or update.
+  inline void update(std::span<const GroupCore> cores,
+                     std::size_t group) noexcept;
+  [[nodiscard]] std::size_t winner() const noexcept { return nodes_[1]; }
+
+ private:
+  std::size_t leaves_;  ///< power of two >= groups
+  /// nodes_[1] is the root, node n's children are 2n and 2n + 1, and
+  /// group g's leaf is nodes_[leaves_ + g].
+  std::vector<std::size_t> nodes_;
+};
+
 /// The event loop shared by GroupSimulator and FleetSimulator: simulate one
 /// mission of every core against one pool into `out` (one cleared result
-/// per core); a non-null `trace` is cleared first. The next event is the
-/// earliest group minimum, scanned in group order with strict `<` (the
-/// first group, then its first slot, wins a tie); a spare arrival at the
-/// same instant goes first.
+/// per core); a non-null `trace` is cleared first. `tree` is sized to the
+/// cores. The next event is the tree's winner: the lowest group holding
+/// the earliest event, then its first slot holding it; a spare arrival at
+/// the same instant goes first. After each event only the group it touched
+/// (the one that stepped, or the one a spare arrival resumed) replays its
+/// matches, so an event costs O(log G), not O(G).
 void run_missions(std::span<GroupCore> cores, SparePool& pool,
-                  rng::RandomStream& rs, std::span<TrialResult> out,
-                  obs::TrialTrace* trace);
+                  GroupTournament& tree, rng::RandomStream& rs,
+                  std::span<TrialResult> out, obs::TrialTrace* trace);
 
 }  // namespace detail
 
@@ -330,6 +358,7 @@ class GroupSimulator {
   std::shared_ptr<const LatentCurves> curves_;
   detail::GroupCore core_;
   detail::SparePool pool_;
+  detail::GroupTournament tree_{1};
 };
 
 }  // namespace raidrel::sim

@@ -4,6 +4,15 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 
+// Once GCC 12 inlines its own AVX-512 intrinsics into optimized code, it
+// warns that they read their undefined pass-through operand: a false
+// positive inside immintrin.h, not a read of anything this file leaves
+// uninitialized. lane_ops_generic.cpp still compiles the shared
+// lane_ops_impl.h with the warning on.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ == 12
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 #include <immintrin.h>
 
 #include "sim/lane_ops_impl.h"

@@ -177,14 +177,24 @@ const CpuTopology& detected_topology() {
   return topo;
 }
 
+std::size_t parse_forced_node_count(std::string_view text) {
+  // from_chars takes no sign and no blank, and reports overflow instead of
+  // saturating the way strtol does.
+  std::size_t n = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+  RAIDREL_REQUIRE(ec == std::errc() && ptr == end && n >= 1 &&
+                      n <= kForcedNodeLimit,
+                  "RAIDREL_FORCE_NUMA_NODES must be an integer in "
+                  "[1, 1024] (util::kForcedNodeLimit)");
+  return n;
+}
+
 CpuTopology active_topology() {
   const char* forced = std::getenv("RAIDREL_FORCE_NUMA_NODES");
   if (forced == nullptr || *forced == '\0') return detected_topology();
-  char* end = nullptr;
-  const long want = std::strtol(forced, &end, 10);
-  RAIDREL_REQUIRE(end != forced && *end == '\0' && want >= 1,
-                  "RAIDREL_FORCE_NUMA_NODES must be an integer >= 1");
-  // Re-split every detected CPU into `want` synthetic nodes. Block
+  const std::size_t n = parse_forced_node_count(forced);
+  // Re-split every detected CPU into `n` synthetic nodes. Block
   // partition (not round-robin) so a forced split on a genuinely
   // multi-node box still keeps each synthetic node mostly within one
   // physical node.
@@ -192,7 +202,6 @@ CpuTopology active_topology() {
   for (const auto& node : detected_topology().nodes) {
     cpus.insert(cpus.end(), node.cpus.begin(), node.cpus.end());
   }
-  const std::size_t n = static_cast<std::size_t>(want);
   CpuTopology topo;
   topo.physical = false;
   topo.nodes.reserve(n);

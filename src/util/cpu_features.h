@@ -99,13 +99,23 @@ std::vector<int> parse_cpu_list(std::string_view text);
 /// CPUs when the probe finds nothing. Probed once and cached.
 const CpuTopology& detected_topology();
 
+/// Largest synthetic node count RAIDREL_FORCE_NUMA_NODES may ask for.
+/// Far past any real machine's node count, and it bounds what one
+/// active_topology() call builds however large the value.
+inline constexpr std::size_t kForcedNodeLimit = 1024;
+
+/// Parse a RAIDREL_FORCE_NUMA_NODES value: exactly an unsigned decimal
+/// integer in [1, kForcedNodeLimit], with no sign and no blank. Pure;
+/// throws ModelError on anything else.
+std::size_t parse_forced_node_count(std::string_view text);
+
 /// The topology scheduling should use: detected_topology(), unless
-/// RAIDREL_FORCE_NUMA_NODES (integer >= 1) is set, in which case the
+/// RAIDREL_FORCE_NUMA_NODES is set (and not empty), in which case the
 /// detected CPUs are re-split into that many synthetic nodes (always
 /// `physical == false`, so affinity stays off). The override exists so
 /// the node-partitioned claiming path can be exercised and tested on a
 /// single-node box. Reads the environment on every call; throws
-/// ModelError on an unparseable or zero value.
+/// ModelError on a value parse_forced_node_count rejects.
 CpuTopology active_topology();
 
 }  // namespace raidrel::util

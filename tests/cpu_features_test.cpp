@@ -245,6 +245,46 @@ TEST(CpuTopologyTest, MalformedForcedNodesThrow) {
   }
 }
 
+TEST(CpuTopologyTest, ForcedNodeCountParsesStrictly) {
+  EXPECT_EQ(parse_forced_node_count("1"), 1u);
+  EXPECT_EQ(parse_forced_node_count("3"), 3u);
+  EXPECT_EQ(parse_forced_node_count("1024"), kForcedNodeLimit);
+  // strtol took a sign and leading blanks, and saturated an overflowing
+  // value to LONG_MAX, which active_topology() then tried to build.
+  for (const char* bad : {"", "0", "1025", "+3", " 3", "3 ", "-1", "0x4",
+                          "18446744073709551616", "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(parse_forced_node_count(bad), ModelError);
+  }
+}
+
+TEST(CpuTopologyTest, ForcedNodeCountSurvivesHostileBytes) {
+  // Every input parses to a count whose decimal form is the input itself,
+  // or throws ModelError. Only the pure parser runs: no topology is built.
+  const std::vector<std::string> corpus = {"1",   "2",    "16",   "1024",
+                                           "1025", "007", "+3",   " 3",
+                                           "18446744073709551615"};
+  std::mt19937_64 rng(20070625);
+  for (const std::string& seed_text : corpus) {
+    for (int m = 0; m < 400; ++m) {
+      std::string bytes = seed_text;
+      for (int k = 0; k <= m % 3; ++k) test::mutate_bytes(bytes, rng);
+      SCOPED_TRACE("input \"" + bytes + "\"");
+      try {
+        const std::size_t n = parse_forced_node_count(bytes);
+        EXPECT_GE(n, 1u);
+        EXPECT_LE(n, kForcedNodeLimit);
+        // Leading zeros are the one spelling that parses but does not
+        // re-serialize: strip them before comparing.
+        const std::size_t first = bytes.find_first_not_of('0');
+        ASSERT_NE(first, std::string::npos);
+        EXPECT_EQ(std::to_string(n), bytes.substr(first));
+      } catch (const ModelError&) {
+      }
+    }
+  }
+}
+
 TEST(CpuTopologyTest, PoolWorkersGetHomeNodesUnderForcedSplit) {
   // A fresh pool spawned under a forced split assigns round-robin home
   // nodes (visible through current_worker_node) without pinning; the

@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -180,6 +184,73 @@ TEST(FleetSimulator, MultiGroupEventHistoryDigestIsPinned) {
   expect_fleet_history_digests(1.2, {13871893921399182348ull,
                                      2980961146552491470ull,
                                      15027248184009925176ull});
+}
+
+TEST(FleetSimulator, CrossGroupTiesGoToTheLowestGroup) {
+  // Weibull laws whose scale is far below one ulp of their location draw
+  // exactly the location: every drive of every group fails at 1000 h, and
+  // every rebuild takes 10 h. The spares taken at 1000 h come back after a
+  // 1010 h lead, at 2010 h, the instant the rebuilt drives fail again.
+  // 37 groups is not a power of two, so a tree over the group indices has
+  // padded leaves.
+  using obs::TraceEventKind;
+  constexpr std::uint32_t kGroups = 37;
+  constexpr std::uint32_t kDrives = 3;
+  FleetConfig fleet;
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    SlotModel m;
+    m.time_to_op_failure =
+        std::make_unique<stats::Weibull>(1000.0, 1e-20, 1.5);
+    m.time_to_restore = std::make_unique<stats::Weibull>(10.0, 1e-20, 2.0);
+    m.time_to_latent_defect = std::make_unique<Degenerate>(1e18);
+    fleet.groups.push_back(raid::make_uniform_group(kDrives, 1, m, 2500.0));
+  }
+  fleet.shared_pool = raid::SparePoolConfig{kGroups * kDrives, 1010.0};
+  FleetSimulator sim(fleet);
+  rng::RandomStream rs(1);
+  FleetTrialResult out;
+  obs::TrialTrace trace(8192);
+  sim.run_trial(rs, out, &trace);
+  ASSERT_EQ(trace.dropped(), 0u);
+
+  // Per instant, each slot-event kind in dispatch order, as g * kDrives + s.
+  std::map<std::pair<double, TraceEventKind>, std::vector<std::uint32_t>> order;
+  std::size_t arrivals = 0;
+  const auto& events = trace.events();
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    const obs::TraceEvent& e = events[k];
+    if (e.kind == TraceEventKind::kSpareArrival) {
+      EXPECT_EQ(e.time, 2010.0);
+      // A spare arriving at an instant goes before every slot event of it.
+      ASSERT_GT(k, 0u);
+      EXPECT_TRUE(events[k - 1].time < e.time ||
+                  events[k - 1].kind == TraceEventKind::kSpareArrival)
+          << "event " << k;
+      ++arrivals;
+      continue;
+    }
+    if (k > 0 && events[k - 1].time == e.time &&
+        events[k - 1].slot != obs::TraceEvent::kNoSlot) {
+      // Within an instant, events run in ascending (group, slot) order.
+      EXPECT_LE(std::pair(events[k - 1].group, events[k - 1].slot),
+                std::pair(e.group, e.slot))
+          << "event " << k;
+    }
+    if (e.kind != TraceEventKind::kDdf) {
+      order[{e.time, e.kind}].push_back(e.group * kDrives + e.slot);
+    }
+  }
+  EXPECT_EQ(arrivals, kGroups * kDrives);
+
+  std::vector<std::uint32_t> every_slot(kGroups * kDrives);
+  std::iota(every_slot.begin(), every_slot.end(), 0u);
+  const std::map<std::pair<double, TraceEventKind>,
+                 std::vector<std::uint32_t>>
+      expected = {{{1000.0, TraceEventKind::kOpFailure}, every_slot},
+                  {{1010.0, TraceEventKind::kRestoreDone}, every_slot},
+                  {{2010.0, TraceEventKind::kOpFailure}, every_slot},
+                  {{2020.0, TraceEventKind::kRestoreDone}, every_slot}};
+  EXPECT_EQ(order, expected);
 }
 
 TEST(FleetSimulator, SharedPoolContentionAcrossGroups) {

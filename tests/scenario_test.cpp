@@ -58,7 +58,7 @@ TEST(Scenario, RedundancyBoundsValidatedWithDriverFriendlyMessages) {
   ScenarioConfig no_check = presets::base_case();
   no_check.redundancy = 0;
   try {
-    no_check.to_group_config();
+    (void)no_check.to_group_config();
     FAIL() << "redundancy 0 must be rejected";
   } catch (const ModelError& e) {
     EXPECT_NE(std::string(e.what()).find("at least 1 check drive"),
@@ -70,7 +70,7 @@ TEST(Scenario, RedundancyBoundsValidatedWithDriverFriendlyMessages) {
   all_checks.group_drives = 4;
   all_checks.redundancy = 4;  // no data drive left
   try {
-    all_checks.to_group_config();
+    (void)all_checks.to_group_config();
     FAIL() << "group_drives == redundancy must be rejected";
   } catch (const ModelError& e) {
     EXPECT_NE(std::string(e.what()).find("group_drives > redundancy"),
