@@ -80,7 +80,8 @@ bool significantly_above(const Cell& a, const Cell& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::parse_options(argc, argv, /*default_trials=*/40000);
+  const auto opt = bench::parse_options(argc, argv, /*default_trials=*/40000,
+                                        {"perf-json"});
   const util::CliArgs args(argc, argv);
   const std::string perf_json_path = args.get_string("perf-json", "");
   bench::print_header(

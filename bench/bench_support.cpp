@@ -68,11 +68,17 @@ sim::RunOptions BenchOptions::run_options() const {
   return run;
 }
 
-BenchOptions parse_options(int argc, char** argv,
-                           std::size_t default_trials) {
+BenchOptions parse_options(int argc, char** argv, std::size_t default_trials,
+                           std::initializer_list<std::string_view> extra_flags) {
   const util::CliArgs args(argc, argv);
   BenchOptions opt;
   try {
+    // A misspelled flag ("--trails") must not run the study at defaults.
+    std::vector<std::string_view> known{
+        "trials",   "seed", "threads",     "bucket-hours",
+        "no-chart", "csv",  "no-manifest", "manifest"};
+    known.insert(known.end(), extra_flags.begin(), extra_flags.end());
+    args.reject_unknown_flags(known);
     // Bounded to the destination: "--trials -1" must not wrap into an
     // 18-quintillion-trial run, "--threads 4294967297" not into 1 worker.
     opt.trials = args.get_int_in<std::size_t>("trials", default_trials, 1);
@@ -80,8 +86,8 @@ BenchOptions parse_options(int argc, char** argv,
     opt.threads = args.get_int_in<unsigned>("threads", 0, 0);
     opt.bucket_hours = args.get_double("bucket-hours", 730.0);
   } catch (const ModelError& e) {
-    // A bad flag value is a usage error, exit 2 as in the examples; no run
-    // has started and no manifest writer is registered yet.
+    // A bad flag or value is a usage error, exit 2 as in the examples; no
+    // run has started and no manifest writer is registered yet.
     std::cerr << "error: " << e.what() << "\n";
     std::exit(2);
   }

@@ -4,8 +4,10 @@
 // the experiment index and EXPERIMENTS.md for recorded results.
 #pragma once
 
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/model.h"
@@ -35,10 +37,12 @@ struct BenchOptions {
 };
 
 /// Parse the uniform flags; `default_trials` lets heavy benches pick a
-/// lighter default. A malformed or out-of-range numeric value prints the
-/// error and exits 2 without running.
-BenchOptions parse_options(int argc, char** argv,
-                           std::size_t default_trials = 60000);
+/// lighter default, and `extra_flags` names the flags a harness reads
+/// itself. An unknown flag, or a malformed or out-of-range numeric value,
+/// prints the error and exits 2 without running.
+BenchOptions parse_options(
+    int argc, char** argv, std::size_t default_trials = 60000,
+    std::initializer_list<std::string_view> extra_flags = {});
 
 /// "[lower, upper]" with `digits` decimals, for confidence-interval cells.
 std::string format_interval(double lower, double upper, int digits);

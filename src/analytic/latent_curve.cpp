@@ -61,6 +61,37 @@ LatentCurve::LatentCurve(double latent_rate, const stats::Distribution* scrub,
   last_ = static_cast<double>(table_.size() - 1);
 }
 
+double LatentCurve::mean_until(double h) const noexcept {
+  if (table_.empty()) {
+    const double x = rate_ * h;
+    return 1.0 + std::expm1(-x) / x;
+  }
+  // Whole panels [0, n h] by the trapezoid rule, summed into independent
+  // partial sums (a single chain would cost a latency per node), then the
+  // partial panel up to `end` and the flat tail past the table.
+  const double end = std::min(h, last_ * step_);
+  const auto n = std::min(static_cast<std::size_t>(end * inv_step_),
+                          table_.size() - 2);
+  double acc[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t k = 1;
+  for (; k + 4 <= n; k += 4) {
+    for (std::size_t l = 0; l < 4; ++l) acc[l] += table_[k + l];
+  }
+  for (; k < n; ++k) acc[0] += table_[k];
+  double area = n == 0 ? 0.0
+                        : (0.5 * (table_[0] + table_[n]) + (acc[0] + acc[1]) +
+                           (acc[2] + acc[3])) *
+                              step_;
+  const double rest = end - static_cast<double>(n) * step_;
+  if (rest > 0.0) {
+    const double a_end =
+        table_[n] + (table_[n + 1] - table_[n]) * rest * inv_step_;
+    area += 0.5 * (table_[n] + a_end) * rest;
+  }
+  area += table_.back() * (h - end);
+  return area / h;
+}
+
 bool LatentCurve::solve(const stats::Distribution& scrub, double mean,
                         double h, double horizon) {
   const double nodes_to_horizon = std::ceil(horizon / h);

@@ -62,6 +62,11 @@ class LatentCurve {
   [[nodiscard]] std::size_t nodes() const noexcept { return table_.size(); }
   /// q_ss = lambda E[S] / (1 + lambda E[S]); 1 without scrubbing.
   [[nodiscard]] double steady_state() const noexcept { return q_ss_; }
+  /// (1/h) * integral_0^h A(tau) dtau for h > 0: the defect probability a
+  /// drive seen clean at 0 averages over the next h hours (closed form
+  /// without scrubbing; trapezoids on the nodes, then the flat tail a
+  /// lookup past the table returns). O(nodes below h).
+  [[nodiscard]] double mean_until(double h) const noexcept;
 
  private:
   /// Tabulate at step h; false when the node cap was reached short of

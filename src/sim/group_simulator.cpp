@@ -17,6 +17,7 @@ void TrialResult::clear() {
   ddfs.clear();
   latent_credit.clear();
   latent_credited = false;
+  first_drive_failures.clear();
   double_op_probe.clear();
   log_weight = 0.0;
   op_failures = 0;
@@ -114,6 +115,7 @@ GroupCore::GroupCore(const raid::GroupConfig& config, KernelPolicy policy,
     RAIDREL_REQUIRE(curves != nullptr,
                     "an in-scope config needs its latent curves");
     for (const auto& slot : cfg_.slots) curves_.push_back(&curves->of(slot));
+    first_drive_c_ = first_drive_constants(cfg_, curves_);
   }
   slots_.resize(cfg_.slots.size());
   if (probe_) {
@@ -253,6 +255,12 @@ void GroupCore::handle_op_failure(std::size_t group, std::size_t i,
                                   TrialResult& out, SparePool& pool) {
   Slot& s = slots_[i];
   ++out.op_failures;
+  if (s.first_drive) {
+    // A drive's op lifetime never depends on group state, so whether and
+    // when the first drive fails has a known law (docs/MODEL.md §19).
+    s.first_drive = false;
+    out.first_drive_failures.emplace_back(now, first_drive_c_[i]);
+  }
 
   double restore_duration = kernels_[i].restore.sample(rs);
   if (declustered_) {
@@ -430,6 +438,7 @@ void GroupCore::start(rng::RandomStream& rs) {
   ddf_slot_ = SIZE_MAX;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     install_fresh_drive(i, 0.0, rs);
+    slots_[i].first_drive = credit_;
   }
   refresh_next_time();
 }

@@ -44,7 +44,10 @@
 // (docs/MODEL.md §19). TrialResult::ddfs stays a valid sample path of the
 // model; RunResult folds the credits, not the realized latent-then-op
 // DDFs, into its estimates; latent_defects and scrubs_completed count
-// simulated events only, so they stay 0 on credited trials.
+// simulated events only, so they stay 0 on credited trials. Credited
+// trials also mark every op failure of a slot's first drive
+// (TrialResult::first_drive_failures), the input of the first-drive
+// control variate; marking draws nothing.
 //
 // The per-group state and handlers live in detail::GroupCore and the event
 // loop in detail::run_missions; FleetSimulator runs one core per group
@@ -79,6 +82,13 @@ struct TrialResult {
   /// `latent_credited`.
   std::vector<std::pair<double, double>> latent_credit;
   bool latent_credited = false;
+
+  /// First-drive control variate (docs/MODEL.md §19): on credited trials,
+  /// one entry per op failure of a drive installed at t = 0, (failure
+  /// time, that slot's first_drive_constants entry c_i), whether or not
+  /// the failure was censused. RunResult subtracts each c_i and adds back
+  /// its expectation. Empty unless `latent_credited`.
+  std::vector<std::pair<double, double>> first_drive_failures;
 
   /// Conditional-expectation probe (docs/MODEL.md §4), recorded only when
   /// the engine was built with the probe on (RunOptions::double_op_probe;
@@ -202,6 +212,9 @@ class GroupCore {
     /// instant, when it was last known clean.
     double seen_clean = 0.0;
     bool awaiting_spare = false; ///< failed, rebuild blocked on the pool
+    /// The drive installed at t = 0 is still in the slot (credited path's
+    /// first-drive mark; set by start, cleared at the drive's failure).
+    bool first_drive = false;
     double pending_restore_duration = 0.0;  ///< sampled TTR while waiting
     /// Cached min of the four timers above, maintained by every mutator so
     /// the group minimum reads one double per slot.
@@ -270,6 +283,7 @@ class GroupCore {
   /// curves_ holds each slot's A(tau).
   bool credit_ = false;
   std::vector<const analytic::LatentCurve*> curves_;
+  std::vector<double> first_drive_c_;  ///< first_drive_constants(curves_)
   double log_w_ = 0.0;
   double group_failed_until_ = 0.0;  ///< DDF freeze window end
   std::size_t ddf_slot_ = SIZE_MAX;  ///< slot whose restore ends the freeze

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "stats/weibull.h"
 #include "util/error.h"
+#include "util/grid.h"
 
 namespace raidrel::sim {
 
@@ -23,6 +25,85 @@ LatentCurveKey curve_key(const raid::SlotModel& slot, double horizon) {
 }
 
 }  // namespace
+
+double quantize_credit(double p) noexcept {
+  // Scaling by a power of two and rounding to an integer are exact, so the
+  // result is the multiple of 2^-26 nearest p.
+  return std::nearbyint(p * 0x1p26) * 0x1p-26;
+}
+
+std::vector<double> first_drive_constants(
+    const raid::GroupConfig& config,
+    std::span<const analytic::LatentCurve* const> slot_curves) {
+  const double mission = config.mission_hours;
+  double first_failures = 0.0;
+  for (const raid::SlotModel& slot : config.slots) {
+    first_failures += slot.time_to_op_failure->cdf(mission);
+  }
+  const double window = mission / (1.0 + first_failures);
+  // Slots usually share one table: average it once per distinct neighbour.
+  std::vector<double> abar(slot_curves.size());
+  for (std::size_t j = 0; j < abar.size(); ++j) {
+    abar[j] = j > 0 && slot_curves[j] == slot_curves[j - 1]
+                  ? abar[j - 1]
+                  : slot_curves[j]->mean_until(window);
+  }
+  std::vector<double> c(abar.size());
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    double clean = 1.0;
+    for (std::size_t j = 0; j < c.size(); ++j) {
+      if (j != i) clean *= 1.0 - abar[j];
+    }
+    c[i] = quantize_credit(1.0 - clean);
+  }
+  return c;
+}
+
+std::vector<double> first_drive_mean(std::span<const raid::GroupConfig> groups,
+                                     const LatentCurves& curves,
+                                     double bucket_hours) {
+  RAIDREL_REQUIRE(!groups.empty(), "first-drive mean needs a group");
+  const double mission = groups.front().mission_hours;
+  // Sum the constants per distinct op law first (slots usually share one;
+  // lowered laws compare by their exact constants), then spread each sum
+  // over the buckets by the law's CDF, 1 - exp(-H).
+  std::vector<std::pair<CompiledLaw, double>> laws;
+  for (const raid::GroupConfig& g : groups) {
+    if (latent_credit_exclusion(g) != nullptr) continue;
+    std::vector<const analytic::LatentCurve*> slot_curves;
+    for (const raid::SlotModel& slot : g.slots) {
+      slot_curves.push_back(&curves.of(slot));
+    }
+    const std::vector<double> c = first_drive_constants(g, slot_curves);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      const CompiledLaw law =
+          CompiledLaw::compile(g.slots[i].time_to_op_failure.get());
+      const auto at = std::find_if(laws.begin(), laws.end(),
+                                   [&](const auto& l) { return l.first == law; });
+      if (at == laws.end()) {
+        laws.emplace_back(law, c[i]);
+      } else {
+        at->second += c[i];
+      }
+    }
+  }
+  const std::size_t n = util::bucket_count(mission, bucket_hours);
+  std::vector<double> mean(n, 0.0);
+  for (const auto& [law, weight] : laws) {
+    double below = -std::expm1(-law.cum_hazard(0.0));
+    for (std::size_t b = 0; b < n; ++b) {
+      const double edge = b + 1 == n
+                              ? mission
+                              : bucket_hours * static_cast<double>(b + 1);
+      const double at_edge = -std::expm1(-law.cum_hazard(edge));
+      mean[b] += weight * (at_edge - below);
+      below = at_edge;
+    }
+  }
+  const double per_group = 1.0 / static_cast<double>(groups.size());
+  for (double& m : mean) m *= per_group;
+  return mean;
+}
 
 const char* latent_credit_exclusion(
     const raid::GroupConfig& config,

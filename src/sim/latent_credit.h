@@ -8,7 +8,11 @@
 // which its latent state is unobserved, and at each censused op failure
 // the engine credits P = 1 - prod_j (1 - A_j(t - s_j)) to the run's
 // counting and latent-then-op series, then draws Bernoulli(P) to drive
-// the DDF freeze and the state-1 clear (sim/group_simulator.h).
+// the DDF freeze and the state-1 clear (sim/group_simulator.h). Each op
+// failure of a slot's first drive (the one installed at t = 0) also
+// subtracts that slot's constant c_i, and RunResult adds back its known
+// expectation: a mean-zero control variate that cancels most of the
+// credits' count noise (docs/MODEL.md §19, "First-drive control variate").
 #pragma once
 
 #include <atomic>
@@ -118,5 +122,32 @@ std::shared_ptr<const LatentCurves> latent_curves_for(
 std::shared_ptr<const LatentCurves> latent_curves_for(
     std::span<const raid::GroupConfig> groups,
     LatentCurveCache* cache = nullptr);
+
+/// A latent credit rounded to the nearest multiple of 2^-26: the form in
+/// which RunResult::add_trial folds credits, and in which
+/// first_drive_constants returns its constants.
+double quantize_credit(double p) noexcept;
+
+/// First-drive control constants of an in-scope group, one per slot
+/// (docs/MODEL.md §19): c_i = 1 - prod_{j != i} (1 - abar_j), rounded by
+/// quantize_credit. abar_j is slot j's table averaged over the first
+/// H = T / (1 + sum_j F_j(T)) hours (LatentCurve::mean_until), T the
+/// mission and F_j slot j's op-law CDF: a censused failure resets every
+/// partner's clock, so a failure typically sees partners clean for about
+/// the mission over one plus its expected first-drive failures. c_i
+/// stands in for the credit of slot i's first-drive failure; any constant
+/// keeps the term mean-zero, this one sets how much noise it cancels.
+std::vector<double> first_drive_constants(
+    const raid::GroupConfig& config,
+    std::span<const analytic::LatentCurve* const> slot_curves);
+
+/// Expected first-drive term of one group-mission, per bucket of width
+/// `bucket_hours` (RunResult's geometry): sum_i c_i (F_i(edge_b) -
+/// F_i(edge_{b-1})), F_i slot i's op-law CDF, averaged over `groups`
+/// (groups out of scope add 0). `curves` must cover every in-scope group;
+/// each distinct op law's CDF is evaluated once per edge.
+std::vector<double> first_drive_mean(std::span<const raid::GroupConfig> groups,
+                                     const LatentCurves& curves,
+                                     double bucket_hours);
 
 }  // namespace raidrel::sim

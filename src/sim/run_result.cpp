@@ -7,26 +7,25 @@
 
 namespace raidrel::sim {
 
-double quantize_credit(double p) noexcept {
-  // Scaling by a power of two and rounding to an integer are exact, so the
-  // result is the multiple of 2^-26 nearest p.
-  return std::nearbyint(p * 0x1p26) * 0x1p-26;
-}
-
 RunResult::RunResult(double mission_hours, double bucket_hours,
-                     bool double_op_probe)
+                     bool double_op_probe,
+                     std::vector<double> first_drive_mean)
     : mission_hours_(mission_hours),
       bucket_hours_(bucket_hours),
-      probe_on_(double_op_probe) {
+      probe_on_(double_op_probe),
+      first_drive_mean_(std::move(first_drive_mean)) {
   RAIDREL_REQUIRE(mission_hours > 0.0, "mission must be positive");
   RAIDREL_REQUIRE(bucket_hours > 0.0 && bucket_hours <= mission_hours,
                   "bucket width must be in (0, mission]");
   const std::size_t n = util::bucket_count(mission_hours, bucket_hours);
+  RAIDREL_REQUIRE(first_drive_mean_.empty() || first_drive_mean_.size() == n,
+                  "first-drive mean needs one entry per bucket");
   counting_.assign(n, 0.0);
   if (probe_on_) probe_.assign(n, 0.0);
   double_op_.assign(n, 0.0);
   latent_then_op_.assign(n, 0.0);
   stripe_collision_.assign(n, 0.0);
+  for (double m : first_drive_mean_) first_drive_total_ += m;
 }
 
 void RunResult::add_trial(const TrialResult& trial) {
@@ -34,10 +33,10 @@ void RunResult::add_trial(const TrialResult& trial) {
   // Unnormalized importance-sampling estimator: every event series
   // accumulates the trial's likelihood-ratio weight instead of 1, and the
   // per-1000 normalizers keep dividing by the trial count. Untilted trials
-  // carry log_weight == 0.0, so w == 1.0 exactly and all the arithmetic
-  // below is bit-identical to the unweighted form (x * 1.0 == x,
-  // += 1.0 matches the old constant).
-  const double w = std::exp(trial.log_weight);
+  // carry log_weight == 0.0, so w == 1.0 exactly — taken without the exp —
+  // and all the arithmetic below is bit-identical to the unweighted form
+  // (x * 1.0 == x, += 1.0 matches the old constant).
+  const double w = trial.log_weight == 0.0 ? 1.0 : std::exp(trial.log_weight);
   std::size_t counted = 0;
   for (const auto& ddf : trial.ddfs) {
     // A credited trial's latent-then-op DDFs are Bernoulli draws of its
@@ -75,6 +74,22 @@ void RunResult::add_trial(const TrialResult& trial) {
     latent_then_op_[b] += c;
     credited += c;
   }
+  // First-drive control variate: subtract each marked failure's constant
+  // (already a multiple of 2^-26, see first_drive_constants) here; the
+  // queries add back first_drive_trials_ times its expectation (series()).
+  // Credited trials are never tilted, so no weight applies.
+  double first_drive_term = 0.0;
+  if (!first_drive_mean_.empty()) {
+    ++first_drive_trials_;
+    first_drive_term = first_drive_total_;
+    for (const auto& [t, c] : trial.first_drive_failures) {
+      const std::size_t b =
+          util::bucket_index(t, mission_hours_, bucket_hours_);
+      counting_[b] -= c;
+      latent_then_op_[b] -= c;
+      first_drive_term -= c;
+    }
+  }
   // The raw event counters stay unweighted: they are workload diagnostics
   // (how much simulation happened), not estimators of the nominal law.
   op_failures_ += trial.op_failures;
@@ -82,11 +97,13 @@ void RunResult::add_trial(const TrialResult& trial) {
   scrubs_completed_ += trial.scrubs_completed;
   restores_completed_ += trial.restores_completed;
   spare_arrivals_ += trial.spare_arrivals;
-  if (trial.latent_credited) {
-    per_trial_ddfs_.add(w * static_cast<double>(counted) + credited);
-  } else {
-    per_trial_ddfs_.add(w * static_cast<double>(trial.ddfs.size()));
-  }
+  const double estimate =
+      trial.latent_credited
+          ? w * static_cast<double>(counted) + credited
+          : w * static_cast<double>(trial.ddfs.size());
+  per_trial_ddfs_.add(first_drive_mean_.empty()
+                          ? estimate
+                          : estimate + first_drive_term);
   weight_sum_ += w;
   weight_sq_sum_ += w * w;
   if (w > max_weight_) max_weight_ = w;
@@ -99,6 +116,16 @@ void RunResult::merge(const RunResult& other) {
   RAIDREL_REQUIRE(other.probe_on_ == probe_on_,
                   "cannot merge results with and without the double-op "
                   "probe (RunOptions::double_op_probe)");
+  if (!other.first_drive_mean_.empty()) {
+    if (first_drive_mean_.empty()) {
+      first_drive_mean_ = other.first_drive_mean_;
+      first_drive_total_ = other.first_drive_total_;
+    }
+    RAIDREL_REQUIRE(first_drive_mean_ == other.first_drive_mean_,
+                    "cannot merge results under different first-drive "
+                    "means");
+  }
+  first_drive_trials_ += other.first_drive_trials_;
   trials_ += other.trials_;
   for (std::size_t i = 0; i < probe_.size(); ++i) probe_[i] += other.probe_[i];
   for (std::size_t i = 0; i < counting_.size(); ++i) {
@@ -124,8 +151,19 @@ double RunResult::bucket_edge(std::size_t b) const {
   return bucket_hours_ * static_cast<double>(b + 1);
 }
 
-const std::vector<double>& RunResult::series(Estimator est) const {
-  return est == Estimator::kCounting ? counting_ : probe_;
+std::vector<double> RunResult::series(const std::vector<double>& raw) const {
+  std::vector<double> out = raw;
+  if (first_drive_trials_ > 0) {
+    const auto n = static_cast<double>(first_drive_trials_);
+    for (std::size_t b = 0; b < out.size(); ++b) {
+      out[b] += n * first_drive_mean_[b];
+    }
+  }
+  return out;
+}
+
+std::vector<double> RunResult::series(Estimator est) const {
+  return est == Estimator::kCounting ? series(counting_) : probe_;
 }
 
 void RunResult::require_probe(Estimator est) const {
@@ -136,7 +174,7 @@ void RunResult::require_probe(Estimator est) const {
 
 std::vector<double> RunResult::cumulative_ddfs_per_1000(Estimator est) const {
   RAIDREL_REQUIRE(trials_ > 0, "no trials accumulated");
-  const auto& s = series(est);
+  const std::vector<double> s = series(est);
   std::vector<double> out(s.size());
   double acc = 0.0;
   const double scale = 1000.0 / static_cast<double>(trials_);
@@ -149,10 +187,9 @@ std::vector<double> RunResult::cumulative_ddfs_per_1000(Estimator est) const {
 
 std::vector<double> RunResult::rocof_per_1000(Estimator est) const {
   RAIDREL_REQUIRE(trials_ > 0, "no trials accumulated");
-  const auto& s = series(est);
-  std::vector<double> out(s.size());
+  std::vector<double> out = series(est);
   const double scale = 1000.0 / static_cast<double>(trials_);
-  for (std::size_t i = 0; i < s.size(); ++i) out[i] = s[i] * scale;
+  for (double& v : out) v *= scale;
   return out;
 }
 
@@ -176,9 +213,8 @@ double RunResult::ddfs_per_1000_at(double t, Estimator est) const {
 double RunResult::total_ddfs_per_1000(Estimator est) const {
   RAIDREL_REQUIRE(trials_ > 0, "no trials accumulated");
   require_probe(est);
-  const auto& s = series(est);
   double acc = 0.0;
-  for (double v : s) acc += v;
+  for (double v : series(est)) acc += v;
   return acc * 1000.0 / static_cast<double>(trials_);
 }
 
@@ -189,20 +225,20 @@ double RunResult::total_ddfs_per_1000_sem() const {
 
 double RunResult::total_per_1000(raid::DdfKind kind) const {
   RAIDREL_REQUIRE(trials_ > 0, "no trials accumulated");
-  const std::vector<double>* s = nullptr;
+  std::vector<double> s;
   switch (kind) {
     case raid::DdfKind::kDoubleOperational:
-      s = &double_op_;
+      s = double_op_;
       break;
     case raid::DdfKind::kLatentThenOp:
-      s = &latent_then_op_;
+      s = series(latent_then_op_);
       break;
     case raid::DdfKind::kLatentStripeCollision:
-      s = &stripe_collision_;
+      s = stripe_collision_;
       break;
   }
   double acc = 0.0;
-  for (double v : *s) acc += v;
+  for (double v : s) acc += v;
   return acc * 1000.0 / static_cast<double>(trials_);
 }
 

@@ -4,11 +4,15 @@
 //
 // On latent-credited trials (docs/MODEL.md §19) the counting and
 // latent-then-op series hold the credited estimate: each trial's latent
-// credits, not its realized (sampled) latent-then-op DDFs. Credits enter
-// rounded to a multiple of 2^-26, so every bucket stays an exact sum —
-// independent of thread count and merge order — while it holds less than
-// 2^27. latent_defects() and scrubs_completed() count simulated events
-// only and therefore read 0 for credited runs.
+// credits, not its realized (sampled) latent-then-op DDFs. A result built
+// with the run's first-drive mean (the runner builds every result so)
+// also folds the first-drive control variate: each marked first-drive
+// failure subtracts its constant, and every query adds back trials times
+// the expected term. Credits and constants enter rounded to a multiple of
+// 2^-26, so every bucket stays an exact sum — independent of thread count
+// and merge order — while it holds less than 2^27. latent_defects() and
+// scrubs_completed() count simulated events only and therefore read 0 for
+// credited runs.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +23,6 @@
 #include "util/math.h"
 
 namespace raidrel::sim {
-
-/// A latent credit rounded to the nearest multiple of 2^-26 (what
-/// RunResult::add_trial folds in).
-double quantize_credit(double p) noexcept;
 
 /// Which DDF estimator a query should read.
 enum class Estimator {
@@ -35,15 +35,21 @@ class RunResult {
   /// `double_op_probe` says whether the folded trials record the §4 probe
   /// (RunOptions::double_op_probe); a result built without it answers no
   /// Estimator::kDoubleOpProbe query (see the accessors below).
+  /// `first_drive_mean` is the run's sim::first_drive_mean on this
+  /// geometry (one entry per bucket), or empty: a result without it folds
+  /// no first-drive term, and TrialResult::first_drive_failures are
+  /// ignored.
   RunResult(double mission_hours, double bucket_hours,
-            bool double_op_probe = false);
+            bool double_op_probe = false,
+            std::vector<double> first_drive_mean = {});
 
   /// Fold one trial into the aggregate. A trial carrying probe entries
   /// needs a result that records the probe.
   void add_trial(const TrialResult& trial);
 
   /// Merge another aggregate (same mission/bucket geometry, same probe
-  /// flag).
+  /// flag, and the same first-drive mean when both carry one; a result
+  /// without one adopts the other's for the trials folded under it).
   void merge(const RunResult& other);
 
   [[nodiscard]] std::size_t trials() const noexcept { return trials_; }
@@ -80,7 +86,8 @@ class RunResult {
   [[nodiscard]] double total_ddfs_per_1000(
       Estimator est = Estimator::kCounting) const;
 
-  /// Standard error of total_ddfs_per_1000 (counting estimator).
+  /// Standard error of total_ddfs_per_1000 (counting estimator, with the
+  /// first-drive term in every per-trial value it covers).
   [[nodiscard]] double total_ddfs_per_1000_sem() const;
 
   /// Split of counted DDFs by kind, per 1000 groups over the mission.
@@ -125,7 +132,11 @@ class RunResult {
   [[nodiscard]] double max_weight() const noexcept { return max_weight_; }
 
  private:
-  [[nodiscard]] const std::vector<double>& series(Estimator est) const;
+  /// A per-bucket series with the first-drive mean added back (the
+  /// counting and latent-then-op series), or the probe series as is.
+  [[nodiscard]] std::vector<double> series(const std::vector<double>& raw)
+      const;
+  [[nodiscard]] std::vector<double> series(Estimator est) const;
   /// Throw unless a kDoubleOpProbe query can be answered.
   void require_probe(Estimator est) const;
 
@@ -138,6 +149,12 @@ class RunResult {
   std::vector<double> double_op_;       ///< counted double-op DDFs per bucket
   std::vector<double> latent_then_op_;  ///< counted LD-then-op per bucket
   std::vector<double> stripe_collision_;///< counted stripe collisions
+  /// Expected first-drive term of one trial per bucket (empty: none), its
+  /// sum, and the trials folded under it; queries add
+  /// first_drive_trials_ * first_drive_mean_[b].
+  std::vector<double> first_drive_mean_;
+  double first_drive_total_ = 0.0;
+  std::size_t first_drive_trials_ = 0;
   std::uint64_t op_failures_ = 0;
   std::uint64_t latent_defects_ = 0;
   std::uint64_t scrubs_completed_ = 0;

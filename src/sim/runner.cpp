@@ -233,11 +233,14 @@ void fold_trial(RunResult& local, obs::WorkerStats& ws,
 // trials and folds every resulting group-mission into `local` and `ws`.
 // `max_chunk` caps a claim; `groups` is the number of group-missions one
 // trial yields (the batch telemetry counts those). `credited` and
-// `estimator_reason` are what the manifest records as the estimator.
+// `estimator_reason` are what the manifest records as the estimator;
+// every result of the run carries `first_drive`, the run's first-drive
+// mean (empty off the credited path).
 template <typename MakeEngine>
 RunResult run_workers(const RunOptions& options, std::uint64_t digest,
                       bool credited, std::string_view estimator_reason,
-                      double mission, std::size_t lane, std::size_t max_chunk,
+                      const std::vector<double>& first_drive, double mission,
+                      std::size_t lane, std::size_t max_chunk,
                       std::size_t groups, const MakeEngine& make_engine) {
   unsigned threads = options.threads;
   if (threads == 0) {
@@ -261,7 +264,8 @@ RunResult run_workers(const RunOptions& options, std::uint64_t digest,
   }
   const auto batch_start = std::chrono::steady_clock::now();
 
-  RunResult total(mission, options.bucket_hours, options.double_op_probe);
+  RunResult total(mission, options.bucket_hours, options.double_op_probe,
+                  first_drive);
   const rng::StreamFactory streams(options.seed);
   std::mutex merge_mutex;
   // Claim trials in chunks to keep the claim cursors out of the hot path
@@ -298,7 +302,8 @@ RunResult run_workers(const RunOptions& options, std::uint64_t digest,
     const util::CancelScope cancel_scope(options.cancel);
     const auto worker_start = std::chrono::steady_clock::now();
     obs::WorkerStats ws;
-    RunResult local(mission, options.bucket_hours, options.double_op_probe);
+    RunResult local(mission, options.bucket_hours, options.double_op_probe,
+                    first_drive);
     auto engine = make_engine();
     bool drained = false;
     const std::size_t home = claim_home(claims.nodes(), home_ticket);
@@ -402,11 +407,14 @@ RunResult run_monte_carlo(const raid::GroupConfig& config,
   const std::string_view reason = exclusion ? exclusion : "";
   const std::shared_ptr<const LatentCurves> curves =
       latent_curves_for(config, options.tilt, options.latent_curves);
+  const std::vector<double> first_drive =
+      curves ? first_drive_mean({&config, 1}, *curves, options.bucket_hours)
+             : std::vector<double>();
   const std::size_t lane = std::max<std::size_t>(1, options.batch_width);
   if (lane == 1) {
     return run_workers(
-        options, digest, exclusion == nullptr, reason, config.mission_hours,
-        1, 1024, 1, [&] {
+        options, digest, exclusion == nullptr, reason, first_drive,
+        config.mission_hours, 1, 1024, 1, [&] {
           return [&, simulator = GroupSimulator(config, options.kernel_policy,
                                                 options.tilt, curves,
                                                 options.double_op_probe),
@@ -425,8 +433,8 @@ RunResult run_monte_carlo(const raid::GroupConfig& config,
   // Lane results are folded in trial-index order, keeping even the
   // aggregation order identical to the scalar path per worker.
   return run_workers(
-      options, digest, exclusion == nullptr, reason, config.mission_hours,
-      lane, 1024, 1, [&] {
+      options, digest, exclusion == nullptr, reason, first_drive,
+      config.mission_hours, lane, 1024, 1, [&] {
         return [&, simulator = BatchGroupSimulator(config, lane,
                                                    options.kernel_policy,
                                                    options.tilt,
@@ -454,6 +462,9 @@ RunResult run_fleet_monte_carlo(const FleetConfig& config,
   const bool telemetry = options.telemetry != nullptr;
   const std::shared_ptr<const LatentCurves> curves =
       latent_curves_for(config.groups, options.latent_curves);
+  const std::vector<double> first_drive =
+      curves ? first_drive_mean(config.groups, *curves, options.bucket_hours)
+             : std::vector<double>();
   // A fleet is credited when any of its groups is. The manifest names the
   // first group left on the event path, whose simulated latent defects and
   // scrubs are the only ones the counters then hold.
@@ -469,7 +480,8 @@ RunResult run_fleet_monte_carlo(const FleetConfig& config,
   // group-missions.
   return run_workers(
       options, telemetry ? config_digest(config) : 0, curves != nullptr,
-      reason, config.mission_hours(), 1, 8, config.groups.size(), [&] {
+      reason, first_drive, config.mission_hours(), 1, 8,
+      config.groups.size(), [&] {
         return [&, simulator = FleetSimulator(config, options.kernel_policy,
                                               curves,
                                               options.double_op_probe),

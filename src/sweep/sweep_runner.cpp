@@ -103,9 +103,11 @@ std::uint64_t cell_cache_key(std::uint64_t config_digest,
     canon += sim::math_tier_name(options.math_tier);
   }
   // Credited cells estimate differently from the event path that earlier
-  // builds ran them on, so their keys must not match those cache entries;
+  // builds ran them on, and since the first-drive control variate joined
+  // the estimate, from the plain credit (the old ";latent=credit"
+  // segment), so their keys match neither kind of cache entry;
   // out-of-scope keys are unchanged.
-  if (latent_credit) canon += ";latent=credit";
+  if (latent_credit) canon += ";latent=credit+first-drive";
   canon += '}';
   return obs::fnv1a64(canon);
 }

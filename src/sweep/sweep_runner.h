@@ -258,9 +258,10 @@ struct SweepResult {
 
 /// Digest keying one cell's cache entry: the config digest chained with
 /// the seed and every convergence option that affects the outcome, plus a
-/// `;latent=credit` segment when the cell runs the latent-credit estimator
-/// (so entries an earlier build simulated on the event path are not
-/// served for it).
+/// `;latent=credit+first-drive` segment when the cell runs the
+/// latent-credit estimator with its first-drive control variate (so
+/// entries an earlier build simulated on the event path, or credited
+/// under the plain `;latent=credit` key, are not served for it).
 std::uint64_t cell_cache_key(std::uint64_t config_digest,
                              const sim::ConvergenceOptions& options,
                              bool latent_credit = false);

@@ -16,6 +16,7 @@
 #include <memory>
 #include <numeric>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "analytic/latent_curve.h"
 #include "analytic/latent_ddf.h"
 #include "core/presets.h"
+#include "sim/convergence.h"
 #include "sim/fleet_simulator.h"
 #include "sim/group_simulator.h"
 #include "sim/latent_credit.h"
@@ -31,6 +33,7 @@
 #include "stats/piecewise.h"
 #include "stats/weibull.h"
 #include "sweep/sweep_runner.h"
+#include "util/grid.h"
 #include "workload/read_errors.h"
 
 namespace raidrel::sim {
@@ -143,6 +146,25 @@ TEST(LatentCurve, InstantScrubNeverLeavesADefect) {
   const LatentCurve a(1e-3, &instant, kMission);
   EXPECT_EQ(a(0.0), 0.0);
   EXPECT_EQ(a(5000.0), 0.0);
+}
+
+TEST(LatentCurve, MeanUntilAveragesTheCurve) {
+  // Closed form without scrubbing: 1 - (1 - e^{-x}) / x at x = lambda h.
+  const LatentCurve never(1e-4, nullptr, kMission);
+  EXPECT_NEAR(never.mean_until(20000.0), 1.0 - (1.0 - std::exp(-2.0)) / 2.0,
+              1e-12);
+  // Tabulated: a midpoint sum of the lookups, inside the table and past
+  // its flat end.
+  const stats::Weibull scrub(6.0, 168.0, 3.0);
+  const LatentCurve a(1e-3, &scrub, kMission);
+  for (const double h : {50.0, 3000.0, kMission}) {
+    constexpr int kPoints = 20000;
+    double sum = 0.0;
+    for (int k = 0; k < kPoints; ++k) sum += a((k + 0.5) * h / kPoints);
+    EXPECT_NEAR(a.mean_until(h), sum / kPoints, 1e-6 * a.steady_state())
+        << h;
+  }
+  EXPECT_LT(a.mean_until(kMission), a.steady_state());
 }
 
 // ---------------------------------------------------------------- scope
@@ -529,6 +551,147 @@ TEST(LatentCreditZ, BaseCaseAgainstTheTimingEngine) {
                    std::sqrt(sc * sc + ddfs.sem() * ddfs.sem());
   EXPECT_LT(std::fabs(z), 4.0) << credited.total_ddfs_per_1000() / 1000.0
                                << " vs " << ddfs.mean();
+}
+
+// ---------------------------------------------------------------- first drive
+
+// The first-drive control variate (docs/MODEL.md §19): per bucket, the
+// run's first_drive_mean minus the constants of the first-drive failures
+// marked in it. Its sample means over many group-missions, per bucket and
+// in total, must sit within 4 SEM of 0 — the term adds no bias anywhere.
+class FirstDriveTerm {
+ public:
+  FirstDriveTerm(std::vector<double> mean, double mission, double bucket)
+      : mean_(std::move(mean)),
+        mission_(mission),
+        bucket_(bucket),
+        buckets_(mean_.size()) {}
+
+  /// One sample: the term summed over `trials` (a fleet's groups), each of
+  /// which adds the mean once.
+  void add(std::span<const TrialResult> trials) {
+    std::vector<double> term(mean_.size(), 0.0);
+    for (const TrialResult& t : trials) {
+      for (std::size_t b = 0; b < term.size(); ++b) term[b] += mean_[b];
+      for (const auto& [time, c] : t.first_drive_failures) {
+        term[util::bucket_index(time, mission_, bucket_)] -=
+            quantize_credit(c);
+        ++marks_;
+      }
+    }
+    double total = 0.0;
+    for (std::size_t b = 0; b < term.size(); ++b) {
+      buckets_[b].add(term[b]);
+      total += term[b];
+    }
+    total_.add(total);
+  }
+
+  void expect_mean_zero() const {
+    EXPECT_GT(marks_, 1000u);
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+      EXPECT_LT(std::fabs(buckets_[b].mean()), 4.0 * buckets_[b].sem())
+          << "bucket " << b;
+    }
+    EXPECT_GT(total_.sem(), 0.0);
+    EXPECT_LT(std::fabs(total_.mean()), 4.0 * total_.sem())
+        << total_.mean() << " +/- " << total_.sem();
+  }
+
+ private:
+  std::vector<double> mean_;
+  double mission_;
+  double bucket_;
+  std::vector<util::RunningStats> buckets_;
+  util::RunningStats total_;
+  std::size_t marks_ = 0;
+};
+
+// Yearly buckets: few enough that 4 SEM is a tight test per bucket.
+constexpr double kYear = 8760.0;
+
+void expect_group_term_mean_zero(const raid::GroupConfig& cfg,
+                                 std::size_t trials, std::uint64_t seed) {
+  const auto curves = latent_curves_for(cfg);
+  ASSERT_NE(curves, nullptr);
+  FirstDriveTerm term(first_drive_mean({&cfg, 1}, *curves, kYear),
+                      cfg.mission_hours, kYear);
+  GroupSimulator sim(cfg, KernelPolicy::kLowered, std::nullopt, curves);
+  const rng::StreamFactory streams(seed);
+  TrialResult out;
+  for (std::size_t i = 0; i < trials; ++i) {
+    auto rs = streams.stream(i);
+    sim.run_trial(rs, out);
+    term.add({&out, 1});
+  }
+  term.expect_mean_zero();
+}
+
+TEST(FirstDriveVariate, FirstDriveTermIsMeanZero) {
+  {
+    SCOPED_TRACE("base case");
+    expect_group_term_mean_zero(base(), 200000, 600);
+  }
+  {
+    // Three Fig. 2 vintages: a different op law, so a different F_i, per
+    // slot.
+    SCOPED_TRACE("mixed vintages");
+    expect_group_term_mean_zero(core::presets::mixed_vintage_group(), 200000,
+                                610);
+  }
+  {
+    // A fleet of base-case and mixed-vintage groups on two shared spares:
+    // the run's mean is the groups' average, so only a whole fleet trial
+    // (every group adding it once) is a mean-zero sample.
+    SCOPED_TRACE("spare-pool fleet");
+    FleetConfig fleet;
+    for (int g = 0; g < 8; ++g) {
+      fleet.groups.push_back(g % 2 == 0 ? base()
+                                        : core::presets::mixed_vintage_group());
+    }
+    fleet.shared_pool = raid::SparePoolConfig{2, 400.0};
+    const auto curves = latent_curves_for(fleet.groups);
+    FirstDriveTerm term(first_drive_mean(fleet.groups, *curves, kYear),
+                        kMission, kYear);
+    FleetSimulator sim(fleet, KernelPolicy::kLowered, curves);
+    const rng::StreamFactory streams(620);
+    FleetTrialResult out;
+    for (std::size_t i = 0; i < 25000; ++i) {
+      auto rs = streams.stream(i);
+      sim.run_trial(rs, out);
+      term.add(out.per_group);
+    }
+    term.expect_mean_zero();
+  }
+}
+
+TEST(FirstDriveVariate, StopsHonestlyAtTheFloor) {
+  // The base case to 0.5% relative SEM stops on its first 20,000-trial
+  // batch, and each such estimate lies within 4 of its own reported SEMs
+  // of a pooled reference of 1M trials: the SEM the stop rule reads is
+  // honest.
+  const auto cfg = base();
+  const RunResult ref = run_monte_carlo(
+      cfg, RunOptions{.trials = 1000000, .seed = 700, .threads = 4});
+  const double ref_sem = ref.total_ddfs_per_1000_sem();
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    ConvergenceOptions opt;
+    opt.target_relative_sem = 0.005;
+    opt.seed = seed;
+    opt.threads = 4;
+    const ConvergedRun run = run_until_converged(cfg, opt);
+    EXPECT_EQ(run.stop, ConvergedRun::StopRule::kRelativeSem);
+    EXPECT_EQ(run.batches, 1u);
+    EXPECT_EQ(run.result.trials(), 20000u);
+    const double sem = run.result.total_ddfs_per_1000_sem();
+    const double z =
+        (run.result.total_ddfs_per_1000() - ref.total_ddfs_per_1000()) /
+        std::sqrt(sem * sem + ref_sem * ref_sem);
+    EXPECT_LT(std::fabs(z), 4.0)
+        << run.result.total_ddfs_per_1000() << " +/- " << sem << " vs "
+        << ref.total_ddfs_per_1000() << " +/- " << ref_sem;
+  }
 }
 
 }  // namespace

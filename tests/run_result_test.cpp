@@ -103,6 +103,39 @@ TEST(RunResult, MergePreservesEverything) {
   EXPECT_DOUBLE_EQ(a.per_trial_ddfs().variance(), 0.0);
 }
 
+TEST(RunResult, FirstDriveTermSubtractsMarksAndAddsBackItsMean) {
+  // Buckets [0,100), [100,200), [200,250]; one trial's expected term per
+  // bucket is {0.25, 0.125, 0}.
+  const std::vector<double> mean{0.25, 0.125, 0.0};
+  RunResult r(250.0, 100.0, false, mean);
+  TrialResult marked;
+  marked.latent_credited = true;
+  marked.latent_credit = {{150.0, 0.5}};
+  marked.first_drive_failures = {{150.0, 0.375}};
+  r.add_trial(marked);
+  r.add_trial(TrialResult{});
+  // Bucket 1: credit 0.5 - mark 0.375 + 2 trials * 0.125 = 0.375.
+  const std::vector<double> rocof{500.0 / 2.0 * 1.0, 375.0 / 2.0, 0.0};
+  EXPECT_EQ(r.rocof_per_1000(), rocof);
+  EXPECT_DOUBLE_EQ(r.total_ddfs_per_1000(), 437.5);
+  EXPECT_DOUBLE_EQ(r.total_per_1000(raid::DdfKind::kLatentThenOp), 437.5);
+  // Per-trial values carry the term too: 0.5 - 0.375 + 0.375 and 0.375.
+  EXPECT_DOUBLE_EQ(r.per_trial_ddfs().mean(), 0.4375);
+
+  // A bare result ignores the marks (the plain credited estimate) ...
+  RunResult bare(250.0, 100.0);
+  bare.add_trial(marked);
+  EXPECT_DOUBLE_EQ(bare.total_ddfs_per_1000(), 500.0);
+  // ... adopts a merged result's mean for that result's trials only ...
+  bare.merge(r);
+  EXPECT_EQ(bare.trials(), 3u);
+  EXPECT_DOUBLE_EQ(bare.total_ddfs_per_1000(), (500.0 + 875.0) / 3.0);
+  // ... and two different means never merge.
+  RunResult other(250.0, 100.0, false, {0.25, 0.125, 0.0625});
+  EXPECT_THROW(r.merge(other), ModelError);
+  EXPECT_THROW(RunResult(250.0, 100.0, false, {0.25}), ModelError);
+}
+
 TEST(RunResult, GeometryValidation) {
   EXPECT_THROW(RunResult(0.0, 10.0), ModelError);
   EXPECT_THROW(RunResult(100.0, 0.0), ModelError);

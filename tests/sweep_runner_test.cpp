@@ -307,23 +307,31 @@ TEST(SweepRunner, EmptyCellListIsAnError) {
 
 // Baseline digests for small_spec() + fast_options(). An attached-but-
 // empty injector must not perturb a single bit of any result. The cells
-// are latent-credited; these values were regenerated when the latent
-// credit replaced the event path for them (the keys gained
-// ";latent=credit"). kEventBaseline* pins the same cells on the event path
+// are latent-credited; these values were regenerated when the first-drive
+// control variate joined the credited estimate (the keys' segment became
+// ";latent=credit+first-drive"). kPlainCreditCellKeys are the same cells'
+// keys under the plain credit (";latent=credit"), which a resume must
+// never serve. kEventBaseline* pins the same cells on the event path
 // (small_spec(1.2)) at values computed before the latent credit existed.
 constexpr std::uint64_t kBaselineCellDigests[4] = {
-    5019490286786490750ull,   // restore=12 group=4
-    3522424281825935407ull,   // restore=12 group=6
-    10165139196089274896ull,  // restore=48 group=4
-    4468028601451009090ull,   // restore=48 group=6
+    11615433618070695433ull,  // restore=12 group=4
+    9820418725014923756ull,   // restore=12 group=6
+    13191712234772349820ull,  // restore=48 group=4
+    3485015053602106248ull,   // restore=48 group=6
 };
 constexpr std::uint64_t kBaselineCellKeys[4] = {
+    15953255772151074479ull,
+    191715415933344697ull,
+    16339787057260526284ull,
+    14042405227773488225ull,
+};
+constexpr std::uint64_t kBaselineSweepDigest = 12768138063458951665ull;
+constexpr std::uint64_t kPlainCreditCellKeys[4] = {
     4463436831175020063ull,
     1356337448245001889ull,
     11586256915450966580ull,
     18276616709843326313ull,
 };
-constexpr std::uint64_t kBaselineSweepDigest = 13810852051136803361ull;
 
 constexpr std::uint64_t kEventBaselineCellDigests[4] = {
     6254353089952317175ull,
@@ -375,6 +383,32 @@ TEST(SweepFaults, EventPathCellsKeepTheirDigestsAndKeys) {
             "latent-defect law is not exponential");
   const auto root = obs::parse_json(read_file(path));
   EXPECT_EQ(root.get("cells").at(0).get("estimator").as_string(), "events");
+}
+
+TEST(SweepRunner, PlainCreditEntriesAreResimulated) {
+  // A manifest written before the first-drive control variate keyed its
+  // credited cells ";latent=credit". Its entries are intact — their result
+  // digests verify — but a resume must simulate them again, not serve the
+  // plain credited estimate. Cell 0 keeps its current key as the control.
+  const std::string path = temp_manifest("plaincredit");
+  SweepRunner(fast_options(path)).run(small_spec());
+  std::string text = read_file(path);
+  for (std::size_t i = 1; i < 4; ++i) {
+    const std::string key = std::to_string(kBaselineCellKeys[i]);
+    const auto pos = text.find("\"cell_key\": " + key);
+    ASSERT_NE(pos, std::string::npos) << i;
+    text.replace(pos + 12, key.size(),
+                 std::to_string(kPlainCreditCellKeys[i]));
+  }
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  }
+  const auto resumed = SweepRunner(fast_options(path)).run(small_spec());
+  EXPECT_EQ(resumed.cached, 1u);
+  EXPECT_EQ(resumed.simulated, 3u);
+  EXPECT_TRUE(resumed.cells[0].from_cache);
+  expect_baseline(resumed);
 }
 
 TEST(SweepFaults, EmptyPlanInjectorLeavesEveryDigestBitIdentical) {
