@@ -56,7 +56,6 @@ struct EngineMeta {
   std::string isa;
   std::string math_tier;
   std::string estimator;
-  std::size_t numa_nodes = 0;
 };
 
 std::map<std::string, EngineMeta>& perf_meta() {
@@ -87,10 +86,6 @@ void note_engine_config(const std::string& bench_name,
     meta.isa = util::isa_name(sim::lane_ops().isa);
     meta.math_tier = sim::math_tier_name(tier);
   }
-  // Scheduling topology the number was measured under: a NUMA-pinned
-  // multi-node run is not like-for-like with a single-node one, and the
-  // gate refuses to compare across differing values.
-  meta.numa_nodes = util::active_topology().node_count();
   perf_meta()[bench_name] = std::move(meta);
 }
 
@@ -393,10 +388,10 @@ BENCHMARK(BM_FullRun_MultiThreaded)
     ->Unit(benchmark::kMillisecond);
 
 // Thread-scaling curve of the full runner: the same 2000-trial run at 1
-// worker, 2 workers, and every hardware thread. On a multi-node machine
-// the pool pins workers and the runner claims node-local trial
-// partitions (sim/thread_pool.h), so this curve is where a NUMA
-// scheduling regression would show; CI logs the three points per commit.
+// worker, 2 workers, and every hardware thread. Workers claim chunks from
+// one shared cursor (sim/runner.cpp), so this curve is where contention
+// on it or the pool's dispatch would show; CI logs the three points per
+// commit.
 void BM_FullRun_ThreadScaling(benchmark::State& state) {
   const unsigned threads = static_cast<unsigned>(state.range(0));
   const auto cfg = core::presets::base_case().to_group_config();
@@ -483,7 +478,6 @@ class CapturingReporter : public benchmark::ConsoleReporter {
         rec.isa = meta->second.isa;
         rec.math_tier = meta->second.math_tier;
         rec.estimator = meta->second.estimator;
-        rec.numa_nodes = meta->second.numa_nodes;
         // Schema v3: real_time_ns is per work item. A lane iteration
         // simulates batch-width trials; report the per-trial time so the
         // number is comparable with the scalar engine's.

@@ -80,10 +80,12 @@ BenchOptions parse_options(int argc, char** argv, std::size_t default_trials,
     known.insert(known.end(), extra_flags.begin(), extra_flags.end());
     args.reject_unknown_flags(known);
     // Bounded to the destination: "--trials -1" must not wrap into an
-    // 18-quintillion-trial run, "--threads 4294967297" not into 1 worker.
+    // 18-quintillion-trial run, "--threads 4294967297" not into 1 worker,
+    // and "--threads 100000" not into 100,000 OS threads.
     opt.trials = args.get_int_in<std::size_t>("trials", default_trials, 1);
     opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 20070625));
-    opt.threads = args.get_int_in<unsigned>("threads", 0, 0);
+    opt.threads = args.get_int_in<unsigned>("threads", 0, 0,
+                                             util::kMaxCliThreads);
     opt.bucket_hours = args.get_double("bucket-hours", 730.0);
   } catch (const ModelError& e) {
     // A bad flag or value is a usage error, exit 2 as in the examples; no
@@ -195,9 +197,6 @@ void write_perf_json(std::ostream& out,
     }
     if (!r.estimator.empty()) {
       w.kv("estimator", std::string_view(r.estimator));
-    }
-    if (r.numa_nodes != 0) {
-      w.kv("numa_nodes", static_cast<std::uint64_t>(r.numa_nodes));
     }
     w.end_object();
   }

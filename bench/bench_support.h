@@ -91,11 +91,6 @@ struct PerfRecord {
   /// docs/MODEL.md §19; "" = not recorded). Like math_tier, differing
   /// values are never compared by the gate.
   std::string estimator;
-  /// Scheduling NUMA nodes the run saw (util::active_topology); 0 = not
-  /// recorded. Engine numbers from a pinned multi-node run are not
-  /// like-for-like with single-node ones, so the gate treats differing
-  /// values as a tag mismatch (absent compares as wildcard, like `isa`).
-  std::size_t numa_nodes = 0;
 };
 
 /// Serialize perf records as a `raidrel-bench-perf/3` JSON document so CI

@@ -31,7 +31,6 @@ struct BenchEntry {
   std::string math_tier;
   std::string estimator;
   std::uint64_t batch_width = 0;
-  std::uint64_t numa_nodes = 0;
 };
 
 BenchEntry find_bench(const obs::JsonValue& benchmarks,
@@ -53,9 +52,6 @@ BenchEntry find_bench(const obs::JsonValue& benchmarks,
     }
     if (const obs::JsonValue* width = bench.find("batch_width")) {
       entry.batch_width = static_cast<std::uint64_t>(width->as_double());
-    }
-    if (const obs::JsonValue* nodes = bench.find("numa_nodes")) {
-      entry.numa_nodes = static_cast<std::uint64_t>(nodes->as_double());
     }
     return entry;
   }
@@ -94,14 +90,6 @@ std::string tag_mismatch(const BenchEntry& baseline,
       baseline.batch_width != candidate.batch_width) {
     return "batch_width (baseline " + std::to_string(baseline.batch_width) +
            ", candidate " + std::to_string(candidate.batch_width) + ")";
-  }
-  // A NUMA-pinned multi-node run against a single-node one is a topology
-  // comparison, not a code comparison; absent (0) — an older artifact —
-  // stays a wildcard like every other tag.
-  if (baseline.numa_nodes != 0 && candidate.numa_nodes != 0 &&
-      baseline.numa_nodes != candidate.numa_nodes) {
-    return "numa_nodes (baseline " + std::to_string(baseline.numa_nodes) +
-           ", candidate " + std::to_string(candidate.numa_nodes) + ")";
   }
   return {};
 }

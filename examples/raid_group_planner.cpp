@@ -87,7 +87,8 @@ int main(int argc, char** argv) {
     opt.convergence.batch_trials = std::min<std::size_t>(20000, trials);
     opt.convergence.min_trials = opt.convergence.batch_trials;
     opt.convergence.target_relative_sem = 0.05;
-    opt.threads = args.get_int_in<unsigned>("threads", 0, 0);
+    opt.threads = args.get_int_in<unsigned>("threads", 0, 0,
+                                             util::kMaxCliThreads);
     opt.manifest_path = args.get_string("manifest", "");
 
     // Graceful shutdown: first SIGINT/SIGTERM (or an expired

@@ -188,7 +188,8 @@ void print_usage(std::ostream& os) {
         "  --seed S                master seed (default 20070625)\n"
         "  --batch N               trials per convergence batch (20000)\n"
         "  --target-sem X          relative SEM to stop at (0.05)\n"
-        "  --threads N             workers; 0 = every core (default)\n"
+        "  --threads N             workers, at most 1024; 0 = every core\n"
+        "                          (default)\n"
         "  --manifest PATH         manifest of a single --study\n"
         "  --manifest-prefix P     manifests P<study>.manifest.json\n"
         "                          (default \"sweep.\")\n"
@@ -249,7 +250,8 @@ int main(int argc, char** argv) {
     opt.convergence.min_trials = opt.convergence.batch_trials;
     opt.convergence.target_relative_sem =
         args.get_double("target-sem", 0.05);
-    opt.threads = args.get_int_in<unsigned>("threads", 0, 0);
+    opt.threads = args.get_int_in<unsigned>("threads", 0, 0,
+                                             util::kMaxCliThreads);
     opt.resume = !args.get_bool("no-resume", false);
     opt.max_cells = args.get_int_in<std::size_t>("max-cells", 0, 0);
     opt.progress = args.get_bool("quiet", false) ? nullptr : &std::cout;

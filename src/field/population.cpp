@@ -4,15 +4,6 @@
 
 namespace raidrel::field {
 
-PopulationSpec PopulationSpec::clone() const {
-  PopulationSpec c;
-  c.name = name;
-  c.life = life ? life->clone() : nullptr;
-  c.units = units;
-  c.observation_hours = observation_hours;
-  return c;
-}
-
 stats::LifeData generate_study(const PopulationSpec& spec,
                                rng::RandomStream& rs) {
   RAIDREL_REQUIRE(spec.life != nullptr, "population needs a lifetime law");

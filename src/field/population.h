@@ -22,8 +22,6 @@ struct PopulationSpec {
   stats::DistributionPtr life;     ///< true underlying lifetime law
   std::size_t units = 0;           ///< drives in the study
   double observation_hours = 0.0;  ///< Type-I censoring time
-
-  [[nodiscard]] PopulationSpec clone() const;
 };
 
 /// Draw the study: failure times below the window, suspensions at it.

@@ -85,12 +85,6 @@ const JsonValue& JsonValue::get(std::string_view key) const {
   return *v;
 }
 
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
-    const {
-  RAIDREL_REQUIRE(kind_ == Kind::kObject, "JSON value is not an object");
-  return object_;
-}
-
 /// Recursive-descent parser over the input span. Depth is bounded to keep
 /// adversarial inputs from exhausting the stack.
 class JsonParser {

@@ -57,8 +57,6 @@ class JsonValue {
   /// Object access: `find` returns nullptr when absent, `get` throws.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
   [[nodiscard]] const JsonValue& get(std::string_view key) const;
-  [[nodiscard]] const std::vector<std::pair<std::string, JsonValue>>&
-  members() const;
 
  private:
   friend class JsonParser;

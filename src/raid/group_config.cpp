@@ -86,16 +86,4 @@ const char* to_string(RebuildModel rebuild) noexcept {
   return "unknown";
 }
 
-const char* to_string(DdfKind kind) noexcept {
-  switch (kind) {
-    case DdfKind::kDoubleOperational:
-      return "double-operational";
-    case DdfKind::kLatentThenOp:
-      return "latent-then-operational";
-    case DdfKind::kLatentStripeCollision:
-      return "latent-stripe-collision";
-  }
-  return "unknown";
-}
-
 }  // namespace raidrel::raid

@@ -165,7 +165,6 @@ struct DdfEvent {
   DdfKind kind = DdfKind::kDoubleOperational;
 };
 
-const char* to_string(DdfKind kind) noexcept;
 const char* to_string(RebuildModel rebuild) noexcept;
 
 }  // namespace raidrel::raid

@@ -97,77 +97,6 @@ std::size_t claim_chunk(std::size_t trials, unsigned threads,
   return chunk / lane * lane;
 }
 
-// NUMA-aware work claiming for the group runner. The trial range is cut
-// into one contiguous, lane-aligned partition per scheduling node, each
-// with its own claim cursor on a private cache line; a worker drains its
-// home node's partition first and only then steals from other nodes in
-// ring order. On a single-node machine the partition degenerates to one
-// range with one cursor — exactly the old shared atomic. Trial streams
-// derive from the *global* trial index either way, so which node a trial
-// was claimed from can never change its result (runner.h's determinism
-// contract).
-class TrialClaims {
- public:
-  TrialClaims(std::size_t trials, std::size_t lane, std::size_t chunk,
-              std::size_t nodes)
-      : chunk_(chunk) {
-    const std::size_t n = std::max<std::size_t>(1, nodes);
-    const std::size_t total_lanes = (trials + lane - 1) / lane;
-    begin_.reserve(n);
-    end_.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t lo = j * total_lanes / n * lane;
-      const std::size_t hi =
-          std::min((j + 1) * total_lanes / n * lane, trials);
-      begin_.push_back(std::min(lo, trials));
-      end_.push_back(std::max(hi, std::min(lo, trials)));
-    }
-    cursors_ = std::make_unique<Cursor[]>(n);
-  }
-
-  [[nodiscard]] std::size_t nodes() const noexcept { return begin_.size(); }
-
-  /// Claim the next chunk, preferring `home`'s partition. Returns false
-  /// when every partition is drained; otherwise [*out_begin, *out_end) is
-  /// a non-empty global trial range.
-  bool claim(std::size_t home, std::size_t* out_begin,
-             std::size_t* out_end) noexcept {
-    const std::size_t n = begin_.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t j = (home + k) % n;
-      const std::size_t size = end_[j] - begin_[j];
-      if (size == 0) continue;
-      const std::size_t pos = cursors_[j].next.fetch_add(chunk_);
-      if (pos >= size) continue;
-      *out_begin = begin_[j] + pos;
-      *out_end = std::min(*out_begin + chunk_, end_[j]);
-      return true;
-    }
-    return false;
-  }
-
- private:
-  struct alignas(64) Cursor {
-    std::atomic<std::size_t> next{0};
-  };
-  std::size_t chunk_;
-  std::vector<std::size_t> begin_;
-  std::vector<std::size_t> end_;
-  std::unique_ptr<Cursor[]> cursors_;
-};
-
-// A worker's home node for claim routing: the pool's pinned assignment
-// when running on a NUMA-pinned pool worker, otherwise (single-node
-// pool, forced synthetic split) a round-robin ticket. Either
-// way every node gets a roughly equal worker share.
-std::size_t claim_home(std::size_t nodes,
-                       std::atomic<std::size_t>& ticket) noexcept {
-  if (nodes <= 1) return 0;
-  const int pinned = ThreadPool::current_worker_node();
-  if (pinned >= 0) return static_cast<std::size_t>(pinned) % nodes;
-  return ticket.fetch_add(1) % nodes;
-}
-
 double elapsed_seconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        since)
@@ -268,21 +197,17 @@ RunResult run_workers(const RunOptions& options, std::uint64_t digest,
                   first_drive);
   const rng::StreamFactory streams(options.seed);
   std::mutex merge_mutex;
-  // Claim trials in chunks to keep the claim cursors out of the hot path
-  // while preserving per-trial seeding (work split does not affect
-  // results). Multi-threaded runs on a multi-node topology partition the
-  // range per node so pinned pool workers touch node-local state first;
-  // probing here (not in workers) surfaces a bad RAIDREL_FORCE_NUMA_NODES
-  // before any thread spawns.
+  // Claim trials in lane-aligned chunks from one shared cursor, keeping
+  // the atomic out of the hot path while preserving per-trial seeding:
+  // every trial's stream derives from its global index, so which worker
+  // claims it cannot change its result (runner.h's determinism contract).
+  // The cursor fills a cache line of its own, away from the state every
+  // worker reads.
   const std::size_t chunk =
       claim_chunk(options.trials, threads, lane, max_chunk);
-  // A lone worker with home node 0 drains the partitions in ascending
-  // global order, so even single-threaded runs can partition: results and
-  // accumulation order are identical to one shared cursor (and the
-  // equivalence tests pin that down with the order-sensitive probe sum).
-  const std::size_t claim_nodes = util::active_topology().node_count();
-  TrialClaims claims(options.trials, lane, chunk, claim_nodes);
-  std::atomic<std::size_t> home_ticket{0};
+  struct alignas(64) ClaimCursor {
+    std::atomic<std::size_t> next{0};
+  } cursor;
 
   // Drain protocol: once the token reads cancelled, a worker stops
   // claiming and abandons the rest of its current claim — but everything
@@ -306,11 +231,10 @@ RunResult run_workers(const RunOptions& options, std::uint64_t digest,
                     first_drive);
     auto engine = make_engine();
     bool drained = false;
-    const std::size_t home = claim_home(claims.nodes(), home_ticket);
     while (!drained) {
-      std::size_t begin = 0;
-      std::size_t end = 0;
-      if (!claims.claim(home, &begin, &end)) break;
+      const std::size_t begin = cursor.next.fetch_add(chunk);
+      if (begin >= options.trials) break;
+      const std::size_t end = std::min(begin + chunk, options.trials);
       for (std::size_t lb = begin; lb < end; lb += lane) {
         if (cancel_requested()) {
           drained = true;

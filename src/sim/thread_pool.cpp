@@ -1,40 +1,8 @@
 #include "sim/thread_pool.h"
 
 #include "fault/fault_injection.h"
-#include "util/cancel.h"
-#include "util/cpu_features.h"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace raidrel::sim {
-
-namespace {
-
-// Best-effort: a failed affinity call (cgroup restrictions, CPUs beyond
-// CPU_SETSIZE) leaves the worker floating, which is merely the status quo.
-void pin_to_cpus([[maybe_unused]] const std::vector<int>& cpus) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  bool any = false;
-  for (const int c : cpus) {
-    if (c >= 0 && c < CPU_SETSIZE) {
-      CPU_SET(c, &set);
-      any = true;
-    }
-  }
-  if (any) pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#endif
-}
-
-}  // namespace
-
-thread_local int tls_worker_node = -1;
-
-int ThreadPool::current_worker_node() noexcept { return tls_worker_node; }
 
 ThreadPool::~ThreadPool() {
   {
@@ -49,8 +17,7 @@ void ThreadPool::run(unsigned tasks, const std::function<void()>& fn) {
   if (tasks == 0) return;
   std::unique_lock<std::mutex> lock(mutex_);
   while (workers_.size() < tasks) {
-    const unsigned index = static_cast<unsigned>(workers_.size());
-    workers_.emplace_back([this, index] { worker_loop(index); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
   job_ = &fn;
   first_error_ = nullptr;
@@ -67,25 +34,7 @@ void ThreadPool::run(unsigned tasks, const std::function<void()>& fn) {
   }
 }
 
-void ThreadPool::worker_loop(unsigned index) {
-  // Home-node assignment happens once, before the first task: round-robin
-  // over the scheduling topology so every node gets a fair worker share.
-  // Affinity is only applied for a physical multi-node probe; a synthetic
-  // split (single node, RAIDREL_FORCE_NUMA_NODES) keeps the assignment
-  // for claim routing but leaves the OS free to place the thread.
-  // A malformed RAIDREL_FORCE_NUMA_NODES makes active_topology() throw;
-  // that diagnosis belongs to the coordinating thread (the runner probes
-  // the same topology before fanning out). Here it must not unwind into
-  // std::thread, so the worker just stays unassigned.
-  try {
-    const util::CpuTopology topo = util::active_topology();
-    if (topo.node_count() > 1) {
-      const std::size_t node = index % topo.node_count();
-      tls_worker_node = static_cast<int>(node);
-      if (topo.physical) pin_to_cpus(topo.nodes[node].cpus);
-    }
-  } catch (...) {
-  }
+void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     work_ready_.wait(lock, [this] { return shutdown_ || unclaimed_ > 0; });
@@ -93,15 +42,11 @@ void ThreadPool::worker_loop(unsigned index) {
       --unclaimed_;
       const std::function<void()>* job = job_;
       fault::FaultInjector* injector = injector_;
-      const util::CancelToken* cancel = cancel_;
       lock.unlock();
       // A throwing task must not unwind into std::thread (std::terminate);
       // capture and let run() rethrow on the coordinating thread instead.
-      // A cancelled token drains the same way: skip the job, record
-      // OperationCancelled, keep counting invocations down.
       std::exception_ptr error;
       try {
-        if (cancel != nullptr) cancel->poll();
         if (injector != nullptr) injector->check("pool_task");
         (*job)();
       } catch (...) {

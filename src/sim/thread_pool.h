@@ -20,16 +20,9 @@
 // coordinating thread once all workers are parked again — so the same pool
 // instance remains usable for the next run().
 //
-// NUMA: on a machine with more than one physical memory node
-// (util::active_topology()), each worker is assigned a home node
-// round-robin at spawn and pinned to that node's CPUs, so a worker's
-// engine state (lane arrays, RNG streams) stays in node-local memory
-// across every batch the pool serves. The assignment is visible through
-// current_worker_node(), which the Monte Carlo runner uses to claim
-// node-local trial partitions first (sim/runner.cpp). A synthetic
-// topology (single node, or the RAIDREL_FORCE_NUMA_NODES override)
-// assigns home nodes without touching affinity — splitting claims is
-// harmless and testable anywhere; pinning to made-up nodes is not.
+// Workers are not pinned to CPUs: every trial draws from a stream keyed
+// by its global index, so where it runs cannot change a result, and no
+// host has measured a gain from placement (docs/MODEL.md §17).
 #pragma once
 
 #include <condition_variable>
@@ -41,10 +34,6 @@
 
 namespace raidrel::fault {
 class FaultInjector;
-}
-
-namespace raidrel::util {
-class CancelToken;
 }
 
 namespace raidrel::sim {
@@ -77,37 +66,13 @@ class ThreadPool {
     injector_ = injector;
   }
 
-  /// Optional cooperative-cancellation hook (util/cancel.h): when set,
-  /// every task invocation polls the token before running. A cancelled
-  /// token makes workers *drain* — each remaining invocation is skipped
-  /// (counted as done without calling `fn`), every in-flight invocation
-  /// still runs to completion, and run() rethrows OperationCancelled on
-  /// the coordinating thread once all workers are parked. The pool stays
-  /// fully reusable afterwards, exactly like any other task exception.
-  ///
-  /// The Monte Carlo runner deliberately does NOT arm this: its workers
-  /// poll the same token themselves and drain by returning partial
-  /// results (sim/runner.h), which the convergence loop finalizes. The
-  /// pool-level hook is for callers whose tasks have nothing partial to
-  /// hand back. Set before run(); null disables; the token must outlive
-  /// the pool's last run().
-  void set_cancel_token(const util::CancelToken* token) noexcept {
-    cancel_ = token;
-  }
-
   /// Workers currently parked or running.
   [[nodiscard]] unsigned worker_count() const noexcept {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// The calling thread's home NUMA node, or -1 when the caller is not a
-  /// pool worker (or the machine scheduled as a single node). Assigned
-  /// once at worker spawn from util::active_topology(); the runner reads
-  /// it inside worker tasks to pick which trial partition to drain first.
-  [[nodiscard]] static int current_worker_node() noexcept;
-
  private:
-  void worker_loop(unsigned index);
+  void worker_loop();
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
@@ -115,7 +80,6 @@ class ThreadPool {
   std::condition_variable work_done_;
   const std::function<void()>* job_ = nullptr;
   fault::FaultInjector* injector_ = nullptr;
-  const util::CancelToken* cancel_ = nullptr;
   std::exception_ptr first_error_;  ///< first task exception of this run()
   unsigned unclaimed_ = 0;  ///< invocations not yet picked up by a worker
   unsigned active_ = 0;     ///< invocations picked up and still running

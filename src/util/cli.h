@@ -14,6 +14,12 @@
 
 namespace raidrel::util {
 
+/// Largest `--threads` value a driver accepts (0 still means one worker
+/// per hardware thread). The runner starts one OS thread per worker, so
+/// an unbounded value could ask for more threads than the process may
+/// create; past the bound the flag exits 2 before any thread starts.
+inline constexpr unsigned kMaxCliThreads = 1024;
+
 /// Parsed command line. Unknown flags are kept (queryable, and rejected
 /// by reject_unknown_flags); positional arguments are collected in order.
 class CliArgs {

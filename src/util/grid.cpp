@@ -6,25 +6,6 @@
 
 namespace raidrel::util {
 
-std::vector<double> linspace(double lo, double hi, std::size_t n) {
-  RAIDREL_REQUIRE(n >= 2, "linspace needs at least two points");
-  std::vector<double> v(n);
-  const double step = (hi - lo) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i] = lo + step * static_cast<double>(i);
-  }
-  v.back() = hi;  // avoid accumulated rounding on the last point
-  return v;
-}
-
-std::vector<double> logspace(double lo, double hi, std::size_t n) {
-  RAIDREL_REQUIRE(lo > 0.0 && hi > 0.0, "logspace requires positive bounds");
-  auto logs = linspace(std::log(lo), std::log(hi), n);
-  for (auto& x : logs) x = std::exp(x);
-  logs.back() = hi;
-  return logs;
-}
-
 std::size_t bucket_count(double horizon, double width) {
   RAIDREL_REQUIRE(horizon > 0.0 && width > 0.0,
                   "bucket_count requires positive horizon and width");

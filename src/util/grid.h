@@ -1,17 +1,10 @@
-// Evenly spaced grids and time-bucket helpers used by the experiment
-// harnesses (e.g. "cumulative DDFs sampled every 2 000 hours").
+// Time-bucket helpers used by the experiment harnesses (e.g. "cumulative
+// DDFs sampled every 2 000 hours").
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace raidrel::util {
-
-/// n evenly spaced points from lo to hi inclusive (n >= 2).
-std::vector<double> linspace(double lo, double hi, std::size_t n);
-
-/// n logarithmically spaced points from lo to hi inclusive (lo, hi > 0).
-std::vector<double> logspace(double lo, double hi, std::size_t n);
 
 /// Index of the bucket containing time t for buckets of `width` over
 /// [0, horizon]; times at bucket boundaries go to the right bucket,

@@ -115,40 +115,6 @@ double normal_quantile(double p) {
   return x;
 }
 
-RootResult bisect(const std::function<double(double)>& f, double lo,
-                  double hi, const RootOptions& opt) {
-  RAIDREL_REQUIRE(lo < hi, "bisect requires lo < hi");
-  double flo = f(lo);
-  double fhi = f(hi);
-  RootResult r;
-  if (flo == 0.0) return {lo, 0.0, 0, true};
-  if (fhi == 0.0) return {hi, 0.0, 0, true};
-  RAIDREL_REQUIRE(std::signbit(flo) != std::signbit(fhi),
-                  "bisect requires a sign change on [lo, hi]");
-  for (int i = 0; i < opt.max_iter; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double fm = f(mid);
-    ++r.iterations;
-    if (fm == 0.0 || (hi - lo) * 0.5 < opt.x_tol ||
-        (opt.f_tol > 0.0 && std::abs(fm) <= opt.f_tol)) {
-      r.root = mid;
-      r.f_at_root = fm;
-      r.converged = true;
-      return r;
-    }
-    if (std::signbit(fm) == std::signbit(flo)) {
-      lo = mid;
-      flo = fm;
-    } else {
-      hi = mid;
-    }
-  }
-  r.root = 0.5 * (lo + hi);
-  r.f_at_root = f(r.root);
-  r.converged = false;
-  return r;
-}
-
 RootResult brent(const std::function<double(double)>& f, double lo, double hi,
                  const RootOptions& opt) {
   RAIDREL_REQUIRE(lo < hi, "brent requires lo < hi");

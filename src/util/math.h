@@ -49,10 +49,6 @@ struct RootResult {
   bool converged = false;
 };
 
-/// Bisection on [lo, hi]; requires f(lo) and f(hi) to bracket a root.
-RootResult bisect(const std::function<double(double)>& f, double lo,
-                  double hi, const RootOptions& opt = {});
-
 /// Brent's method on [lo, hi]; requires a sign change. Superlinear and
 /// never worse than bisection.
 RootResult brent(const std::function<double(double)>& f, double lo, double hi,

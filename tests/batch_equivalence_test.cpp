@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -523,38 +522,6 @@ TEST(BatchRunnerEquivalence, AwkwardTrialCounts) {
     }
     EXPECT_THROW(run_monte_carlo(cfg, runner_options(0, 1, width)),
                  ModelError);
-  }
-}
-
-TEST(BatchRunnerEquivalence, NodePartitionedClaimingIsInvariant) {
-  // RAIDREL_FORCE_NUMA_NODES re-splits the trial range into per-node
-  // partitions with node-local claim cursors (sim/runner.cpp). Trial
-  // streams derive from the global index, so the split must never change
-  // results. A single worker additionally drains the partitions in global
-  // order, so even the order-sensitive probe sum matches exactly.
-  for (const auto& cfg : test::with_event_twin(spare_pool_group())) {
-  const auto baseline_1t = run_monte_carlo(cfg, runner_options(300, 1, 64));
-  const auto baseline_4t = run_monte_carlo(cfg, runner_options(300, 4, 64));
-  for (const char* nodes : {"2", "3"}) {
-    SCOPED_TRACE(std::string("forced nodes ") + nodes);
-    ASSERT_EQ(::setenv("RAIDREL_FORCE_NUMA_NODES", nodes, 1), 0);
-    expect_runs_identical(
-        baseline_1t, run_monte_carlo(cfg, runner_options(300, 1, 64)), true);
-    expect_runs_identical(
-        baseline_4t, run_monte_carlo(cfg, runner_options(300, 4, 64)),
-        false);
-    ::unsetenv("RAIDREL_FORCE_NUMA_NODES");
-  }
-  }
-}
-
-TEST(BatchRunnerEquivalence, MalformedNumaOverrideThrows) {
-  const auto cfg = busy_group();
-  for (const char* bad : {"0", "-1", "two", "2x"}) {
-    SCOPED_TRACE(bad);
-    ASSERT_EQ(::setenv("RAIDREL_FORCE_NUMA_NODES", bad, 1), 0);
-    EXPECT_THROW(run_monte_carlo(cfg, runner_options(8, 1, 4)), ModelError);
-    ::unsetenv("RAIDREL_FORCE_NUMA_NODES");
   }
 }
 

@@ -7,17 +7,11 @@
 // engine construction.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
-#include <mutex>
 #include <optional>
-#include <random>
 #include <string>
-#include <vector>
 
 #include "sim/lane_ops.h"
-#include "sim/thread_pool.h"
-#include "support/hostile_bytes.h"
 #include "util/cpu_features.h"
 #include "util/error.h"
 
@@ -124,185 +118,6 @@ TEST(CpuFeatures, LaneOpsForClampsLikeResolve) {
   // A request above the hardware degrades to the widest runnable tier.
   EXPECT_EQ(sim::lane_ops_for(SimdIsa::kAvx512).isa,
             detected < SimdIsa::kAvx512 ? detected : SimdIsa::kAvx512);
-}
-
-// ---- NUMA topology ------------------------------------------------------
-
-/// Same RAII discipline for the node-count override.
-class ScopedForceNodes {
- public:
-  explicit ScopedForceNodes(const char* value) {
-    ::setenv("RAIDREL_FORCE_NUMA_NODES", value, 1);
-  }
-  ~ScopedForceNodes() { ::unsetenv("RAIDREL_FORCE_NUMA_NODES"); }
-};
-
-TEST(CpuTopologyTest, ParseCpuListHandlesKernelFormat) {
-  EXPECT_EQ(parse_cpu_list("0-3"), (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(parse_cpu_list("0-3,8,10-11"),
-            (std::vector<int>{0, 1, 2, 3, 8, 10, 11}));
-  EXPECT_EQ(parse_cpu_list("7"), (std::vector<int>{7}));
-  // The sysfs file ends in a newline; stray blanks are tolerated.
-  EXPECT_EQ(parse_cpu_list("0-1\n"), (std::vector<int>{0, 1}));
-  EXPECT_EQ(parse_cpu_list(" 2 , 4 "), (std::vector<int>{2, 4}));
-  // Duplicates and overlapping ranges collapse, output stays sorted.
-  EXPECT_EQ(parse_cpu_list("3,1,1-2"), (std::vector<int>{1, 2, 3}));
-}
-
-TEST(CpuTopologyTest, ParseCpuListSkipsMalformedSegments) {
-  EXPECT_TRUE(parse_cpu_list("").empty());
-  EXPECT_TRUE(parse_cpu_list("\n").empty());
-  EXPECT_TRUE(parse_cpu_list("abc").empty());
-  EXPECT_TRUE(parse_cpu_list("5-2").empty());   // descending range
-  EXPECT_TRUE(parse_cpu_list("-3").empty());    // negative id
-  // A bad segment never poisons its neighbors.
-  EXPECT_EQ(parse_cpu_list("0,junk,2-2x,3"), (std::vector<int>{0, 3}));
-}
-
-TEST(CpuTopologyTest, ParseCpuListSkipsIdsPastTheCap) {
-  EXPECT_EQ(parse_cpu_list("1048575"), (std::vector<int>{kCpuIdLimit - 1}));
-  // One id past the cap drops the whole range, not just its tail (the
-  // sscanf parser returned all 1,048,577 ids here).
-  EXPECT_TRUE(parse_cpu_list("0-1048576").empty());
-  EXPECT_EQ(parse_cpu_list("0-1,1048576,2"), (std::vector<int>{0, 1, 2}));
-  // A range ending at INT_MAX walked the loop counter past INT_MAX, and
-  // %d overflow was undefined; both are plain skips now.
-  EXPECT_TRUE(parse_cpu_list("0-2147483647").empty());
-  EXPECT_TRUE(parse_cpu_list("2147483648").empty());
-  EXPECT_TRUE(parse_cpu_list("99999999999999999999999").empty());
-  // Only unsigned decimal ids: no sign, no blank inside a segment.
-  EXPECT_EQ(parse_cpu_list("+3,0- 2,4"), (std::vector<int>{4}));
-}
-
-TEST(CpuTopologyTest, ParseCpuListSurvivesHostileBytes) {
-  const std::vector<std::string> corpus = {
-      "0-3",          "0-3,8,10-11\n",           " 2 , 4 ",
-      "0-2147483647", "1048575,7",               "18446744073709551615",
-      "0-63,128-191", "3,1,1-2,\t5-5 ,,-1,9-8"};
-  std::mt19937_64 rng(20070625);
-  for (const std::string& seed_text : corpus) {
-    for (int m = 0; m < 400; ++m) {
-      std::string bytes = seed_text;
-      for (int k = 0; k <= m % 3; ++k) test::mutate_bytes(bytes, rng);
-      SCOPED_TRACE("input \"" + bytes + "\"");
-      const std::vector<int> cpus = parse_cpu_list(bytes);
-      EXPECT_TRUE(std::is_sorted(cpus.begin(), cpus.end()));
-      EXPECT_EQ(std::adjacent_find(cpus.begin(), cpus.end()), cpus.end());
-      if (!cpus.empty()) {
-        EXPECT_GE(cpus.front(), 0);
-        EXPECT_LT(cpus.back(), kCpuIdLimit);
-      }
-    }
-  }
-}
-
-TEST(CpuTopologyTest, DetectedTopologyHasAtLeastOneNodeWithCpus) {
-  const CpuTopology& topo = detected_topology();
-  ASSERT_GE(topo.node_count(), 1u);
-  for (const NumaNode& node : topo.nodes) {
-    EXPECT_GE(node.id, 0);
-    EXPECT_FALSE(node.cpus.empty());
-  }
-}
-
-TEST(CpuTopologyTest, ForcedNodesSplitIsSyntheticAndCoversAllCpus) {
-  std::size_t detected_cpus = 0;
-  for (const auto& node : detected_topology().nodes) {
-    detected_cpus += node.cpus.size();
-  }
-  ScopedForceNodes force("3");
-  const CpuTopology topo = active_topology();
-  ASSERT_EQ(topo.node_count(), 3u);
-  // Synthetic splits shape claim routing only; pinning threads to
-  // made-up nodes would fight the OS scheduler (thread_pool.cpp).
-  EXPECT_FALSE(topo.physical);
-  std::size_t split_cpus = 0;
-  for (const auto& node : topo.nodes) split_cpus += node.cpus.size();
-  EXPECT_EQ(split_cpus, detected_cpus);
-}
-
-TEST(CpuTopologyTest, ActiveTopologyFollowsTheEnvironment) {
-  const std::size_t detected_nodes = detected_topology().node_count();
-  EXPECT_EQ(active_topology().node_count(), detected_nodes);
-  {
-    ScopedForceNodes force("5");
-    EXPECT_EQ(active_topology().node_count(), 5u);
-  }
-  EXPECT_EQ(active_topology().node_count(), detected_nodes);
-}
-
-TEST(CpuTopologyTest, MalformedForcedNodesThrow) {
-  for (const char* bad : {"0", "-2", "abc", "2.5", "3x", ""}) {
-    SCOPED_TRACE(bad);
-    ScopedForceNodes force(bad);
-    if (*bad == '\0') {
-      // Empty counts as absent, like the other RAIDREL_* overrides.
-      EXPECT_EQ(active_topology().node_count(),
-                detected_topology().node_count());
-    } else {
-      EXPECT_THROW(active_topology(), ModelError);
-    }
-  }
-}
-
-TEST(CpuTopologyTest, ForcedNodeCountParsesStrictly) {
-  EXPECT_EQ(parse_forced_node_count("1"), 1u);
-  EXPECT_EQ(parse_forced_node_count("3"), 3u);
-  EXPECT_EQ(parse_forced_node_count("1024"), kForcedNodeLimit);
-  // strtol took a sign and leading blanks, and saturated an overflowing
-  // value to LONG_MAX, which active_topology() then tried to build.
-  for (const char* bad : {"", "0", "1025", "+3", " 3", "3 ", "-1", "0x4",
-                          "18446744073709551616", "99999999999999999999"}) {
-    SCOPED_TRACE(bad);
-    EXPECT_THROW(parse_forced_node_count(bad), ModelError);
-  }
-}
-
-TEST(CpuTopologyTest, ForcedNodeCountSurvivesHostileBytes) {
-  // Every input parses to a count whose decimal form is the input itself,
-  // or throws ModelError. Only the pure parser runs: no topology is built.
-  const std::vector<std::string> corpus = {"1",   "2",    "16",   "1024",
-                                           "1025", "007", "+3",   " 3",
-                                           "18446744073709551615"};
-  std::mt19937_64 rng(20070625);
-  for (const std::string& seed_text : corpus) {
-    for (int m = 0; m < 400; ++m) {
-      std::string bytes = seed_text;
-      for (int k = 0; k <= m % 3; ++k) test::mutate_bytes(bytes, rng);
-      SCOPED_TRACE("input \"" + bytes + "\"");
-      try {
-        const std::size_t n = parse_forced_node_count(bytes);
-        EXPECT_GE(n, 1u);
-        EXPECT_LE(n, kForcedNodeLimit);
-        // Leading zeros are the one spelling that parses but does not
-        // re-serialize: strip them before comparing.
-        const std::size_t first = bytes.find_first_not_of('0');
-        ASSERT_NE(first, std::string::npos);
-        EXPECT_EQ(std::to_string(n), bytes.substr(first));
-      } catch (const ModelError&) {
-      }
-    }
-  }
-}
-
-TEST(CpuTopologyTest, PoolWorkersGetHomeNodesUnderForcedSplit) {
-  // A fresh pool spawned under a forced split assigns round-robin home
-  // nodes (visible through current_worker_node) without pinning; the
-  // coordinating thread itself is never assigned one.
-  ScopedForceNodes force("2");
-  sim::ThreadPool pool;
-  std::mutex mu;
-  std::vector<int> seen;
-  pool.run(4, [&] {
-    const std::lock_guard<std::mutex> lock(mu);
-    seen.push_back(sim::ThreadPool::current_worker_node());
-  });
-  ASSERT_EQ(seen.size(), 4u);
-  for (const int node : seen) {
-    EXPECT_GE(node, 0);
-    EXPECT_LT(node, 2);
-  }
-  EXPECT_EQ(sim::ThreadPool::current_worker_node(), -1);
 }
 
 TEST(CpuFeatures, MathTierNamesRoundTrip) {

@@ -40,17 +40,6 @@ TEST(Population, WindowForExpectedFailuresInvertsCdf) {
   EXPECT_NEAR(life.cdf(window) * 10631.0, 198.0, 0.5);
 }
 
-TEST(Population, CloneIsDeep) {
-  PopulationSpec spec;
-  spec.name = "x";
-  spec.life = std::make_unique<stats::Weibull>(0.0, 10.0, 1.0);
-  spec.units = 10;
-  spec.observation_hours = 5.0;
-  const auto copy = spec.clone();
-  EXPECT_NE(copy.life.get(), spec.life.get());
-  EXPECT_EQ(copy.units, 10u);
-}
-
 TEST(Population, Validation) {
   PopulationSpec bad;
   bad.units = 10;

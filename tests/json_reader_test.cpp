@@ -33,14 +33,6 @@ TEST(JsonReader, ArraysAndObjects) {
   EXPECT_THROW((void)v.get("missing"), ModelError);
 }
 
-TEST(JsonReader, ObjectMembersKeepInsertionOrder) {
-  const auto v = parse_json(R"({"z": 1, "a": 2, "m": 3})");
-  ASSERT_EQ(v.members().size(), 3u);
-  EXPECT_EQ(v.members()[0].first, "z");
-  EXPECT_EQ(v.members()[1].first, "a");
-  EXPECT_EQ(v.members()[2].first, "m");
-}
-
 TEST(JsonReader, Uint64KeepsFullPrecision) {
   // The whole reason the reader exists: 64-bit digests must not be coerced
   // through an IEEE double (53-bit mantissa) on their way back in.

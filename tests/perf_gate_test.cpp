@@ -161,7 +161,6 @@ TEST(PerfGate, MalformedJsonThrows) {
 std::string tagged_artifact(double base_tps, const std::string& isa,
                             const std::string& tier,
                             std::uint64_t batch_width = 64,
-                            std::uint64_t numa_nodes = 0,
                             const std::string& estimator = "") {
   std::string s = "{\"schema\": \"raidrel-bench-perf/3\", \"benchmarks\": [";
   s += "{\"name\": \"BM_GroupMission_BaseCase\", \"trials_per_second\": " +
@@ -170,9 +169,6 @@ std::string tagged_artifact(double base_tps, const std::string& isa,
   if (!tier.empty()) s += ", \"math_tier\": \"" + tier + "\"";
   if (batch_width != 0) {
     s += ", \"batch_width\": " + std::to_string(batch_width);
-  }
-  if (numa_nodes != 0) {
-    s += ", \"numa_nodes\": " + std::to_string(numa_nodes);
   }
   if (!estimator.empty()) s += ", \"estimator\": \"" + estimator + "\"";
   s += "},";
@@ -212,39 +208,6 @@ TEST(PerfGate, IsaMismatchSkipsInsteadOfFailing) {
   EXPECT_EQ(report.checks[2].status, PerfGateCheck::Status::kPass);
 }
 
-TEST(PerfGate, NumaNodeCountMismatchSkipsInsteadOfFailing) {
-  // Baseline archived from a 2-node box with workers pinned per node,
-  // candidate running single-node: the throughput delta is topology, not
-  // code — same treatment as an ISA mismatch.
-  const auto report =
-      run_perf_gate(tagged_artifact(1000.0, "avx512", "exact", 64, 2),
-                    tagged_artifact(500.0, "avx512", "exact", 64, 1));
-  EXPECT_FALSE(report.failed);
-  EXPECT_TRUE(report.degraded);
-  ASSERT_EQ(report.checks.size(), 3u);
-  EXPECT_EQ(report.checks[0].status, PerfGateCheck::Status::kSkip);
-  EXPECT_NE(report.checks[0].note.find("numa_nodes (baseline 2, candidate 1)"),
-            std::string::npos)
-      << report.checks[0].note;
-}
-
-TEST(PerfGate, AbsentNumaTagComparesAsWildcard) {
-  // A pre-NUMA baseline carries no numa_nodes tag: the candidate's tag
-  // alone must not block the comparison — a real 40% regression still
-  // fails, and a clean like-for-like run still passes.
-  const auto regressed =
-      run_perf_gate(tagged_artifact(1000.0, "avx512", "exact", 64, 0),
-                    tagged_artifact(600.0, "avx512", "exact", 64, 4));
-  EXPECT_TRUE(regressed.failed);
-  EXPECT_EQ(regressed.checks[0].status, PerfGateCheck::Status::kFail);
-
-  const auto clean =
-      run_perf_gate(tagged_artifact(1000.0, "avx512", "exact", 64, 0),
-                    tagged_artifact(990.0, "avx512", "exact", 64, 4));
-  EXPECT_FALSE(clean.failed);
-  EXPECT_FALSE(clean.degraded);
-}
-
 TEST(PerfGate, MathTierAndWidthMismatchesAlsoSkip) {
   const auto tiers = run_perf_gate(tagged_artifact(1000.0, "avx512", "fast"),
                                    tagged_artifact(400.0, "avx512", "exact"));
@@ -264,34 +227,34 @@ TEST(PerfGate, EstimatorMismatchSkipsAndUntaggedBaselineReadsAsEvents) {
   // An event-path baseline says nothing about a latent-credited candidate
   // (or back): a named skip, never a pass or a failure.
   const auto across = run_perf_gate(
-      tagged_artifact(1000.0, "avx512", "exact", 64, 1, "events"),
-      tagged_artifact(20000.0, "avx512", "exact", 64, 1, "latent-credit"));
+      tagged_artifact(1000.0, "avx512", "exact", 64, "events"),
+      tagged_artifact(20000.0, "avx512", "exact", 64, "latent-credit"));
   EXPECT_FALSE(across.failed);
   EXPECT_TRUE(across.degraded);
   EXPECT_EQ(across.checks[0].status, PerfGateCheck::Status::kSkip);
   EXPECT_NE(across.checks[0].note.find("estimator"), std::string::npos);
 
   const auto regressed = run_perf_gate(
-      tagged_artifact(1000.0, "avx512", "exact", 64, 1, "latent-credit"),
-      tagged_artifact(600.0, "avx512", "exact", 64, 1, "latent-credit"));
+      tagged_artifact(1000.0, "avx512", "exact", 64, "latent-credit"),
+      tagged_artifact(600.0, "avx512", "exact", 64, "latent-credit"));
   EXPECT_TRUE(regressed.failed);
 
   // Artifacts from before the tag existed were all measured on events:
   // they compare against an events candidate, regressions included...
   const auto untagged = run_perf_gate(
-      tagged_artifact(1000.0, "avx512", "exact", 64, 1),
-      tagged_artifact(990.0, "avx512", "exact", 64, 1, "events"));
+      tagged_artifact(1000.0, "avx512", "exact", 64),
+      tagged_artifact(990.0, "avx512", "exact", 64, "events"));
   EXPECT_FALSE(untagged.failed);
   EXPECT_FALSE(untagged.degraded);
   const auto untagged_regressed = run_perf_gate(
-      tagged_artifact(1000.0, "avx512", "exact", 64, 1),
-      tagged_artifact(600.0, "avx512", "exact", 64, 1, "events"));
+      tagged_artifact(1000.0, "avx512", "exact", 64),
+      tagged_artifact(600.0, "avx512", "exact", 64, "events"));
   EXPECT_TRUE(untagged_regressed.failed);
 
   // ...and never against a latent-credited one.
   const auto untagged_across = run_perf_gate(
-      tagged_artifact(1000.0, "avx512", "exact", 64, 1),
-      tagged_artifact(20000.0, "avx512", "exact", 64, 1, "latent-credit"));
+      tagged_artifact(1000.0, "avx512", "exact", 64),
+      tagged_artifact(20000.0, "avx512", "exact", 64, "latent-credit"));
   EXPECT_FALSE(untagged_across.failed);
   EXPECT_EQ(untagged_across.checks[0].status, PerfGateCheck::Status::kSkip);
   EXPECT_NE(untagged_across.checks[0].note.find(

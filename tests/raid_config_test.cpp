@@ -83,11 +83,6 @@ TEST(GroupConfig, CloneIsDeepAndValid) {
   EXPECT_NO_THROW(copy.validate());
 }
 
-TEST(DdfKind, Names) {
-  EXPECT_STREQ(to_string(DdfKind::kDoubleOperational), "double-operational");
-  EXPECT_STREQ(to_string(DdfKind::kLatentThenOp), "latent-then-operational");
-}
-
 TEST(GroupConfig, HeterogeneousSlotsAllowed) {
   // Mixed vintages in one group: per-slot laws differ.
   auto cfg = make_uniform_group(4, 1, paper_slot());

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "fault/fault_injection.h"
-#include "util/cancel.h"
 #include "util/error.h"
 
 namespace {
@@ -18,7 +17,6 @@ namespace {
 using raidrel::ModelError;
 using raidrel::sim::ThreadPool;
 namespace fault = raidrel::fault;
-namespace util = raidrel::util;
 
 TEST(ThreadPool, ZeroTasksReturnsImmediatelyWithoutSpawning) {
   ThreadPool pool;
@@ -94,35 +92,6 @@ TEST(ThreadPool, PoolTaskSiteFiresBeforeTheTaskBody) {
   pool.set_fault_injector(nullptr);
   pool.run(2, [&] { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 3);
-}
-
-TEST(ThreadPool, CancelledTokenDrainsTheRunAndRethrows) {
-  // The pool-level cancellation hook: a tripped token makes every worker
-  // skip its task body and the cancellation surface on the caller — the
-  // same drain-and-rethrow protocol as a worker exception.
-  ThreadPool pool;
-  util::CancelToken token;
-  token.request_cancel();
-  pool.set_cancel_token(&token);
-  std::atomic<int> calls{0};
-  EXPECT_THROW(pool.run(3, [&] { calls.fetch_add(1); }),
-               util::OperationCancelled);
-  EXPECT_EQ(calls.load(), 0);
-
-  // Detaching the token restores the unpolled fast path, and the pool
-  // instance survives the cancelled run.
-  pool.set_cancel_token(nullptr);
-  pool.run(3, [&] { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 3);
-}
-
-TEST(ThreadPool, UncancelledTokenLeavesRunsUnaffected) {
-  ThreadPool pool;
-  const util::CancelToken token;
-  pool.set_cancel_token(&token);
-  std::atomic<int> calls{0};
-  pool.run(4, [&] { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 4);
 }
 
 TEST(ThreadPool, ReusableAcrossManyFaultedRuns) {

@@ -136,6 +136,13 @@ TEST(CliArgs, GetIntInRejectsValuesTheDestinationCannotHold) {
   EXPECT_THROW(
       (void)make({"--vintage", "4"}).get_int_in<std::size_t>("vintage", 1, 1, 3),
       ModelError);
+  // The drivers' --threads bound: past it no worker thread is asked for.
+  EXPECT_EQ(make({"--threads", "1024"})
+                .get_int_in<unsigned>("threads", 0, 0, kMaxCliThreads),
+            kMaxCliThreads);
+  EXPECT_THROW((void)make({"--threads", "100000"})
+                   .get_int_in<unsigned>("threads", 0, 0, kMaxCliThreads),
+               ModelError);
   // 64-bit destinations are bounded by the parser's own range.
   EXPECT_EQ(make({"--trials", "9223372036854775807"})
                 .get_int_in<std::size_t>("trials", 1, 1),

@@ -7,38 +7,6 @@
 namespace raidrel::util {
 namespace {
 
-TEST(Linspace, EndpointsAndSpacing) {
-  const auto v = linspace(0.0, 10.0, 11);
-  ASSERT_EQ(v.size(), 11u);
-  EXPECT_DOUBLE_EQ(v.front(), 0.0);
-  EXPECT_DOUBLE_EQ(v.back(), 10.0);
-  EXPECT_DOUBLE_EQ(v[3], 3.0);
-}
-
-TEST(Linspace, TwoPoints) {
-  const auto v = linspace(-1.0, 1.0, 2);
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_DOUBLE_EQ(v[0], -1.0);
-  EXPECT_DOUBLE_EQ(v[1], 1.0);
-}
-
-TEST(Linspace, RejectsSinglePoint) {
-  EXPECT_THROW(linspace(0.0, 1.0, 1), ModelError);
-}
-
-TEST(Logspace, GeometricSpacing) {
-  const auto v = logspace(1.0, 1000.0, 4);
-  ASSERT_EQ(v.size(), 4u);
-  EXPECT_NEAR(v[0], 1.0, 1e-12);
-  EXPECT_NEAR(v[1], 10.0, 1e-9);
-  EXPECT_NEAR(v[2], 100.0, 1e-9);
-  EXPECT_DOUBLE_EQ(v[3], 1000.0);
-}
-
-TEST(Logspace, RejectsNonPositive) {
-  EXPECT_THROW(logspace(0.0, 10.0, 3), ModelError);
-}
-
 TEST(Buckets, CountAndEdges) {
   EXPECT_EQ(bucket_count(100.0, 10.0), 10u);
   EXPECT_EQ(bucket_count(105.0, 10.0), 11u);  // clipped final bucket

@@ -74,17 +74,6 @@ TEST(NormalQuantile, RejectsOutOfRange) {
   EXPECT_THROW(normal_quantile(1.0), ModelError);
 }
 
-TEST(Bisect, FindsSimpleRoot) {
-  auto r = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(r.root, std::sqrt(2.0), 1e-10);
-}
-
-TEST(Bisect, RequiresSignChange) {
-  EXPECT_THROW(bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0),
-               ModelError);
-}
-
 TEST(Brent, FindsRootFasterThanBisect) {
   int calls_brent = 0;
   auto rb = brent(
