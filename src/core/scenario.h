@@ -41,8 +41,8 @@ struct ScenarioConfig {
   /// configuration and its digest are unaffected, and any estimator built
   /// from a tilted run converges to the same answer as an untilted one.
   /// 1.0 (the default) leaves the corresponding law untouched.
-  double op_tilt = 1.0;  ///< hazard scale on TTOp draws
-  double ld_tilt = 1.0;  ///< hazard scale on TTLd draws
+  double op_tilt = 1.0;  ///< hazard scale on exposure-window TTOp redraws
+  double ld_tilt = 1.0;  ///< retired latent tilt: must stay 1.0
 
   /// Materialize into the engine-level configuration.
   [[nodiscard]] raid::GroupConfig to_group_config() const;

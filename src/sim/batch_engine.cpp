@@ -28,7 +28,8 @@ BatchGroupSimulator::BatchGroupSimulator(const raid::GroupConfig& config,
       nslots_(config.slots.size()) {
   RAIDREL_REQUIRE(width >= 1, "batch width must be at least 1");
   cfg_.validate();
-  if (latent_credit_exclusion(cfg_, tilt) == nullptr) {
+  if (latent_credit_exclusion(cfg_, tilt) == nullptr ||
+      (tilt && tilt->engaged())) {
     forward_.emplace(cfg_, policy, tilt, std::move(curves), double_op_probe);
     results_.resize(width_);
     return;
@@ -36,12 +37,6 @@ BatchGroupSimulator::BatchGroupSimulator(const raid::GroupConfig& config,
   kernels_.reserve(nslots_);
   for (const auto& slot : cfg_.slots) {
     kernels_.push_back(SlotKernel::compile(slot, policy));
-  }
-  if (tilt) {
-    for (const SlotKernel& k : kernels_) validate_tilt(*tilt, k);
-    op_tilt_ = HazardTilt(tilt->op_theta);
-    ld_tilt_ = HazardTilt(tilt->ld_theta);
-    tilted_ = true;
   }
   for (const Law which : {Law::kOp, Law::kRestore, Law::kLatent, Law::kScrub}) {
     bool uniform = true;
@@ -74,7 +69,6 @@ BatchGroupSimulator::BatchGroupSimulator(const raid::GroupConfig& config,
   c_scrub_.resize(width_);
   c_restore_.resize(width_);
   c_spare_.resize(width_);
-  lw_.resize(width_);
   traces_.resize(width_);
   group_failed_until_.resize(width_);
   ddf_slot_.resize(width_);
@@ -96,8 +90,6 @@ BatchGroupSimulator::BatchGroupSimulator(const raid::GroupConfig& config,
   out_scratch_.resize(width_);
   age_scratch_.resize(width_);
   cell_scratch_.resize(width_);
-  lw_scratch_.resize(width_);
-  horizon_scratch_.resize(width_);
 
   if (probe_) {
     probe_p_.resize(nslots_);
@@ -136,46 +128,8 @@ const CompiledLaw& BatchGroupSimulator::law_of(
 void BatchGroupSimulator::bulk_sample(Law which, const Ev* elems,
                                       std::size_t n, bool residual) {
   if (n == 0) return;
-  // Only op and latent laws tilt; restore/scrub refills stay nominal.
-  const HazardTilt* tilt = nullptr;
-  if (tilted_) {
-    if (which == Law::kOp) {
-      tilt = &op_tilt_;
-    } else if (which == Law::kLatent) {
-      tilt = &ld_tilt_;
-    }
-  }
   if (uniform_law_[static_cast<std::size_t>(which)]) {
     const CompiledLaw& law = law_of(which, 0);
-    if (tilt != nullptr) {
-      // Stage each element's tilt horizon with the same arithmetic the
-      // scalar engine uses at its draw site (mission remaining at the
-      // element's own event time).
-      const double mission = cfg_.mission_hours;
-      if (residual) {
-        for (std::size_t k = 0; k < n; ++k) {
-          horizon_scratch_[k] = age_scratch_[k] + (mission - elems[k].t);
-        }
-        law.sample_residual_n_tilted(*tilt, age_scratch_.data(),
-                                     horizon_scratch_.data(),
-                                     rs_scratch_.data(), out_scratch_.data(),
-                                     lw_scratch_.data(), n, *ops_, tier_);
-      } else {
-        for (std::size_t k = 0; k < n; ++k) {
-          horizon_scratch_[k] = mission - elems[k].t;
-        }
-        law.sample_n_tilted(*tilt, horizon_scratch_.data(),
-                            rs_scratch_.data(), out_scratch_.data(),
-                            lw_scratch_.data(), n, *ops_, tier_);
-      }
-      // Scatter the weight terms in bucket (= lane) order: one add per
-      // draw, the same rounding sequence as the scalar engine's
-      // `log_w += term`.
-      for (std::size_t k = 0; k < n; ++k) {
-        lw_[elems[k].lane] += lw_scratch_[k];
-      }
-      return;
-    }
     if (residual) {
       law.sample_residual_n(age_scratch_.data(), rs_scratch_.data(),
                             out_scratch_.data(), n, *ops_, tier_);
@@ -187,24 +141,6 @@ void BatchGroupSimulator::bulk_sample(Law which, const Ev* elems,
   // Mixed laws across slots (mixed-vintage groups): draw element-wise
   // through each element's own slot law — same values, smaller batching
   // win.
-  if (tilt != nullptr) {
-    const double mission = cfg_.mission_hours;
-    for (std::size_t k = 0; k < n; ++k) {
-      const CompiledLaw& law = law_of(which, elems[k].slot);
-      lw_scratch_[k] = 0.0;  // 0.0 + term == term, so += stores it exactly
-      out_scratch_[k] =
-          residual ? law.sample_residual_tilted(
-                         *tilt, age_scratch_[k],
-                         age_scratch_[k] + (mission - elems[k].t),
-                         *rs_scratch_[k], lw_scratch_[k])
-                   : law.sample_tilted(*tilt, mission - elems[k].t,
-                                       *rs_scratch_[k], lw_scratch_[k]);
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      lw_[elems[k].lane] += lw_scratch_[k];
-    }
-    return;
-  }
   for (std::size_t k = 0; k < n; ++k) {
     const CompiledLaw& law = law_of(which, elems[k].slot);
     out_scratch_[k] = residual
@@ -304,16 +240,10 @@ void BatchGroupSimulator::scalar_defect_countdown(std::uint32_t lane,
   if (!latent.present()) {
     ld = kInf;
   } else if (age_clock_) {
-    const double age = now - cells_[i].install_time;
-    ld = now + (tilted_ ? latent.sample_residual_tilted(
-                              ld_tilt_, age, age + (cfg_.mission_hours - now),
-                              streams_[lane], lw_[lane])
-                        : latent.sample_residual(age, streams_[lane]));
+    ld = now + latent.sample_residual(now - cells_[i].install_time,
+                                      streams_[lane]);
   } else {
-    ld = now + (tilted_ ? latent.sample_tilted(ld_tilt_,
-                                               cfg_.mission_hours - now,
-                                               streams_[lane], lw_[lane])
-                        : latent.sample(streams_[lane]));
+    ld = now + latent.sample(streams_[lane]);
   }
   const double op = cells_[i].next_op;
   cells_[i].next_ld = ld;
@@ -771,7 +701,6 @@ void BatchGroupSimulator::run_lane(const rng::StreamFactory& streams,
     c_scrub_[w] = 0;
     c_restore_[w] = 0;
     c_spare_[w] = 0;
-    lw_[w] = 0.0;
     group_failed_until_[w] = 0.0;
     ddf_slot_[w] = SIZE_MAX;
     spares_available_[w] = cfg_.spare_pool ? cfg_.spare_pool->capacity : 0;
@@ -870,7 +799,6 @@ void BatchGroupSimulator::run_lane(const rng::StreamFactory& streams,
     res.scrubs_completed = c_scrub_[w];
     res.restores_completed = c_restore_[w];
     res.spare_arrivals = c_spare_[w];
-    res.log_weight = lw_[w];
   }
 }
 

@@ -34,7 +34,9 @@
 // GroupSimulator on the trial's own stream. result(w) is then that
 // engine's credited TrialResult — `ddfs` the realized sample path,
 // `latent_credit` the estimate's input, latent_defects and
-// scrubs_completed 0 — and occupancy() stays empty.
+// scrubs_completed 0 — and occupancy() stays empty. Runs under an engaged
+// importance-sampling tilt are forwarded the same way: the exposure-window
+// proposal (docs/MODEL.md §13) lives only in the scalar core.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +61,9 @@ namespace raidrel::sim {
 class BatchGroupSimulator {
  public:
   /// `width` >= 1 is the lane capacity; `policy` selects compiled or
-  /// reference virtual kernels exactly as in GroupSimulator, and `tilt`
-  /// carries the same importance-sampling semantics (present routes through
-  /// the weighted samplers, unit tilt stays bit-identical, per-trial log
-  /// weights land in TrialResult::log_weight). `tier` selects the bulk
+  /// reference virtual kernels exactly as in GroupSimulator. An engaged
+  /// `tilt` forwards every trial to the scalar core (see the file comment);
+  /// a unit tilt is the plain path. `tier` selects the bulk
   /// refills' math tier (sim/lane_ops.h): the default kExact keeps the
   /// bit-reproducibility contract above; kFast trades it for the
   /// polynomial transcendental kernels (statistically equivalent,
@@ -185,8 +186,8 @@ class BatchGroupSimulator {
   void process_latent_defects();
 
   const raid::GroupConfig& cfg_;
-  /// Set for latent-credit configs: run_lane forwards every trial here and
-  /// none of the lockstep state below is allocated.
+  /// Set for latent-credit configs and engaged tilts: run_lane forwards
+  /// every trial here and none of the lockstep state below is allocated.
   std::optional<GroupSimulator> forward_;
   std::vector<SlotKernel> kernels_;  ///< lowered laws, one per slot
   /// Constructor-resolved lane backend (never null) and math tier; every
@@ -206,14 +207,6 @@ class BatchGroupSimulator {
   bool probe_ = false;           ///< record TrialResult::double_op_probe
   bool uniform_latent_present_ = false;  ///< every slot has the same latent law
   bool any_trace_ = false;       ///< some lane of the current run records
-  // Importance-sampling state, mirroring GroupSimulator: tilted_ is true
-  // whenever a TiltSpec was passed (unit or not). Per-lane log weights
-  // accumulate in lw_; bulk refills assign per-element weight terms into
-  // lw_scratch_ and scatter them lane by lane in bucket order, which adds
-  // each lane's terms in exactly the scalar engine's dispatch sequence.
-  HazardTilt op_tilt_;
-  HazardTilt ld_tilt_;
-  bool tilted_ = false;
 
   /// Per-cell slot state, indexed idx(lane, slot). Same fields, same
   /// semantics as detail::GroupCore::Slot, packed into exactly one cache
@@ -257,7 +250,6 @@ class BatchGroupSimulator {
   std::vector<std::uint64_t> c_scrub_;
   std::vector<std::uint64_t> c_restore_;
   std::vector<std::uint64_t> c_spare_;
-  std::vector<double> lw_;  ///< per-lane running log weight (tilted runs)
   std::vector<obs::TrialTrace*> traces_;
   std::vector<double> group_failed_until_;
   std::vector<std::size_t> ddf_slot_;
@@ -297,10 +289,6 @@ class BatchGroupSimulator {
   /// Cell indices cached by the refresh paths' gather passes so their
   /// scatter passes reuse them instead of recomputing lane * nslots + slot.
   std::vector<std::size_t> cell_scratch_;
-  std::vector<double> lw_scratch_;  ///< per-element weight terms of a refill
-  /// Per-element tilt horizons (mission remaining, or horizon age for
-  /// residual draws), staged alongside the refill inputs; see HazardTilt.
-  std::vector<double> horizon_scratch_;
 
   // probe_probability scratch, as in the scalar engine, plus flat passes:
   // the probe's cumulative-hazard pows are pure functions of slot state, so

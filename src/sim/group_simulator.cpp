@@ -105,9 +105,8 @@ GroupCore::GroupCore(const raid::GroupConfig& config, KernelPolicy policy,
   }
   if (tilt) {
     for (const SlotKernel& k : kernels_) validate_tilt(*tilt, k);
+    op_tilted_ = tilt->op_theta != 1.0;
     op_tilt_ = HazardTilt(tilt->op_theta);
-    ld_tilt_ = HazardTilt(tilt->ld_theta);
-    tilted_ = true;
   }
   declustered_ = cfg_.rebuild == raid::RebuildModel::kDeclustered;
   credit_ = latent_credit_exclusion(cfg_, tilt) == nullptr;
@@ -153,26 +152,12 @@ void GroupCore::start_defect_countdown(std::size_t i, double now,
   s.seen_clean = now;
   if (credit_ || !latent.present()) {
     s.next_ld = kInf;
-    refresh_next_event(s);
-    return;
-  }
-  // Tilted draws cap the proposal at the observation horizon — the oldest
-  // drive age (residual clock) or longest lifetime (renewal clock) the
-  // mission can still observe for this draw.
-  if (cfg_.latent_clock == raid::LatentClock::kDriveAge) {
+  } else if (cfg_.latent_clock == raid::LatentClock::kDriveAge) {
     // NHPP in drive age: next arrival solves H(age') = H(age) + Exp(1).
-    const double age = now - s.install_time;
-    s.next_ld =
-        now + (tilted_ ? latent.sample_residual_tilted(
-                             ld_tilt_, age, age + (cfg_.mission_hours - now),
-                             rs, log_w_)
-                       : latent.sample_residual(age, rs));
+    s.next_ld = now + latent.sample_residual(now - s.install_time, rs);
   } else {
     // Paper §5 renewal: a fresh TTLd from the moment of defect-freedom.
-    s.next_ld = now + (tilted_ ? latent.sample_tilted(
-                                     ld_tilt_, cfg_.mission_hours - now, rs,
-                                     log_w_)
-                               : latent.sample(rs));
+    s.next_ld = now + latent.sample(rs);
   }
   refresh_next_event(s);
 }
@@ -185,11 +170,30 @@ void GroupCore::install_fresh_drive(std::size_t i, double now,
   s.awaiting_spare = false;
   // A lifetime censored at the mission end is past it from any install
   // time, and run_missions stops before reading it: +inf stands in.
-  s.next_op =
-      now + (tilted_ ? kernels_[i].op.sample_tilted(
-                           op_tilt_, cfg_.mission_hours - now, rs, log_w_)
-                     : kernels_[i].op.sample_censored(op_censor_[i], rs));
+  // Installs are never tilted (docs/MODEL.md §13).
+  s.next_op = now + kernels_[i].op.sample_censored(op_censor_[i], rs);
   start_defect_countdown(i, now, rs);  // refreshes the cached next event
+}
+
+void GroupCore::open_window(std::size_t failed, double now,
+                            double restore_end, rng::RandomStream& rs) {
+  for (std::size_t j = 0; j < slots_.size(); ++j) {
+    if (j != failed && slots_[j].restoring()) return;  // already degraded
+  }
+  // Each partner's pending lifetime was observed only as "survived to
+  // now", and its proposal from now on is the nominal law (an untilted
+  // draw, or a tilted one already past its cap: a group is whole again
+  // only after the restore that capped it), so discarding it and drawing
+  // the residual is exact; the new draw's weight term is final when added.
+  const double window = std::min(restore_end, cfg_.mission_hours) - now;
+  for (std::size_t j = 0; j < slots_.size(); ++j) {
+    if (j == failed) continue;
+    Slot& s = slots_[j];
+    const double age = now - s.install_time;
+    s.next_op = now + kernels_[j].op.sample_residual_tilted(
+                          op_tilt_, age, age + window, rs, log_w_);
+    refresh_next_event(s);
+  }
 }
 
 double GroupCore::probe_probability(std::size_t failed_slot, double now,
@@ -271,6 +275,7 @@ void GroupCore::handle_op_failure(std::size_t group, std::size_t i,
     // `base * scale` product, preserving bit-identity.
     restore_duration *= declustered_restore_scale(i);
   }
+  if (op_tilted_) open_window(i, now, now + restore_duration, rs);
 
   if (now >= group_failed_until_) {
     // Fault census at the failure instant: drives down or rebuilding

@@ -49,6 +49,12 @@
 // (TrialResult::first_drive_failures), the input of the first-drive
 // control variate; marking draws nothing.
 //
+// An engaged TiltSpec biases failures only inside exposure windows
+// (docs/MODEL.md §13): fresh installs draw untilted, and when an op failure
+// takes a whole group degraded every partner's residual op life is redrawn
+// tilted up to the failing drive's restore end. Untilted and unit-tilt runs
+// never reach that code.
+//
 // The per-group state and handlers live in detail::GroupCore and the event
 // loop in detail::run_missions; FleetSimulator runs one core per group
 // through the same loop against a shared detail::SparePool (docs/MODEL.md
@@ -105,9 +111,9 @@ struct TrialResult {
 
   /// Log importance weight of the trial: the exact log-likelihood-ratio of
   /// the nominal law against the tilted proposal, summed over every tilted
-  /// draw. Exactly 0.0 for untilted (and unit-tilt) runs, so
-  /// exp(log_weight) == 1.0 and weighted estimators reduce bit-identically
-  /// to the plain ones.
+  /// draw (docs/MODEL.md §13). Exactly 0.0 for untilted (and unit-tilt)
+  /// runs, so exp(log_weight) == 1.0 and weighted estimators reduce
+  /// bit-identically to the plain ones.
   double log_weight = 0.0;
 
   std::uint64_t op_failures = 0;
@@ -226,6 +232,12 @@ class GroupCore {
   };
 
   void install_fresh_drive(std::size_t i, double now, rng::RandomStream& rs);
+  /// Exposure-window proposal (docs/MODEL.md §13): when slot `failed`'s
+  /// failure takes a whole group degraded, redraw every partner's residual
+  /// op life tilted by op_tilt_ up to `restore_end` (clipped to the
+  /// mission end) and nominal past it; otherwise do nothing.
+  void open_window(std::size_t failed, double now, double restore_end,
+                   rng::RandomStream& rs);
   void start_defect_countdown(std::size_t i, double now,
                               rng::RandomStream& rs);
   void handle_op_failure(std::size_t group, std::size_t i, double now,
@@ -271,12 +283,11 @@ class GroupCore {
   std::vector<Slot> slots_;
   double next_time_ = 0.0;
   std::size_t next_slot_ = 0;
-  // Importance-sampling state: tilted_ is true whenever a TiltSpec was
-  // passed (unit or not) so the unit-tilt equivalence tests exercise the
-  // weighted kernels; log_w_ accumulates the running trial's log weight.
+  // Importance-sampling state: op_tilted_ is set by an engaged op tilt
+  // only, so untilted and unit-tilt runs never reach the window proposal;
+  // log_w_ accumulates the running trial's log weight.
   HazardTilt op_tilt_;
-  HazardTilt ld_tilt_;
-  bool tilted_ = false;
+  bool op_tilted_ = false;
   bool declustered_ = false;  ///< cfg_.rebuild == kDeclustered
   bool probe_ = false;        ///< record TrialResult::double_op_probe
   /// Latent-credit path (sim/latent_credit.h): no defect or scrub events;
@@ -344,14 +355,15 @@ class GroupSimulator {
  public:
   /// `policy` selects between the compiled sampling kernels (default) and
   /// the reference virtual-dispatch path; both produce bit-identical event
-  /// histories (see slot_kernel.h). When `tilt` is present, op and latent
-  /// lifetimes are drawn from the hazard-scaled proposal and the trial's
-  /// exact log-likelihood-ratio is reported in TrialResult::log_weight; a
-  /// present-but-unit tilt exercises the weighted kernels and is
-  /// bit-identical to the plain path. Engaged (non-unit) tilt requires the
-  /// op/latent laws to be lowerable (no kVirtual fallback, which also rules
-  /// out KernelPolicy::kVirtualOnly). `curves` shares a run's latent-credit
-  /// tables; null builds them here when the config is in scope.
+  /// histories (see slot_kernel.h). An engaged `tilt` redraws the
+  /// operational partners' residual op lives from the hazard-scaled
+  /// proposal whenever a failure takes the whole group degraded
+  /// (docs/MODEL.md §13) and reports the trial's exact log-likelihood-ratio
+  /// in TrialResult::log_weight; a unit tilt is the plain path. Engaged
+  /// tilt requires lowerable op laws (no kVirtual fallback, which also
+  /// rules out KernelPolicy::kVirtualOnly). `curves` shares a run's
+  /// latent-credit tables; null builds them here when the config is in
+  /// scope.
   /// `double_op_probe` records TrialResult::double_op_probe (off leaves it
   /// empty and changes nothing else).
   explicit GroupSimulator(const raid::GroupConfig& config,

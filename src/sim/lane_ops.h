@@ -22,7 +22,7 @@
 // Math tiers: kExact (default) keeps every transform on libm — results
 // bit-identical to the scalar engine, the contract every equivalence
 // test pins. kFast swaps the hot Weibull-quantile transforms (the
-// -log(u) draw and the pow in fresh refills, including tilted ones)
+// -log(u) draw and the pow in fresh refills)
 // onto the polynomial kernels: ~1e-15 relative accuracy per sample
 // (tests/math_tier_test.cpp pins 1e-12), statistically equivalent
 // results, not bit-comparable to kExact. Residual draws and hazard

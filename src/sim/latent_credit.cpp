@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
+#include <iterator>
 
 #include "stats/weibull.h"
 #include "util/error.h"
@@ -19,9 +21,11 @@ double exponential_rate(const stats::Distribution* law) noexcept {
   return 1.0 / w->scale();
 }
 
-LatentCurveKey curve_key(const raid::SlotModel& slot, double horizon) {
-  return {exponential_rate(slot.time_to_latent_defect.get()),
-          slot.time_to_scrub.get(), horizon};
+/// Orders LatentCurves' slot entries by slot address.
+bool by_slot(const std::pair<const raid::SlotModel*,
+                             const analytic::LatentCurve*>& entry,
+             const raid::SlotModel* slot) noexcept {
+  return std::less<>()(entry.first, slot);
 }
 
 }  // namespace
@@ -153,10 +157,11 @@ std::shared_ptr<const analytic::LatentCurve> LatentCurveCache::get(
 
 LatentCurves::LatentCurves(std::span<const raid::GroupConfig* const> groups,
                            LatentCurveCache* cache) {
+  double horizon = 0.0;
   for (const raid::GroupConfig* g : groups) {
     RAIDREL_REQUIRE(latent_credit_exclusion(*g) == nullptr,
                     "latent curves need in-scope groups");
-    horizon_ = std::max(horizon_, g->mission_hours);
+    horizon = std::max(horizon, g->mission_hours);
   }
   LatentCurveCache local;
   if (cache == nullptr) cache = &local;
@@ -164,23 +169,28 @@ LatentCurves::LatentCurves(std::span<const raid::GroupConfig* const> groups,
     for (const raid::SlotModel& slot : g->slots) {
       const double rate = exponential_rate(slot.time_to_latent_defect.get());
       const stats::Distribution* scrub = slot.time_to_scrub.get();
-      LatentCurveKey key(rate, scrub, horizon_);
-      const bool known =
-          std::any_of(curves_.begin(), curves_.end(),
-                      [&](const auto& c) { return c.first == key; });
-      if (known) continue;
-      curves_.emplace_back(std::move(key), cache->get(rate, scrub, horizon_));
+      LatentCurveKey key(rate, scrub, horizon);
+      auto known = std::find_if(curves_.begin(), curves_.end(),
+                                [&](const auto& c) { return c.first == key; });
+      if (known == curves_.end()) {
+        curves_.emplace_back(std::move(key), cache->get(rate, scrub, horizon));
+        known = std::prev(curves_.end());
+      }
+      slots_.emplace_back(&slot, known->second.get());
     }
   }
+  std::sort(slots_.begin(), slots_.end(),
+            [](const auto& a, const auto& b) { return by_slot(a, b.first); });
 }
 
 const analytic::LatentCurve& LatentCurves::of(
     const raid::SlotModel& slot) const {
-  const LatentCurveKey key = curve_key(slot, horizon_);
-  for (const auto& [k, curve] : curves_) {
-    if (k == key) return *curve;
+  const auto at =
+      std::lower_bound(slots_.begin(), slots_.end(), &slot, by_slot);
+  if (at == slots_.end() || at->first != &slot) {
+    throw ModelError("no latent curve for this slot");
   }
-  throw ModelError("no latent curve for this slot's laws");
+  return *at->second;
 }
 
 std::shared_ptr<const LatentCurves> latent_curves_for(

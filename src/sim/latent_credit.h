@@ -100,16 +100,19 @@ class LatentCurves {
   explicit LatentCurves(std::span<const raid::GroupConfig* const> groups,
                         LatentCurveCache* cache = nullptr);
 
-  /// The curve of one slot of a group passed to the constructor.
+  /// The curve of one slot of a group passed to the constructor, found by
+  /// the slot's address (each slot's curve is resolved there, once).
   [[nodiscard]] const analytic::LatentCurve& of(
       const raid::SlotModel& slot) const;
   [[nodiscard]] std::size_t size() const noexcept { return curves_.size(); }
 
  private:
-  double horizon_ = 0.0;
   std::vector<
       std::pair<LatentCurveKey, std::shared_ptr<const analytic::LatentCurve>>>
       curves_;
+  /// Every constructor slot's curve, sorted by slot address.
+  std::vector<std::pair<const raid::SlotModel*, const analytic::LatentCurve*>>
+      slots_;
 };
 
 /// Curves for `config` from `cache` (null: a local one) when it is in

@@ -78,11 +78,11 @@ struct RunOptions {
   std::size_t batch_width = kDefaultBatchWidth;
 
   /// Importance-sampling tilt (docs/MODEL.md §13). Absent — the default —
-  /// runs the plain engines. Present, it routes op/latent draws through
-  /// the hazard-scaled proposal and weights every trial by its exact
-  /// likelihood ratio; a present-but-unit tilt exercises the weighted path
-  /// and stays bit-identical to the plain one. Engaged tilt requires
-  /// lowerable op/latent laws and is rejected by fleet runs.
+  /// or unit runs the plain engines. Engaged, it biases op failures inside
+  /// exposure windows on the scalar core (batched lanes forward to it) and
+  /// weights every trial by its exact likelihood ratio. Engaged tilt
+  /// requires lowerable op laws, ld_theta must be 1, and fleet runs reject
+  /// it.
   std::optional<TiltSpec> tilt = std::nullopt;
 
   /// Cooperative cancellation (util/cancel.h). When set, every worker

@@ -181,13 +181,11 @@ void CompiledLaw::sample_residual_n(const double ages[],
   }
 }
 
-// The tilted bulk bodies follow the same draw-pass / transform-pass split
+// The tilted bulk body follows the same draw-pass / transform-pass split
 // as the plain ones, with HazardTilt::apply_e folding each pre-drawn raw
-// exponential through the capped proposal. The weight term for element i
-// is *assigned* to log_w[i] so the caller can fold it into its per-lane
-// accumulator with a single add — the same rounding sequence as the
-// scalar samplers, which do one `log_w += term` per draw. Hazard caps
-// and weight arithmetic stay exact at every tier.
+// exponential through the capped proposal; each element's weight term is
+// assigned to log_w[i]. Hazard caps and weight arithmetic stay exact at
+// every tier.
 void CompiledLaw::sample_n_tilted(const HazardTilt& tilt,
                                   const double horizons[],
                                   rng::RandomStream* const streams[],
@@ -231,71 +229,6 @@ void CompiledLaw::sample_n_tilted(const HazardTilt& tilt,
   }
 }
 
-void CompiledLaw::sample_residual_n_tilted(const HazardTilt& tilt,
-                                           const double ages[],
-                                           const double horizon_ages[],
-                                           rng::RandomStream* const streams[],
-                                           double out[], double log_w[],
-                                           std::size_t n, const LaneOps& ops,
-                                           MathTier tier) const {
-  (void)tier;  // residual transforms stay on libm at every tier
-  switch (kind_) {
-    case Kind::kExponentialWeibull: {
-      fill_exponential_exact(streams, out, n, ops);
-      const double a = a_;
-      const double b = b_;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double age = ages[i];
-        const double x0 = std::max(age - a, 0.0) / b;
-        const double cap = std::max(cum_hazard(horizon_ages[i]) - x0, 0.0);
-        const double e = tilt.apply_e(out[i], cap, log_w[i]);
-        const double ratio = e / x0;  // h0 == x0 when beta == 1
-        if (x0 > 0.0 && std::isfinite(ratio)) {
-          out[i] = b * x0 * std::expm1(std::log1p(ratio));
-        } else {
-          const double t = a + b * (x0 + e);
-          out[i] = std::max(0.0, t - age);
-        }
-      }
-      return;
-    }
-    case Kind::kWeibull: {
-      fill_exponential_exact(streams, out, n, ops);
-      const double a = a_;
-      const double b = b_;
-      const double beta = beta_;
-      const double inv_beta = inv_beta_;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x0 = std::max(ages[i] - a, 0.0) / b;
-        const double h0 = x0 > 0.0 ? std::pow(x0, beta) : 0.0;
-        const double cap = std::max(cum_hazard(horizon_ages[i]) - h0, 0.0);
-        out[i] = tilt.apply_e(out[i], cap, log_w[i]);
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        const double age = ages[i];
-        const double x0 = std::max(age - a, 0.0) / b;
-        const double h0 = x0 > 0.0 ? std::pow(x0, beta) : 0.0;
-        const double e = out[i];
-        const double ratio = e / h0;
-        if (h0 > 0.0 && std::isfinite(ratio)) {
-          out[i] = b * x0 * std::expm1(inv_beta * std::log1p(ratio));
-        } else {
-          const double x1 = std::pow(h0 + e, inv_beta);
-          const double t = a + b * x1;
-          out[i] = std::max(0.0, t - age);
-        }
-      }
-      return;
-    }
-    default:  // kVirtual: unit tilt only (enforced by engines), weight 0
-      for (std::size_t i = 0; i < n; ++i) {
-        log_w[i] = 0.0;
-        out[i] = dist_->sample_residual(ages[i], *streams[i]);
-      }
-      return;
-  }
-}
-
 SlotKernel SlotKernel::compile(const raid::SlotModel& model,
                                KernelPolicy policy) {
   SlotKernel k;
@@ -309,17 +242,12 @@ SlotKernel SlotKernel::compile(const raid::SlotModel& model,
 void validate_tilt(const TiltSpec& tilt, const SlotKernel& kernel) {
   RAIDREL_REQUIRE(tilt.op_theta > 0.0 && std::isfinite(tilt.op_theta),
                   "tilt op_theta must be positive and finite");
-  RAIDREL_REQUIRE(tilt.ld_theta > 0.0 && std::isfinite(tilt.ld_theta),
-                  "tilt ld_theta must be positive and finite");
+  RAIDREL_REQUIRE(tilt.ld_theta == 1.0,
+                  "the latent tilt is retired: ld_theta must be 1");
   RAIDREL_REQUIRE(
       tilt.op_theta == 1.0 ||
           kernel.op.kind() != CompiledLaw::Kind::kVirtual,
       "engaged op tilt requires a lowerable op law (no virtual fallback)");
-  RAIDREL_REQUIRE(
-      tilt.ld_theta == 1.0 ||
-          kernel.latent.kind() != CompiledLaw::Kind::kVirtual,
-      "engaged latent tilt requires a lowerable latent law "
-      "(no virtual fallback)");
 }
 
 }  // namespace raidrel::sim

@@ -48,24 +48,23 @@ namespace raidrel::sim {
 enum class KernelPolicy : std::uint8_t { kLowered, kVirtualOnly };
 
 /// Importance-sampling tilt parameters for one run (docs/MODEL.md §13).
-/// Each theta scales the cumulative hazard of the corresponding law below
-/// the trial's observation horizon: the proposal draws lifetimes from
-/// H~(t) = theta * H(t) for t inside the mission window (for the Weibull
-/// family that is the same Weibull with eta~ = eta * theta^(-1/beta)) and
-/// reverts to the nominal hazard increment beyond it (see HazardTilt) —
-/// theta > 1 accelerates failures so rare DDF paths are hit often, and
-/// the exact likelihood ratio is accumulated per trial as a log-weight.
-/// Restore and scrub laws are never tilted (they are not rare-event
-/// bottlenecks, and leaving them nominal keeps the repair dynamics exact).
+/// `op_theta` scales the cumulative hazard of the operational partners'
+/// residual lifetimes inside each exposure window: when an op failure takes
+/// a whole group degraded, every other drive's remaining life is redrawn
+/// from H~ = theta * H up to the failing drive's restore end and from the
+/// nominal hazard beyond it (see HazardTilt). Fresh installs and a whole
+/// group's drives stay untilted. theta > 1 makes a second failure inside
+/// the window more likely, and the exact likelihood ratio is accumulated per
+/// trial as a log-weight. Restore and scrub laws are never tilted.
 struct TiltSpec {
   double op_theta = 1.0;  ///< hazard scale on time-to-op-failure, > 0
-  double ld_theta = 1.0;  ///< hazard scale on time-to-latent-defect, > 0
+  /// Retired: the latent tilt is gone and validate_tilt rejects any value
+  /// but 1. The field keeps TiltSpec{op, ld} spellings compiling.
+  double ld_theta = 1.0;
 
-  /// True when any component actually twists the law. A present-but-unit
-  /// TiltSpec still routes sampling through the weighted kernels (that is
-  /// what the unit-tilt equivalence tests exercise); `engaged()` gates the
-  /// places where unit tilt must leave artifacts byte-identical (digests,
-  /// manifests, cache keys).
+  /// True when any component actually twists the law. A unit TiltSpec is
+  /// the plain engine: `engaged()` gates every place a tilt changes a
+  /// draw or an artifact (digests, manifests, cache keys).
   [[nodiscard]] bool engaged() const noexcept {
     return op_theta != 1.0 || ld_theta != 1.0;
   }
@@ -74,23 +73,19 @@ struct TiltSpec {
 
 /// One law's hazard-scale tilt, with the log-likelihood-ratio kernel
 /// precomputed. The tilt is *capped*: the proposal scales only the hazard
-/// mass the trial can actually observe,
+/// mass below a cap,
 ///   H~(e) = theta * e            for e <  cap,
 ///   H~(e) = e + (theta-1) * cap  for e >= cap,
 /// where e is the law's nominal exponent (H(T) ~ Exp(1)) and `cap` is the
-/// nominal hazard at the draw's observation horizon (mission end). Draws
-/// that land beyond the horizon therefore carry the *bounded* weight
-/// (theta-1)*cap instead of the uncapped kernel's exp((theta-1)*e) tail —
-/// the uncapped exponential tilt has infinite estimator variance for
-/// theta >= 2 (E[exp((theta-1)e)] diverges), paid per censored draw, which
-/// destroys exactly the rare-event studies the tilt exists for.
+/// nominal hazard up to the draw's horizon (for exposure-window redraws,
+/// the failing drive's restore end clipped to the mission end). Draws that
+/// land beyond the horizon carry the *bounded* weight (theta-1)*cap, and
+/// past the cap the proposal's conditional law is the nominal one.
 ///
 /// Sampling draws E~ ~ Exp(1) once and inverts H~; the per-draw weight is
 /// the exact log-likelihood ratio of the capped proposal:
 ///   log w += (theta - 1) * e - log(theta)   for e <  cap,
 ///   log w += (theta - 1) * cap              for e >= cap.
-/// At theta == 1 both branches reduce bit-identically to the plain path
-/// (e = E~/1.0 and E~ - 0.0*cap are exact; both weight terms are +0.0).
 class HazardTilt {
  public:
   HazardTilt() = default;
@@ -100,12 +95,11 @@ class HazardTilt {
   [[nodiscard]] double theta() const noexcept { return theta_; }
 
   /// The proposal transform applied to an already-drawn Exp(1) variate
-  /// `raw` — the bulk samplers pre-fill their raw draws (rng/bulk.h)
-  /// and feed them through here; the arithmetic is sample_e's, verbatim.
-  /// Writes the draw's exact log-likelihood-ratio term into `log_w_term`
-  /// (assigned, not accumulated). `cap` is a proposal parameter, not a
-  /// correctness input: any non-negative value yields an unbiased
-  /// estimator, tighter ones just cut weight variance.
+  /// `raw` (the bulk sampler pre-fills its raw draws, rng/bulk.h); the
+  /// arithmetic is sample_e's, verbatim. Writes the draw's exact
+  /// log-likelihood-ratio term into `log_w_term` (assigned, not
+  /// accumulated). `cap` is a proposal parameter, not a correctness input:
+  /// any non-negative value yields an unbiased estimator.
   [[nodiscard]] double apply_e(double raw, double cap,
                                double& log_w_term) const {
     if (raw < theta_ * cap) {
@@ -224,30 +218,13 @@ class CompiledLaw {
     }
   }
 
-  /// Draw one variate from the capped-tilt proposal law and accumulate the
-  /// exact log-likelihood-ratio into `log_w`. `horizon` is the longest
-  /// lifetime the trial can observe for this draw (for a fresh install:
-  /// mission end minus install time); only the nominal hazard below it is
-  /// tilted — see HazardTilt. At unit theta this is bit-identical to
-  /// sample() (same draws, same arithmetic, +0.0 weight). kVirtual laws
-  /// cannot be tilted — the fallback has no exposed Exp(1) draw — so they
-  /// forward to the plain sampler with a zero weight term; engines reject
-  /// non-unit tilt on a kVirtual op/latent law at construction.
-  [[nodiscard]] double sample_tilted(const HazardTilt& tilt, double horizon,
-                                     rng::RandomStream& rs,
-                                     double& log_w) const {
-    if (kind_ == Kind::kVirtual) return dist_->sample(rs);
-    double term;
-    const double e = tilt.sample_e(rs, cum_hazard(horizon), term);
-    log_w += term;
-    return from_exponent(e);
-  }
-
-  /// Tilted residual draw. The conditional law H(T) - H(age) ~ Exp(1)
-  /// tilts through the same capped kernel with the cap shifted to the
-  /// hazard *between* age and `horizon_age` (the oldest age the trial can
-  /// observe, i.e. age plus the remaining mission); the transform arms
-  /// mirror sample_residual with e substituted.
+  /// Tilted residual draw given survival to `age`, accumulating the exact
+  /// log-likelihood-ratio into `log_w`: the conditional exponent
+  /// H(T) - H(age) ~ Exp(1) goes through the capped kernel with the cap at
+  /// the hazard between `age` and `horizon_age`. Engaged tilt requires a
+  /// lowered law (validate_tilt), so the arms owe no virtual law's bits:
+  /// the beta == 1 arm is the memoryless max(gamma - age, 0) + eta * e.
+  /// kVirtual laws forward to the plain residual draw with no weight term.
   [[nodiscard]] double sample_residual_tilted(const HazardTilt& tilt,
                                               double age, double horizon_age,
                                               rng::RandomStream& rs,
@@ -260,12 +237,7 @@ class CompiledLaw {
         const double cap = std::max(cum_hazard(horizon_age) - x0, 0.0);
         const double e = tilt.sample_e(rs, cap, term);
         log_w += term;
-        const double ratio = e / x0;
-        if (x0 > 0.0 && std::isfinite(ratio)) {
-          return b_ * x0 * std::expm1(std::log1p(ratio));
-        }
-        const double t = a_ + b_ * (x0 + e);
-        return std::max(0.0, t - age);
+        return std::max(a_ - age, 0.0) + b_ * e;
       }
       default: {  // kWeibull
         const double x0 = std::max(age - a_, 0.0) / b_;
@@ -327,26 +299,17 @@ class CompiledLaw {
                          std::size_t n, const LaneOps& ops,
                          MathTier tier = MathTier::kExact) const;
 
-  /// Bulk tilted draw: out[i] = sample_tilted(tilt, horizons[i],
-  /// *streams[i], ·) and log_w[i] = the draw's weight term (assigned, not
-  /// accumulated — the caller folds per-element terms into its per-lane
-  /// totals so the adds happen in the same order as scalar dispatch).
-  /// MathTier::kFast applies to the raw Exp(1) draw and the Weibull
-  /// transform; the weight arithmetic and hazard caps stay exact.
+  /// Bulk capped-tilt draw of fresh lifetimes: out[i] is the lifetime of
+  /// the exponent HazardTilt::apply_e gives element i's raw Exp(1) draw at
+  /// the cap cum_hazard(horizons[i]), and log_w[i] that draw's weight term
+  /// (assigned, not accumulated). MathTier::kFast applies to the raw draw
+  /// and the Weibull transform; the weight arithmetic and caps stay exact.
+  /// The engines do not call it (their proposal redraws residuals only);
+  /// perfbench's kernel probe times it.
   void sample_n_tilted(const HazardTilt& tilt, const double horizons[],
                        rng::RandomStream* const streams[], double out[],
                        double log_w[], std::size_t n, const LaneOps& ops,
                        MathTier tier = MathTier::kExact) const;
-
-  /// Bulk tilted residual draw, same weight-term contract as
-  /// sample_n_tilted and the same libm-residual-transform rule as
-  /// sample_residual_n.
-  void sample_residual_n_tilted(const HazardTilt& tilt, const double ages[],
-                                const double horizon_ages[],
-                                rng::RandomStream* const streams[],
-                                double out[], double log_w[], std::size_t n,
-                                const LaneOps& ops,
-                                MathTier tier = MathTier::kExact) const;
 
   /// Two laws compare equal iff every sampling path produces the same
   /// values, which lets the batched engine detect slot-uniform groups and
@@ -399,11 +362,12 @@ struct SlotKernel {
                             KernelPolicy policy = KernelPolicy::kLowered);
 };
 
-/// Validate a tilt request against one slot's lowered laws: both thetas
-/// must be positive and finite, and an engaged (non-unit) component must
-/// target a lowerable law — a kVirtual fallback has no exposed Exp(1) draw
-/// to tilt, which also rules out KernelPolicy::kVirtualOnly under engaged
-/// tilt. Throws ModelError on violation.
+/// Validate a tilt request against one slot's lowered laws: op_theta must
+/// be positive and finite, ld_theta must be 1 (the latent tilt is
+/// retired), and an engaged op tilt must target a lowerable law — a
+/// kVirtual fallback has no exposed Exp(1) draw to tilt, which also rules
+/// out KernelPolicy::kVirtualOnly under engaged tilt. Throws ModelError on
+/// violation.
 void validate_tilt(const TiltSpec& tilt, const SlotKernel& kernel);
 
 }  // namespace raidrel::sim

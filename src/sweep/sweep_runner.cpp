@@ -89,11 +89,16 @@ std::uint64_t cell_cache_key(std::uint64_t config_digest,
     canon += ";ess=";
     append_double(canon, options.target_ess);
   }
+  // Tilted cells estimate under the exposure-window proposal
+  // (docs/MODEL.md §13); earlier builds ran them under a global tilt and
+  // keyed them by ";tilt=" alone, so the ";window" suffix keeps their
+  // entries from being served.
   if (options.tilt && options.tilt->engaged()) {
     canon += ";tilt=";
     append_double(canon, options.tilt->op_theta);
     canon += ',';
     append_double(canon, options.tilt->ld_theta);
+    canon += ";window";
   }
   // The fast math tier changes result bits (sim/lane_ops.h), so it MUST
   // feed the key; the default exact tier — like batch_width, which never

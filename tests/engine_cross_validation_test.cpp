@@ -197,7 +197,7 @@ TEST(EngineCrossValidation, TiltedEstimateWithinPlainBootstrapCi) {
 
   RunOptions opt{.trials = 3000, .seed = 63, .threads = 0,
                  .bucket_hours = 2000.0};
-  opt.tilt = TiltSpec{1.5, 1.3};
+  opt.tilt = TiltSpec{1.5, 1.0};
   const auto tilted = run_monte_carlo(cfg, opt);
   const double estimate = tilted.total_ddfs_per_1000() / 1000.0;
   const double sem = tilted.total_ddfs_per_1000_sem() / 1000.0;

@@ -411,6 +411,39 @@ TEST(SweepRunner, PlainCreditEntriesAreResimulated) {
   expect_baseline(resumed);
 }
 
+// cell_cache_key of small_base() at op tilt 2 as builds that ran tilted
+// cells under a global tilt keyed it: ";tilt=2,1", no ";window".
+constexpr std::uint64_t kGlobalTiltCellKey = 12811295409373829306ull;
+
+TEST(SweepRunner, GlobalTiltEntriesAreResimulated) {
+  // A manifest written under the global tilt keyed its tilted cells by the
+  // thetas alone. Its entries are intact — their result digests verify —
+  // but a resume must simulate them again under the exposure-window
+  // proposal, not serve the old estimate. The untilted cell 0 keeps its
+  // key as the control.
+  const std::string path = temp_manifest("globaltilt");
+  SweepSpec spec("tilt-resume", small_base());
+  spec.add_op_tilt_axis({1.0, 2.0});
+  const auto first = SweepRunner(fast_options(path)).run(spec);
+  ASSERT_EQ(first.cells.size(), 2u);
+  ASSERT_TRUE(first.cells[1].tilted());
+  std::string text = read_file(path);
+  const std::string key = std::to_string(first.cells[1].cell_key);
+  const auto pos = text.find("\"cell_key\": " + key);
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos + 12, key.size(), std::to_string(kGlobalTiltCellKey));
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  }
+  const auto resumed = SweepRunner(fast_options(path)).run(spec);
+  EXPECT_EQ(resumed.cached, 1u);
+  EXPECT_EQ(resumed.simulated, 1u);
+  EXPECT_TRUE(resumed.cells[0].from_cache);
+  EXPECT_FALSE(resumed.cells[1].from_cache);
+  EXPECT_EQ(resumed.cells[1].result_digest, first.cells[1].result_digest);
+}
+
 TEST(SweepFaults, EmptyPlanInjectorLeavesEveryDigestBitIdentical) {
   const std::string path = temp_manifest("emptyplan");
   fault::FaultInjector injector{fault::FaultPlan{}};
