@@ -31,12 +31,13 @@ void append_double(std::string& out, double v) {
 }
 
 void append_law(std::string& out, const stats::DistributionPtr& d) {
-  out += d ? d->describe() : "-";
+  out += d ? d->exact_key() : "-";
   out += ';';
 }
 
 // Canonical description of a group: every field that changes simulated
-// behavior, in a fixed order, with doubles printed at full precision.
+// behavior, in a fixed order, with doubles printed at full precision and
+// laws by their exact parameter bits.
 // Cosmetic differences (slot order aside) in how a config was built do
 // not change the string, so equal digests really mean "the same model".
 void append_group(std::string& out, const raid::GroupConfig& config) {
@@ -63,13 +64,8 @@ void append_group(std::string& out, const raid::GroupConfig& config) {
                                                             : "drive-age";
   out += ";recon_defect=";
   append_double(out, config.reconstruction_defect_probability);
-  // Appended only when non-default so every pre-existing digest (and the
-  // caches keyed on them) keeps its exact value — the same convention as
-  // the sweep cache's conditional tilt/math-tier segments.
-  if (config.rebuild != raid::RebuildModel::kDedicatedSpare) {
-    out += ";rebuild=";
-    out += raid::to_string(config.rebuild);
-  }
+  out += ";rebuild=";
+  out += raid::to_string(config.rebuild);
   out += ";laws=[";
   for (const auto& slot : config.slots) {
     append_law(out, slot.time_to_op_failure);

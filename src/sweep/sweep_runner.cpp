@@ -31,10 +31,7 @@ namespace raidrel::sweep {
 
 namespace {
 
-constexpr const char* kSchema = "raidrel-sweep-manifest/2";
-// Pre-quarantine manifests are still valid caches; they only lack the
-// (ignored on load) quarantined array.
-constexpr const char* kSchemaV1 = "raidrel-sweep-manifest/1";
+constexpr const char* kSchema = "raidrel-sweep-manifest/3";
 
 // Attempts for each cache read, journal append and compaction. Read
 // exhaustion falls back to an empty cache (resimulate); append exhaustion
@@ -81,38 +78,18 @@ std::uint64_t cell_cache_key(std::uint64_t config_digest,
   append_u64(canon, options.max_trials);
   canon += ";bucket=";
   append_double(canon, options.bucket_hours);
-  // Conditional segments: only non-default estimation settings extend the
-  // canonical string, so every pre-existing untilted cache key is
-  // unchanged. An engaged tilt MUST feed the key — two cells identical
-  // but for the tilt share a config digest and would otherwise collide.
-  if (options.target_ess > 0.0) {
-    canon += ";ess=";
-    append_double(canon, options.target_ess);
-  }
-  // Tilted cells estimate under the exposure-window proposal
-  // (docs/MODEL.md §13); earlier builds ran them under a global tilt and
-  // keyed them by ";tilt=" alone, so the ";window" suffix keeps their
-  // entries from being served.
-  if (options.tilt && options.tilt->engaged()) {
-    canon += ";tilt=";
-    append_double(canon, options.tilt->op_theta);
-    canon += ',';
-    append_double(canon, options.tilt->ld_theta);
-    canon += ";window";
-  }
-  // The fast math tier changes result bits (sim/lane_ops.h), so it MUST
-  // feed the key; the default exact tier — like batch_width, which never
-  // changes a bit — stays out, keeping every pre-existing key unchanged.
-  if (options.math_tier != sim::MathTier::kExact) {
-    canon += ";mtier=";
-    canon += sim::math_tier_name(options.math_tier);
-  }
-  // Credited cells estimate differently from the event path that earlier
-  // builds ran them on, and since the first-drive control variate joined
-  // the estimate, from the plain credit (the old ";latent=credit"
-  // segment), so their keys match neither kind of cache entry;
-  // out-of-scope keys are unchanged.
-  if (latent_credit) canon += ";latent=credit+first-drive";
+  canon += ";ess=";
+  append_double(canon, options.target_ess);
+  // Two cells identical but for the tilt share a config digest, so the
+  // op tilt MUST feed the key (θ = 1 when none is engaged).
+  canon += ";tilt=";
+  append_double(canon, options.tilt ? options.tilt->op_theta : 1.0);
+  // The math tier can change result bits (sim/lane_ops.h); batch_width
+  // never does, so it stays out.
+  canon += ";mtier=";
+  canon += sim::math_tier_name(options.math_tier);
+  canon += ";estimator=";
+  canon += latent_credit ? sim::kLatentCreditEstimator : sim::kEventsEstimator;
   canon += '}';
   return obs::fnv1a64(canon);
 }
@@ -148,25 +125,14 @@ std::uint64_t cell_result_digest(const CellResult& r) {
   append_u64(canon, r.scrubs_completed);
   canon += ";restores=";
   append_u64(canon, r.restores_completed);
-  // Tilted cells only (see CellResult): untilted digests are unchanged.
-  if (r.tilted()) {
-    canon += ";optilt=";
-    append_double(canon, r.op_tilt);
-    canon += ";ldtilt=";
-    append_double(canon, r.ld_tilt);
-    canon += ";ess=";
-    append_double(canon, r.ess);
-  }
-  // Non-default rebuild models only: dedicated-spare digests are unchanged.
-  if (!r.rebuild.empty()) {
-    canon += ";rebuild=";
-    canon += r.rebuild;
-  }
-  // Credited cells only: event-path digests are unchanged.
-  if (r.latent_credited()) {
-    canon += ";estimator=";
-    canon += r.estimator;
-  }
+  canon += ";optilt=";
+  append_double(canon, r.op_tilt);
+  canon += ";ess=";
+  append_double(canon, r.ess);
+  canon += ";rebuild=";
+  canon += r.rebuild;
+  canon += ";estimator=";
+  canon += r.estimator;
   canon += '}';
   return obs::fnv1a64(canon);
 }
@@ -262,23 +228,11 @@ CellResult parse_cell(const obs::JsonValue& entry) {
   r.latent_defects = entry.get("latent_defects").as_uint64();
   r.scrubs_completed = entry.get("scrubs_completed").as_uint64();
   r.restores_completed = entry.get("restores_completed").as_uint64();
-  // Optional, present only for tilted cells (see CellResult).
-  if (const obs::JsonValue* v = entry.find("op_tilt")) {
-    r.op_tilt = v->as_double();
-  }
-  if (const obs::JsonValue* v = entry.find("ld_tilt")) {
-    r.ld_tilt = v->as_double();
-  }
-  if (const obs::JsonValue* v = entry.find("ess")) {
-    r.ess = v->as_double();
-  }
-  if (const obs::JsonValue* v = entry.find("rebuild")) {
-    r.rebuild = v->as_string();
-  }
-  // Absent in manifests written before the latent credit: events.
-  if (const obs::JsonValue* v = entry.find("estimator")) {
-    r.estimator = v->as_string();
-  }
+  r.op_tilt = entry.get("op_tilt").as_double();
+  r.ess = entry.get("ess").as_double();
+  r.rebuild = entry.get("rebuild").as_string();
+  r.estimator = entry.get("estimator").as_string();
+  r.estimator_reason = entry.get("estimator_reason").as_string();
   r.result_digest = entry.get("result_digest").as_uint64();
   r.from_cache = true;
   return r;
@@ -350,10 +304,7 @@ std::unordered_map<std::uint64_t, CellResult> load_manifest(
   try {
     if (!root.is_object()) return cache;
     const obs::JsonValue* schema = root.find("schema");
-    if (schema == nullptr ||
-        (schema->as_string() != kSchema && schema->as_string() != kSchemaV1)) {
-      return cache;
-    }
+    if (schema == nullptr || schema->as_string() != kSchema) return cache;
     for (const auto& entry : root.get("cells").items()) {
       CellResult r = parse_cell(entry);
       // A tampered or bit-rotted entry must not masquerade as a result.
@@ -440,16 +391,11 @@ void write_cell(obs::JsonWriter& w, const CellResult& r) {
   w.kv("latent_defects", r.latent_defects);
   w.kv("scrubs_completed", r.scrubs_completed);
   w.kv("restores_completed", r.restores_completed);
-  if (r.tilted()) {
-    w.kv("op_tilt", r.op_tilt);
-    w.kv("ld_tilt", r.ld_tilt);
-    w.kv("ess", r.ess);
-  }
-  if (!r.rebuild.empty()) w.kv("rebuild", std::string_view(r.rebuild));
+  w.kv("op_tilt", r.op_tilt);
+  w.kv("ess", r.ess);
+  w.kv("rebuild", std::string_view(r.rebuild));
   w.kv("estimator", std::string_view(r.estimator));
-  if (!r.estimator_reason.empty()) {
-    w.kv("estimator_reason", std::string_view(r.estimator_reason));
-  }
+  w.kv("estimator_reason", std::string_view(r.estimator_reason));
   w.kv("result_digest", r.result_digest);
   w.end_object();
 }
@@ -632,16 +578,10 @@ void write_manifest(const std::string& path, const std::string& sweep_name,
     w.kv("min_trials", static_cast<std::uint64_t>(conv.min_trials));
     w.kv("max_trials", static_cast<std::uint64_t>(conv.max_trials));
     w.kv("bucket_hours", conv.bucket_hours);
-    // Non-default estimation settings only, so untilted manifests keep
-    // their exact bytes (per-cell tilts live on the cells, not here).
-    if (conv.target_ess > 0.0) w.kv("target_ess", conv.target_ess);
-    if (conv.tilt && conv.tilt->engaged()) {
-      w.kv("op_tilt", conv.tilt->op_theta);
-      w.kv("ld_tilt", conv.tilt->ld_theta);
-    }
-    if (conv.math_tier != sim::MathTier::kExact) {
-      w.kv("math_tier", sim::math_tier_name(conv.math_tier));
-    }
+    w.kv("target_ess", conv.target_ess);
+    // The sweep-wide tilt; a cell's own tilt is on the cell.
+    w.kv("op_tilt", conv.tilt ? conv.tilt->op_theta : 1.0);
+    w.kv("math_tier", sim::math_tier_name(conv.math_tier));
     w.end_object();
     w.kv("total_cells", static_cast<std::uint64_t>(total_cells));
     w.key("cells");
@@ -749,12 +689,9 @@ CellResult simulate_cell(const SweepCell& cell,
   r.latent_defects = run.result.latent_defects();
   r.scrubs_completed = run.result.scrubs_completed();
   r.restores_completed = run.result.restores_completed();
-  r.op_tilt = cell.scenario.op_tilt;
-  r.ld_tilt = cell.scenario.ld_tilt;
-  if (r.tilted()) r.ess = run.ess;
-  if (cell.scenario.rebuild != raid::RebuildModel::kDedicatedSpare) {
-    r.rebuild = raid::to_string(cell.scenario.rebuild);
-  }
+  r.op_tilt = effective.tilt ? effective.tilt->op_theta : 1.0;
+  r.ess = run.ess;
+  r.rebuild = raid::to_string(cell.scenario.rebuild);
   r.result_digest = cell_result_digest(r);
   return r;
 }

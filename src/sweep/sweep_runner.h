@@ -7,10 +7,10 @@
 // options) — bit-identical no matter which worker runs it, how many cells
 // run concurrently, or whether the sweep was interrupted and resumed.
 //
-// The result cache is a JSON manifest (schema raidrel-sweep-manifest/2,
-// written via obs/json_writer, read back via obs/json_reader; /1 manifests
-// are still read). Every cell is keyed by a digest over its config digest
-// plus everything else that determines its result. Each completed cell
+// The result cache is a JSON manifest (schema raidrel-sweep-manifest/3,
+// written via obs/json_writer, read back via obs/json_reader; a manifest of
+// any other schema is not read). Every cell is keyed by a digest over its
+// config digest plus everything else that determines its result. Each completed cell
 // appends one checksummed, fdatasynced record to `<manifest>.journal`, so
 // even a crash loses at most the in-flight cells; a compaction at sweep
 // end folds the journal into the manifest (fsynced temp file, rename,
@@ -144,10 +144,10 @@ struct ErrorRecord {
   std::string message;         ///< what() of the last attempt's exception
 };
 
-/// One cell's persisted outcome. Every field except `from_cache` is part
-/// of the manifest; `result_digest` is an FNV-1a hash over the canonical
-/// serialization of the numeric outcome, so caches can be verified and
-/// whole sweeps compared by a single number.
+/// One cell's persisted outcome. Every field except `from_cache` is written
+/// to the manifest and required when it is read back; `result_digest` is an
+/// FNV-1a hash over the canonical serialization of the numeric outcome, so
+/// caches can be verified and whole sweeps compared by a single number.
 struct CellResult {
   std::size_t index = 0;
   std::string label;
@@ -172,36 +172,21 @@ struct CellResult {
   std::uint64_t latent_defects = 0;
   std::uint64_t scrubs_completed = 0;
   std::uint64_t restores_completed = 0;
-  /// Importance-sampling tilt the cell ran with (docs/MODEL.md §13) and
-  /// the effective sample size achieved. Serialized (and hashed into the
-  /// result digest) only for tilted cells, so untilted manifests keep
-  /// their exact bytes; a cached untilted cell therefore loads with
-  /// ess == 0 (for untilted runs the ESS equals `trials` anyway).
+  /// Op tilt the cell ran with (docs/MODEL.md §13; 1 = untilted) and the
+  /// effective sample size achieved, which equals `trials` when untilted.
   double op_tilt = 1.0;
-  double ld_tilt = 1.0;
   double ess = 0.0;
-  /// Rebuild placement model the cell ran with. Serialized (and hashed
-  /// into the result digest) only when non-default — same additive-key
-  /// convention as the tilt fields, so pre-existing manifests keep their
-  /// exact bytes. Empty = dedicated spare (the paper's model).
+  /// Rebuild placement model the cell ran with (raid::to_string).
   std::string rebuild;
   /// Which estimator produced the numbers (sim/latent_credit.h): "events"
   /// or "latent-credit" — a latent-credited cell's latent_defects and
   /// scrubs_completed are 0 — and, for the event path, why the cell is out
-  /// of the latent-credit scope. Both are written to the manifest and
-  /// follow from the cell's configuration; only a credited cell hashes
-  /// its estimator into the result digest, so event-path digests are
-  /// unchanged.
+  /// of the latent-credit scope (empty when credited). Both follow from
+  /// the cell's configuration; the estimator is hashed into the result
+  /// digest.
   std::string estimator;
   std::string estimator_reason;
   std::uint64_t result_digest = 0;
-
-  [[nodiscard]] bool tilted() const noexcept {
-    return op_tilt != 1.0 || ld_tilt != 1.0;
-  }
-  [[nodiscard]] bool latent_credited() const noexcept {
-    return estimator == sim::kLatentCreditEstimator;
-  }
 };
 
 struct SweepResult {
@@ -257,11 +242,8 @@ struct SweepResult {
 };
 
 /// Digest keying one cell's cache entry: the config digest chained with
-/// the seed and every convergence option that affects the outcome, plus a
-/// `;latent=credit+first-drive` segment when the cell runs the
-/// latent-credit estimator with its first-drive control variate (so
-/// entries an earlier build simulated on the event path, or credited
-/// under the plain `;latent=credit` key, are not served for it).
+/// the seed, every convergence option that affects the outcome, and the
+/// estimator the cell runs (latent credit or the event path).
 std::uint64_t cell_cache_key(std::uint64_t config_digest,
                              const sim::ConvergenceOptions& options,
                              bool latent_credit = false);

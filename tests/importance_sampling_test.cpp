@@ -361,8 +361,9 @@ TEST(ImportanceSampling, SweepTiltAxisKeysCellsByTilt) {
   opt.threads = 1;
   const auto result = sweep::SweepRunner(opt).run(spec);
   ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_FALSE(result.cells[0].tilted());
-  EXPECT_TRUE(result.cells[1].tilted());
+  EXPECT_DOUBLE_EQ(result.cells[0].op_tilt, 1.0);
+  EXPECT_DOUBLE_EQ(result.cells[0].ess,
+                   static_cast<double>(result.cells[0].trials));
   EXPECT_DOUBLE_EQ(result.cells[1].op_tilt, 2.0);
   EXPECT_GT(result.cells[1].ess, 0.0);
   // Equal digests but distinct cache keys: a tilted cell can never

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -69,6 +70,21 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+void write_file(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+/// Offsets just past each record's newline.
+std::vector<std::size_t> record_ends(const std::string& journal) {
+  std::vector<std::size_t> ends;
+  for (std::size_t i = 0; i < journal.size(); ++i) {
+    if (journal[i] == '\n') ends.push_back(i + 1);
+  }
+  return ends;
 }
 
 void expect_same_cells(const SweepResult& a, const SweepResult& b) {
@@ -213,7 +229,7 @@ TEST(SweepRunner, CorruptManifestFallsBackToFullResimulation) {
   EXPECT_EQ(result.simulated, 4u);
   // And the manifest is healthy again afterwards.
   const auto root = obs::parse_json(read_file(path));
-  EXPECT_EQ(root.get("schema").as_string(), "raidrel-sweep-manifest/2");
+  EXPECT_EQ(root.get("schema").as_string(), "raidrel-sweep-manifest/3");
   EXPECT_EQ(root.get("cells").size(), 4u);
   EXPECT_EQ(root.get("quarantined").size(), 0u);
 }
@@ -273,7 +289,48 @@ TEST(SweepRunner, CellKeyDependsOnEverythingThatChangesTheResult) {
   opt = base;
   opt.bucket_hours = 365.0;
   EXPECT_NE(cell_cache_key(123, opt), key);
-  // Threads shard cells but never change a cell's result: same key.
+  opt = base;
+  opt.target_ess = 500.0;
+  EXPECT_NE(cell_cache_key(123, opt), key);
+  opt = base;
+  opt.tilt = sim::TiltSpec{2.0, 1.0};
+  EXPECT_NE(cell_cache_key(123, opt), key);
+  opt.tilt = sim::TiltSpec{};  // a unit tilt is the plain engine
+  EXPECT_EQ(cell_cache_key(123, opt), key);
+  opt = base;
+  opt.math_tier = sim::MathTier::kFast;
+  EXPECT_NE(cell_cache_key(123, opt), key);
+  EXPECT_NE(cell_cache_key(123, base, /*latent_credit=*/true), key);
+  // Threads and lane width shard or batch trials but never change a
+  // cell's result: same key.
+  opt = base;
+  opt.threads = 7;
+  opt.batch_width = 1;
+  EXPECT_EQ(cell_cache_key(123, opt), key);
+}
+
+TEST(SweepRunner, LawsThatDifferPastTheSixthDigitKeyApart) {
+  // Both scrub laws print as eta=168 at describe()'s 6 significant digits
+  // and both cells are labelled "scrub=168"; the config digest still
+  // tells them apart, so a resume never serves one's result for the other.
+  SweepSpec spec("exact-laws", small_base());
+  spec.add_scrub_period_axis({168.0, std::nextafter(168.0, 200.0)});
+  const auto cells = spec.expand();
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].label, cells[1].label);
+  EXPECT_NE(cells[0].config_digest, cells[1].config_digest);
+
+  const std::string path = temp_manifest("exactlaws");
+  auto first = fast_options(path);
+  first.max_cells = 1;
+  ASSERT_EQ(SweepRunner(first).run(spec).cells.size(), 1u);
+  const auto resumed = SweepRunner(fast_options(path)).run(spec);
+  ASSERT_EQ(resumed.cells.size(), 2u);
+  EXPECT_NE(resumed.cells[0].cell_key, resumed.cells[1].cell_key);
+  EXPECT_EQ(resumed.cached, 1u);
+  EXPECT_EQ(resumed.simulated, 1u);
+  EXPECT_TRUE(resumed.cells[0].from_cache);
+  EXPECT_FALSE(resumed.cells[1].from_cache);
 }
 
 TEST(SweepRunner, ResultDigestCoversTheNumericOutcome) {
@@ -307,45 +364,46 @@ TEST(SweepRunner, EmptyCellListIsAnError) {
 
 // Baseline digests for small_spec() + fast_options(). An attached-but-
 // empty injector must not perturb a single bit of any result. The cells
-// are latent-credited; these values were regenerated when the first-drive
-// control variate joined the credited estimate (the keys' segment became
-// ";latent=credit+first-drive"). kPlainCreditCellKeys are the same cells'
-// keys under the plain credit (";latent=credit"), which a resume must
-// never serve. kEventBaseline* pins the same cells on the event path
-// (small_spec(1.2)) at values computed before the latent credit existed.
+// are latent-credited; kEventBaseline* pins the same cells on the event
+// path (small_spec(1.2)). Every value below was re-pinned when
+// config_digest began rendering laws by their exact parameter bits and
+// every key, digest and manifest field became unconditional (manifest
+// schema /3); the simulated numbers did not change:
+// - kBaselineCellKeys, kEventBaselineCellKeys: the config digests under
+//   them moved, and each key gained its always-present ess, tilt, math
+//   tier and estimator segments.
+// - kBaselineCellDigests, kEventBaselineCellDigests: each result digest
+//   gained its always-present op tilt, ESS, rebuild and estimator
+//   segments.
+// - kBaselineSweepDigest, kEventBaselineSweepDigest: they chain the cell
+//   digests above.
 constexpr std::uint64_t kBaselineCellDigests[4] = {
-    11615433618070695433ull,  // restore=12 group=4
-    9820418725014923756ull,   // restore=12 group=6
-    13191712234772349820ull,  // restore=48 group=4
-    3485015053602106248ull,   // restore=48 group=6
+    16754878323578965301ull,  // restore=12 group=4
+    1533998080148941242ull,   // restore=12 group=6
+    11003665278481247434ull,  // restore=48 group=4
+    16385533702041521222ull,  // restore=48 group=6
 };
 constexpr std::uint64_t kBaselineCellKeys[4] = {
-    15953255772151074479ull,
-    191715415933344697ull,
-    16339787057260526284ull,
-    14042405227773488225ull,
+    3601697767994869320ull,
+    13151894594243438746ull,
+    4675038163196845938ull,
+    4050989481901480036ull,
 };
-constexpr std::uint64_t kBaselineSweepDigest = 12768138063458951665ull;
-constexpr std::uint64_t kPlainCreditCellKeys[4] = {
-    4463436831175020063ull,
-    1356337448245001889ull,
-    11586256915450966580ull,
-    18276616709843326313ull,
-};
+constexpr std::uint64_t kBaselineSweepDigest = 11583665963883582422ull;
 
 constexpr std::uint64_t kEventBaselineCellDigests[4] = {
-    6254353089952317175ull,
-    13411002153504360020ull,
-    18288557195181847445ull,
-    13746897163646997465ull,
+    2054871272166079072ull,
+    10959266066614144859ull,
+    281145085149354874ull,
+    553517001621486270ull,
 };
 constexpr std::uint64_t kEventBaselineCellKeys[4] = {
-    8762108573894510679ull,
-    3362846238973966196ull,
-    1567831259872028063ull,
-    16608546610652596556ull,
+    17117550665941356392ull,
+    5856977281376936952ull,
+    15962403598955900804ull,
+    8575400087209548838ull,
 };
-constexpr std::uint64_t kEventBaselineSweepDigest = 16334322280079168935ull;
+constexpr std::uint64_t kEventBaselineSweepDigest = 12361512031578246117ull;
 
 void expect_baseline(const SweepResult& result) {
   ASSERT_EQ(result.cells.size(), 4u);
@@ -383,65 +441,6 @@ TEST(SweepFaults, EventPathCellsKeepTheirDigestsAndKeys) {
             "latent-defect law is not exponential");
   const auto root = obs::parse_json(read_file(path));
   EXPECT_EQ(root.get("cells").at(0).get("estimator").as_string(), "events");
-}
-
-TEST(SweepRunner, PlainCreditEntriesAreResimulated) {
-  // A manifest written before the first-drive control variate keyed its
-  // credited cells ";latent=credit". Its entries are intact — their result
-  // digests verify — but a resume must simulate them again, not serve the
-  // plain credited estimate. Cell 0 keeps its current key as the control.
-  const std::string path = temp_manifest("plaincredit");
-  SweepRunner(fast_options(path)).run(small_spec());
-  std::string text = read_file(path);
-  for (std::size_t i = 1; i < 4; ++i) {
-    const std::string key = std::to_string(kBaselineCellKeys[i]);
-    const auto pos = text.find("\"cell_key\": " + key);
-    ASSERT_NE(pos, std::string::npos) << i;
-    text.replace(pos + 12, key.size(),
-                 std::to_string(kPlainCreditCellKeys[i]));
-  }
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << text;
-  }
-  const auto resumed = SweepRunner(fast_options(path)).run(small_spec());
-  EXPECT_EQ(resumed.cached, 1u);
-  EXPECT_EQ(resumed.simulated, 3u);
-  EXPECT_TRUE(resumed.cells[0].from_cache);
-  expect_baseline(resumed);
-}
-
-// cell_cache_key of small_base() at op tilt 2 as builds that ran tilted
-// cells under a global tilt keyed it: ";tilt=2,1", no ";window".
-constexpr std::uint64_t kGlobalTiltCellKey = 12811295409373829306ull;
-
-TEST(SweepRunner, GlobalTiltEntriesAreResimulated) {
-  // A manifest written under the global tilt keyed its tilted cells by the
-  // thetas alone. Its entries are intact — their result digests verify —
-  // but a resume must simulate them again under the exposure-window
-  // proposal, not serve the old estimate. The untilted cell 0 keeps its
-  // key as the control.
-  const std::string path = temp_manifest("globaltilt");
-  SweepSpec spec("tilt-resume", small_base());
-  spec.add_op_tilt_axis({1.0, 2.0});
-  const auto first = SweepRunner(fast_options(path)).run(spec);
-  ASSERT_EQ(first.cells.size(), 2u);
-  ASSERT_TRUE(first.cells[1].tilted());
-  std::string text = read_file(path);
-  const std::string key = std::to_string(first.cells[1].cell_key);
-  const auto pos = text.find("\"cell_key\": " + key);
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos + 12, key.size(), std::to_string(kGlobalTiltCellKey));
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << text;
-  }
-  const auto resumed = SweepRunner(fast_options(path)).run(spec);
-  EXPECT_EQ(resumed.cached, 1u);
-  EXPECT_EQ(resumed.simulated, 1u);
-  EXPECT_TRUE(resumed.cells[0].from_cache);
-  EXPECT_FALSE(resumed.cells[1].from_cache);
-  EXPECT_EQ(resumed.cells[1].result_digest, first.cells[1].result_digest);
 }
 
 TEST(SweepFaults, EmptyPlanInjectorLeavesEveryDigestBitIdentical) {
@@ -673,37 +672,56 @@ TEST(SweepFaults, ManifestParentDirectoriesAreCreated) {
   EXPECT_EQ(rerun.cached, 4u);
 }
 
-TEST(SweepFaults, SchemaV1ManifestsAreStillRead) {
-  const auto spec = small_spec();
-  const std::string path = temp_manifest("v1compat");
-  SweepRunner(fast_options(path)).run(spec);
+// Entries of an earlier format are never served: a manifest of the
+// previous schema resimulates every cell, and a journal record that lacks
+// a field every record now carries stops the replay there.
+TEST(SweepFaults, OldFormatEntriesAreResimulated) {
+  const std::string clean = temp_manifest("oldformat_clean");
+  SweepRunner(fast_options(clean)).run(small_spec());
+  const std::string clean_bytes = read_file(clean);
 
-  // Surgically downgrade the manifest to what a pre-quarantine build
-  // wrote: schema /1 and no quarantined array.
-  std::string text = read_file(path);
-  const std::string v2 = "\"raidrel-sweep-manifest/2\"";
-  const auto spos = text.find(v2);
+  const std::string path = temp_manifest("oldformat_schema");
+  std::string text = clean_bytes;
+  const std::string v3 = "\"raidrel-sweep-manifest/3\"";
+  const auto spos = text.find(v3);
   ASSERT_NE(spos, std::string::npos);
-  text.replace(spos, v2.size(), "\"raidrel-sweep-manifest/1\"");
-  const auto qpos = text.find("\"quarantined\"");
-  ASSERT_NE(qpos, std::string::npos);
-  const auto comma = text.rfind(',', qpos);
-  const auto close = text.find(']', qpos);
-  ASSERT_NE(comma, std::string::npos);
-  ASSERT_NE(close, std::string::npos);
-  text.erase(comma, close - comma + 1);
-  ASSERT_NO_THROW(obs::parse_json(text));  // still a valid manifest
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << text;
-  }
+  text.replace(spos, v3.size(), "\"raidrel-sweep-manifest/2\"");
+  write_file(path, text);
+  const auto schema2 = SweepRunner(fast_options(path)).run(small_spec());
+  EXPECT_EQ(schema2.cached, 0u);
+  EXPECT_EQ(schema2.simulated, 4u);
+  expect_baseline(schema2);
+  EXPECT_EQ(read_file(path), clean_bytes);  // rewritten as /3
 
-  const auto result = SweepRunner(fast_options(path)).run(spec);
-  EXPECT_EQ(result.cached, 4u);
-  EXPECT_EQ(result.simulated, 0u);
-  // And the rewrite upgrades it back to /2.
-  const auto root = obs::parse_json(read_file(path));
-  EXPECT_EQ(root.get("schema").as_string(), "raidrel-sweep-manifest/2");
+  // Every compaction fails, so the pass leaves its whole journal behind.
+  const std::string journaled = temp_manifest("oldformat_journal");
+  {
+    fault::FaultInjector no_rename{
+        fault::FaultPlan::parse("manifest_rename:1*99")};
+    auto opt = fast_options(journaled);
+    opt.fault = &no_rename;
+    SweepRunner(opt).run(small_spec());
+  }
+  const std::string journal = read_file(journaled + ".journal");
+  const std::vector<std::size_t> ends = record_ends(journal);
+  ASSERT_EQ(ends.size(), 4u);
+  // The first record without its "ess" field, its checksum redone: what
+  // an earlier build wrote for an untilted cell.
+  std::string first = journal.substr(17, ends[0] - 18);
+  const auto epos = first.find(",\"ess\":");
+  ASSERT_NE(epos, std::string::npos);
+  first.erase(epos, first.find(',', epos + 1) - epos);
+  ASSERT_NO_THROW(obs::parse_json(first));
+  char sum[17];
+  std::snprintf(sum, sizeof sum, "%016llx",
+                static_cast<unsigned long long>(obs::fnv1a64(first)));
+  write_file(journaled + ".journal",
+             std::string(sum) + ' ' + first + '\n' + journal.substr(ends[0]));
+  const auto replayed = SweepRunner(fast_options(journaled)).run(small_spec());
+  EXPECT_EQ(replayed.cached, 0u);  // nothing past the record is trusted
+  EXPECT_EQ(replayed.simulated, 4u);
+  expect_baseline(replayed);
+  EXPECT_EQ(read_file(journaled), clean_bytes);
 }
 
 TEST(SweepFaults, RetryBudgetsMustBePositive) {
@@ -715,21 +733,6 @@ TEST(SweepFaults, RetryBudgetsMustBePositive) {
 // ---------------------------------------------------------------------------
 // The completion journal (<manifest>.journal): one fsynced record per
 // completed cell, folded into the manifest by a compaction at sweep end.
-
-void write_file(const std::string& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  ASSERT_TRUE(out.good()) << path;
-}
-
-/// Offsets just past each record's newline.
-std::vector<std::size_t> record_ends(const std::string& journal) {
-  std::vector<std::size_t> ends;
-  for (std::size_t i = 0; i < journal.size(); ++i) {
-    if (journal[i] == '\n') ends.push_back(i + 1);
-  }
-  return ends;
-}
 
 TEST(SweepJournal, FailedCompactionLeavesNoTempFileAndKeepsTheJournal) {
   const std::string path = temp_manifest("journal_norename");

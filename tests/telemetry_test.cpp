@@ -102,6 +102,17 @@ TEST(ConfigDigest, StableAndSensitive) {
   auto no_pool = cfg.clone();
   no_pool.spare_pool.reset();
   EXPECT_NE(base, sim::config_digest(no_pool));
+
+  // Scrub laws that differ past describe()'s 6 significant digits.
+  auto scrub168 = cfg.clone();
+  auto nudged = cfg.clone();
+  scrub168.slots[0].time_to_scrub =
+      std::make_unique<stats::Weibull>(6.0, 168.0, 3.0);
+  nudged.slots[0].time_to_scrub =
+      std::make_unique<stats::Weibull>(6.0, std::nextafter(168.0, 200.0), 3.0);
+  ASSERT_EQ(scrub168.slots[0].time_to_scrub->describe(),
+            nudged.slots[0].time_to_scrub->describe());
+  EXPECT_NE(sim::config_digest(scrub168), sim::config_digest(nudged));
 }
 
 TEST(RunTelemetry, TotalsMatchRunResultCounters) {
